@@ -22,10 +22,16 @@
 #include "support/Format.h"
 #include "workloads/Workloads.h"
 
+#include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <optional>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 namespace gis {
 namespace bench {
@@ -150,52 +156,140 @@ inline unsigned hardwareThreads() {
   return N ? N : 1;
 }
 
-/// Merges one top-level \p Key section into the shared benchmark JSON
-/// document at \p Path: strips the closing brace of the existing
-/// document, drops a stale copy of the section (and anything after it) on
-/// re-runs, and appends \p Section (a complete JSON value).  A fresh
-/// document is opened with a "hardware_threads" field so the blob is
-/// self-describing no matter which benchmark binary runs first.  Returns
-/// false (with a diagnostic naming \p Tool) when the file is unwritable.
-inline bool mergeJsonSection(const char *Path, const char *Tool,
-                             const char *Key, const std::string &Section) {
-  std::string Existing;
+/// The whole file at \p Path; empty when it cannot be read.
+inline std::string readFileText(const char *Path) {
+  std::string Text;
   if (std::FILE *In = std::fopen(Path, "r")) {
     char Buf[4096];
     size_t N;
     while ((N = std::fread(Buf, 1, sizeof(Buf), In)) > 0)
-      Existing.append(Buf, N);
+      Text.append(Buf, N);
     std::fclose(In);
-    // Strip exactly one closing brace -- the document's own.  Stripping
-    // every trailing '}' would also eat the brace of a nested object that
-    // happens to close the last section.
-    while (!Existing.empty() &&
-           (Existing.back() == '\n' || Existing.back() == ' '))
-      Existing.pop_back();
-    if (!Existing.empty() && Existing.back() == '}')
-      Existing.pop_back();
   }
-  if (size_t P = Existing.rfind(std::string("\n  \"") + Key + "\"");
-      P != std::string::npos)
-    Existing.resize(P);
-  while (!Existing.empty() &&
-         (Existing.back() == ',' || Existing.back() == '\n' ||
-          Existing.back() == ' '))
-    Existing.pop_back();
-  if (Existing == "{")
-    Existing.clear();
+  return Text;
+}
+
+/// The top-level members of a JSON object: each key with the raw text of
+/// its value, in document order.
+using JsonMembers = std::vector<std::pair<std::string, std::string>>;
+
+/// Splits the top-level object of \p Doc into its members, leaving every
+/// value's text untouched (nested objects, arrays and strings are skipped
+/// by bracket depth).  Empty for an empty or malformed document.
+inline JsonMembers splitJsonObject(const std::string &Doc) {
+  JsonMembers Members;
+  size_t P = Doc.find('{');
+  if (P == std::string::npos)
+    return Members;
+  ++P;
+  auto SkipSpace = [&] {
+    while (P < Doc.size() && std::isspace(static_cast<unsigned char>(Doc[P])))
+      ++P;
+  };
+  auto SkipString = [&] { // from the opening quote to past the closing one
+    for (++P; P < Doc.size() && Doc[P] != '"'; ++P)
+      if (Doc[P] == '\\')
+        ++P;
+    P = std::min(P + 1, Doc.size());
+  };
+  while (true) {
+    SkipSpace();
+    if (P >= Doc.size() || Doc[P] != '"')
+      break; // the closing brace
+    size_t KeyStart = P + 1;
+    SkipString();
+    std::string Key = Doc.substr(KeyStart, P - 1 - KeyStart);
+    SkipSpace();
+    if (P >= Doc.size() || Doc[P] != ':')
+      return {};
+    ++P;
+    SkipSpace();
+    size_t ValueStart = P;
+    int Depth = 0;
+    while (P < Doc.size()) {
+      char C = Doc[P];
+      if (C == '"') {
+        SkipString();
+        continue;
+      }
+      if ((C == ',' || C == '}' || C == ']') && Depth == 0)
+        break;
+      if (C == '{' || C == '[')
+        ++Depth;
+      else if (C == '}' || C == ']')
+        --Depth;
+      ++P;
+    }
+    size_t ValueEnd = P;
+    while (ValueEnd > ValueStart &&
+           std::isspace(static_cast<unsigned char>(Doc[ValueEnd - 1])))
+      --ValueEnd;
+    Members.emplace_back(Key, Doc.substr(ValueStart, ValueEnd - ValueStart));
+    if (P >= Doc.size() || Doc[P] != ',')
+      break;
+    ++P;
+  }
+  return Members;
+}
+
+/// Number field \p Field of the top-level section \p Key in the JSON
+/// document at \p Path, as a previous run recorded it; 0 when the file,
+/// the section or the field does not exist.
+inline double recordedNumber(const char *Path, const char *Key,
+                             const char *Field) {
+  for (const auto &[K, Value] : splitJsonObject(readFileText(Path))) {
+    if (K != Key)
+      continue;
+    std::string Needle = std::string("\"") + Field + "\":";
+    size_t At = Value.find(Needle);
+    if (At == std::string::npos)
+      return 0.0;
+    return std::strtod(Value.c_str() + At + Needle.size(), nullptr);
+  }
+  return 0.0;
+}
+
+/// Replaces the top-level members \p Updates of the shared benchmark JSON
+/// document at \p Path, appending those it does not have yet; every other
+/// member is kept as it was, in place, so benches never overwrite each
+/// other's sections.  A fresh document is opened with a
+/// "hardware_threads" member so the blob is self-describing no matter
+/// which benchmark binary runs first.  Returns false (with a diagnostic
+/// naming \p Tool) when the file is unwritable.
+inline bool mergeJsonMembers(const char *Path, const char *Tool,
+                             const JsonMembers &Updates) {
+  JsonMembers Members = splitJsonObject(readFileText(Path));
+  if (Members.empty())
+    Members.emplace_back("hardware_threads",
+                         std::to_string(hardwareThreads()));
+  for (const auto &Update : Updates) {
+    auto It =
+        std::find_if(Members.begin(), Members.end(),
+                     [&](const auto &M) { return M.first == Update.first; });
+    if (It != Members.end())
+      It->second = Update.second;
+    else
+      Members.push_back(Update);
+  }
   std::FILE *Out = std::fopen(Path, "w");
   if (!Out) {
     std::fprintf(stderr, "%s: cannot write %s\n", Tool, Path);
     return false;
   }
-  if (Existing.empty())
-    std::fprintf(Out, "{\n  \"hardware_threads\": %u,", hardwareThreads());
-  else
-    std::fputs((Existing + ",").c_str(), Out);
-  std::fprintf(Out, "\n  \"%s\": %s\n}\n", Key, Section.c_str());
+  std::fputs("{", Out);
+  for (size_t K = 0; K != Members.size(); ++K)
+    std::fprintf(Out, "%s\n  \"%s\": %s", K ? "," : "",
+                 Members[K].first.c_str(), Members[K].second.c_str());
+  std::fputs("\n}\n", Out);
   std::fclose(Out);
   return true;
+}
+
+/// Merges one top-level \p Key section (a complete JSON value) into the
+/// shared benchmark JSON document at \p Path; see mergeJsonMembers.
+inline bool mergeJsonSection(const char *Path, const char *Tool,
+                             const char *Key, const std::string &Section) {
+  return mergeJsonMembers(Path, Tool, {{Key, Section}});
 }
 
 } // namespace bench

@@ -81,29 +81,6 @@ struct MatrixPoint {
   double Speedup; ///< vs the full-recompute twin of the same config
 };
 
-/// The previously recorded gate value: the incremental speculative -O0
-/// funcs/s of the last run, parsed out of BENCH_engine.json's "coldpath"
-/// section.  0 when the file or section does not exist yet.
-double recordedGate(const char *Path) {
-  std::FILE *In = std::fopen(Path, "r");
-  if (!In)
-    return 0.0;
-  std::string Text;
-  char Buf[4096];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), In)) > 0)
-    Text.append(Buf, N);
-  std::fclose(In);
-  size_t Sec = Text.find("\"coldpath\"");
-  if (Sec == std::string::npos)
-    return 0.0;
-  size_t Key = Text.find("\"gate_funcs_per_sec\":", Sec);
-  if (Key == std::string::npos)
-    return 0.0;
-  return std::strtod(Text.c_str() + Key + sizeof("\"gate_funcs_per_sec\":"),
-                     nullptr);
-}
-
 std::string jsonSection(const std::vector<MatrixPoint> &Points,
                         unsigned Functions, double Gate,
                         const obs::CounterSet &GateCounters) {
@@ -222,7 +199,9 @@ int runE13() {
               Total ? 100.0 * (Total - Scoped) / Total : 0.0);
 
   const char *Path = "BENCH_engine.json";
-  double Previous = recordedGate(Path);
+  // The previously recorded gate value: the incremental speculative -O0
+  // funcs/s of the last run (0 when nothing is recorded yet).
+  double Previous = recordedNumber(Path, "coldpath", "gate_funcs_per_sec");
   mergeJsonSection(Path, "bench_coldpath", "coldpath",
                    jsonSection(Points, Functions, GateValue, GateCounters));
 

@@ -6,8 +6,9 @@
 // (cold cache, in-batch duplicates, warm repeated batch), and the E11
 // warm-restart experiment (a restarted engine process re-serving a
 // duplicate-heavy batch from the persistent disk tier).  Alongside the
-// human-readable tables the run writes BENCH_engine.json so the perf
-// trajectory is machine-trackable across PRs.  Thread scaling is only
+// human-readable tables the run merges its own members into
+// BENCH_engine.json, leaving the other benches' sections in place, so the
+// perf trajectory is machine-trackable across PRs.  Thread scaling is only
 // meaningful up to the host's hardware concurrency, which is recorded in
 // the JSON next to the measurements.
 //
@@ -59,16 +60,14 @@ CompiledBatch frontEnd(const std::vector<std::string> &Sources) {
 }
 
 EngineReport runOnce(const std::vector<std::string> &Sources, unsigned Jobs,
-                     ScheduleCache *Shared, unsigned RegionJobs = 1,
-                     const std::string &CacheDir = "") {
+                     ScheduleCache *Shared, const std::string &CacheDir = "") {
   CompiledBatch B = frontEnd(Sources);
   EngineOptions EOpts;
   EOpts.Jobs = Jobs;
   EOpts.SharedCache = Shared;
   EOpts.CacheDir = CacheDir;
-  PipelineOptions Opts = speculativeOptions();
-  Opts.RegionJobs = RegionJobs;
-  CompileEngine Engine(MachineDescription::rs6k(), Opts, EOpts);
+  CompileEngine Engine(MachineDescription::rs6k(), speculativeOptions(),
+                       EOpts);
   return Engine.compileBatch(B.Items);
 }
 
@@ -89,11 +88,10 @@ std::vector<unsigned> threadSweep() {
 /// Median-of-3 engine runs (fresh modules each time, shared cache state
 /// carried through only when \p Shared is given).
 EngineReport measure(const std::vector<std::string> &Sources, unsigned Jobs,
-                     ScheduleCache *Shared = nullptr,
-                     unsigned RegionJobs = 1) {
-  EngineReport Best = runOnce(Sources, Jobs, Shared, RegionJobs);
+                     ScheduleCache *Shared = nullptr) {
+  EngineReport Best = runOnce(Sources, Jobs, Shared);
   for (unsigned K = 0; K != 2 && !Shared; ++K) {
-    EngineReport R = runOnce(Sources, Jobs, nullptr, RegionJobs);
+    EngineReport R = runOnce(Sources, Jobs, nullptr);
     if (R.WallSeconds < Best.WallSeconds)
       Best = R; // min-of-3: least-noise estimate
   }
@@ -112,12 +110,6 @@ struct CachePoint {
   double FuncsPerSec;
 };
 
-struct RegionJobsPoint {
-  unsigned RegionJobs;
-  double FuncsPerSec;
-  double Speedup;
-};
-
 /// E11: schedule-cache hit rates across an engine-process restart.  The
 /// restarted process starts with an empty memory tier and re-serves the
 /// batch from the disk tier alone; the acceptance bar is reaching 90% of
@@ -131,52 +123,44 @@ struct WarmRestartResult {
   }
 };
 
+/// Merges the engine sweeps into BENCH_engine.json.  Only this bench's
+/// own members are replaced; the sections other benches wrote stay.
 void writeJson(const std::vector<ThreadPoint> &Threads,
                const std::vector<CachePoint> &Cache,
-               const std::vector<RegionJobsPoint> &RegionJobs,
                const WarmRestartResult &Restart, unsigned Functions) {
-  std::FILE *F = std::fopen("BENCH_engine.json", "w");
-  if (!F) {
-    std::fprintf(stderr, "bench_engine_throughput: cannot write "
-                         "BENCH_engine.json\n");
-    return;
-  }
-  std::fprintf(F, "{\n  \"bench\": \"engine_throughput\",\n");
-  std::fprintf(F, "  \"hardware_threads\": %u,\n", hardwareThreads());
-  std::fprintf(F, "  \"batch_modules\": %u,\n", BatchModules);
-  std::fprintf(F, "  \"batch_functions\": %u,\n", Functions);
-  std::fprintf(F, "  \"threads\": [\n");
+  std::string ThreadsJson = "[\n";
   for (size_t K = 0; K != Threads.size(); ++K)
-    std::fprintf(F,
-                 "    {\"threads\": %u, \"funcs_per_sec\": %.1f, "
-                 "\"speedup\": %.2f}%s\n",
-                 Threads[K].Threads, Threads[K].FuncsPerSec,
-                 Threads[K].Speedup, K + 1 == Threads.size() ? "" : ",");
-  std::fprintf(F, "  ],\n  \"cache\": [\n");
+    ThreadsJson += formatString(
+        "    {\"threads\": %u, \"funcs_per_sec\": %.1f, "
+        "\"speedup\": %.2f}%s\n",
+        Threads[K].Threads, Threads[K].FuncsPerSec, Threads[K].Speedup,
+        K + 1 == Threads.size() ? "" : ",");
+  ThreadsJson += "  ]";
+  std::string CacheJson = "[\n";
   for (size_t K = 0; K != Cache.size(); ++K)
-    std::fprintf(F,
-                 "    {\"scenario\": \"%s\", \"hit_rate\": %.3f, "
-                 "\"funcs_per_sec\": %.1f}%s\n",
-                 Cache[K].Scenario.c_str(), Cache[K].HitRate,
-                 Cache[K].FuncsPerSec, K + 1 == Cache.size() ? "" : ",");
-  std::fprintf(F, "  ],\n  \"region_jobs\": [\n");
-  for (size_t K = 0; K != RegionJobs.size(); ++K)
-    std::fprintf(F,
-                 "    {\"region_jobs\": %u, \"funcs_per_sec\": %.1f, "
-                 "\"speedup\": %.2f}%s\n",
-                 RegionJobs[K].RegionJobs, RegionJobs[K].FuncsPerSec,
-                 RegionJobs[K].Speedup,
-                 K + 1 == RegionJobs.size() ? "" : ",");
-  std::fprintf(F,
-               "  ],\n  \"warm_restart\": {\n"
-               "    \"cold_hit_rate\": %.3f,\n"
-               "    \"warm_hit_rate\": %.3f,\n"
-               "    \"restart_hit_rate\": %.3f,\n"
-               "    \"restart_to_warm_ratio\": %.3f,\n"
-               "    \"target_ratio\": 0.9\n  }\n}\n",
-               Restart.ColdRate, Restart.WarmRate, Restart.RestartRate,
-               Restart.ratioToWarm());
-  std::fclose(F);
+    CacheJson += formatString(
+        "    {\"scenario\": \"%s\", \"hit_rate\": %.3f, "
+        "\"funcs_per_sec\": %.1f}%s\n",
+        Cache[K].Scenario.c_str(), Cache[K].HitRate, Cache[K].FuncsPerSec,
+        K + 1 == Cache.size() ? "" : ",");
+  CacheJson += "  ]";
+  std::string RestartJson = formatString(
+      "{\n"
+      "    \"cold_hit_rate\": %.3f,\n"
+      "    \"warm_hit_rate\": %.3f,\n"
+      "    \"restart_hit_rate\": %.3f,\n"
+      "    \"restart_to_warm_ratio\": %.3f,\n"
+      "    \"target_ratio\": 0.9\n  }",
+      Restart.ColdRate, Restart.WarmRate, Restart.RestartRate,
+      Restart.ratioToWarm());
+  mergeJsonMembers("BENCH_engine.json", "bench_engine_throughput",
+                   {{"bench", "\"engine_throughput\""},
+                    {"hardware_threads", std::to_string(hardwareThreads())},
+                    {"batch_modules", std::to_string(BatchModules)},
+                    {"batch_functions", std::to_string(Functions)},
+                    {"threads", ThreadsJson},
+                    {"cache", CacheJson},
+                    {"warm_restart", RestartJson}});
 }
 
 /// Runs E11: populate a fresh cache directory with a duplicate-heavy
@@ -198,11 +182,11 @@ WarmRestartResult measureWarmRestart() {
   std::string Dir = Template;
   {
     ScheduleCache Mem;
-    R.ColdRate = runOnce(Sources, 4, &Mem, 1, Dir).cacheHitRate();
-    R.WarmRate = runOnce(Sources, 4, &Mem, 1, Dir).cacheHitRate();
+    R.ColdRate = runOnce(Sources, 4, &Mem, Dir).cacheHitRate();
+    R.WarmRate = runOnce(Sources, 4, &Mem, Dir).cacheHitRate();
   }
   // The restarted process: no shared memory cache survives, only disk.
-  R.RestartRate = runOnce(Sources, 4, nullptr, 1, Dir).cacheHitRate();
+  R.RestartRate = runOnce(Sources, 4, nullptr, Dir).cacheHitRate();
   std::error_code EC;
   std::filesystem::remove_all(Dir, EC);
   return R;
@@ -266,30 +250,6 @@ void printEngineTables() {
               "repeat is served\nby the content-addressed cache "
               "(engine/ScheduleCache.h).\n");
 
-  std::printf("\nE9: region-jobs sweep (1 engine thread, %u modules, "
-              "cold cache)\n",
-              BatchModules);
-  rule(72);
-  std::printf("%14s%16s%12s\n", "REGION JOBS", "FUNCS/SEC", "SPEEDUP");
-  rule(72);
-
-  std::vector<RegionJobsPoint> RegionJobsPoints;
-  double RJBase = 0;
-  for (unsigned RJ : {1u, 2u, 4u, 8u}) {
-    EngineReport R = measure(Unique, /*Jobs=*/1, nullptr, RJ);
-    double FPS = R.functionsPerSecond();
-    if (RJ == 1)
-      RJBase = FPS;
-    double Speedup = RJBase > 0 ? FPS / RJBase : 0.0;
-    RegionJobsPoints.push_back({RJ, FPS, Speedup});
-    std::printf("%14u%16.1f%11.2fx\n", RJ, FPS, Speedup);
-  }
-  rule(72);
-  std::printf("intra-function parallelism: independent regions of one "
-              "function scheduled\nconcurrently (sched/Pipeline.h "
-              "RegionJobs); output is bit-identical at every\nwidth, so "
-              "speedup is bounded by the per-function region count.\n");
-
   std::printf("\nE11: warm-restart hit rate (persistent disk tier, 90%% "
               "duplicate batch)\n");
   rule(72);
@@ -312,8 +272,7 @@ void printEngineTables() {
                   ? ""
                   : "  WARNING: below target -- investigate");
 
-  writeJson(ThreadPoints, CachePoints, RegionJobsPoints, Restart,
-            Functions);
+  writeJson(ThreadPoints, CachePoints, Restart, Functions);
 }
 
 void BM_EngineBatch(benchmark::State &State) {

@@ -11,10 +11,6 @@
 //     --jobs N                   schedule functions on N worker threads
 //                                (0: all hardware threads); implies the
 //                                engine path
-//     --region-jobs N            schedule independent regions of each
-//                                function on N threads (0: all hardware
-//                                threads); output is bit-identical for
-//                                every N; works on both paths
 //     --batch FILE               read additional input paths from FILE
 //                                (one per line, '#' comments)
 //     --no-cache                 disable the content-addressed schedule
@@ -371,12 +367,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Cli) {
         return false;
       Cli.Jobs = static_cast<unsigned>(std::atoi(V));
       Cli.EngineRequested = true;
-    } else if (A == "--region-jobs") {
-      // Intra-function parallelism; does not imply the engine path.
-      const char *V = Next();
-      if (!V)
-        return false;
-      Cli.Pipeline.RegionJobs = static_cast<unsigned>(std::atoi(V));
     } else if (A == "--batch") {
       const char *V = Next();
       if (!V)
@@ -934,8 +924,7 @@ int main(int argc, char **argv) {
               << "\n  rollbacks (region/transform): "
               << Stats.RegionsRolledBack << "/" << Stats.TransformsRolledBack
               << "\n  faults injected:      " << Stats.FaultsInjected
-              << "\n  region waves:         " << Stats.RegionWaves
-              << "  (--region-jobs " << Cli.Pipeline.RegionJobs << ")\n";
+              << "\n  region waves:         " << Stats.RegionWaves << "\n";
     if (Cli.Pipeline.EnableSuperblocks)
       std::cout << "  traces formed/truncated: " << Stats.TracesFormed << "/"
                 << Stats.TracesTruncated

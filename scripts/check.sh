@@ -2,12 +2,13 @@
 #
 # Tier-1 verification: build and run the full test suite twice, once plain
 # and once under ASan+UBSan (-DGIS_SANITIZE=address,undefined), then run
-# the multi-threaded suites -- the batch-compilation engine and the
-# region-parallel scheduler (ctest label "parallel") -- under TSan
-# (-DGIS_SANITIZE=thread; TSan and ASan cannot share a build), and
-# finally the cold-path equivalence suite (label "perf-equiv") in a
-# -DGIS_SLOWPATH_CHECK=ON build where the incremental scheduler
-# cross-checks every update against full recomputation.  Run from
+# the suites that compile on concurrent threads -- the batch engine, whose
+# workers schedule distinct functions in parallel, and the subsystems
+# those workers share -- under TSan (-DGIS_SANITIZE=thread; TSan and ASan
+# cannot share a build), then the cold-path equivalence suite (label
+# "perf-equiv") in a -DGIS_SLOWPATH_CHECK=ON build where the incremental
+# scheduler cross-checks every update against full recomputation, and
+# finally two gisc processes sharing one cache directory.  Run from
 # anywhere; builds land in build/, build-san/, build-tsan/ and
 # build-slowcheck/ next to the sources.
 set -euo pipefail
@@ -35,37 +36,32 @@ run_suite "$ROOT/build"
 echo "== sanitized build (address,undefined) =="
 run_suite "$ROOT/build-san" -DGIS_SANITIZE=address,undefined
 
-echo "== sanitized build (thread): parallel + obs + regalloc + persist + opt + perf-equiv + trace suites =="
+echo "== sanitized build (thread): parallel + obs + regalloc + persist + opt suites =="
 build_tree "$ROOT/build-tsan" -DGIS_SANITIZE=thread
-# The "parallel" label covers gis_parallel_tests: the batch engine, the
-# thread pool / cache / hashing units, and the region-parallel scheduling
-# determinism tests (tests/region_parallel_test.cpp).  The "obs" label
-# covers gis_obs_tests: the event tracer records from region worker
-# threads and the counter/decision buffers merge across them, so the
-# observability suite runs under TSan too (it is already part of the full
-# ASan run above).  The "regalloc" label covers gis_regalloc_tests: the
-# allocator rewrites functions that engine worker threads compile
-# concurrently and its cache test shares one ScheduleCache across
-# engines, so it runs under TSan as well.  The "persist" label covers
-# gis_persist_tests: the disk cache tier is written and read by engine
-# worker threads, the compile daemon runs an acceptor plus workers over
-# one shared cache, and two engines share a cache directory in-process.
-# The "opt" label covers gis_opt_tests: the optimizer suite drives
-# engines whose workers compile optimized modules concurrently and its
-# cache-isolation test shares memory and disk tiers across -O levels.
-# The "perf-equiv" label covers gis_coldpath_tests: the incremental
-# scheduler's per-region state is built and torn down on region worker
-# threads, so the equivalence fuzz runs under TSan too.  The "trace"
-# label covers gis_trace_tests: tail-duplicated functions are scheduled
-# through the region-parallel wave machinery (its determinism test runs
-# --region-jobs 4), so the superblock suite runs under TSan as well.
-ctest --test-dir "$ROOT/build-tsan" --output-on-failure -L 'parallel|obs|regalloc|persist|opt|perf-equiv|trace'
+# Function-level parallelism in the batch engine is the only concurrency:
+# a pipeline run schedules its own regions serially, so each label below
+# is here because its tests run engine workers (or the daemon) over shared
+# state.  "parallel" is gis_parallel_tests: the batch engine, its thread
+# pool, the shared schedule cache and hashing.  "obs" is gis_obs_tests:
+# the event tracer records spans from concurrent engine workers
+# (TraceFormat.SpansBalancePerThread).  "regalloc" is gis_regalloc_tests:
+# engine workers allocate registers concurrently and one ScheduleCache is
+# shared across engines.  "persist" is gis_persist_tests: engine workers
+# write and read the disk cache tier, the compile daemon runs an acceptor
+# plus workers over one shared cache, and two engines share a cache
+# directory in-process.  "opt" is gis_opt_tests: engine workers compile
+# optimized modules concurrently and the cache-isolation test shares
+# memory and disk tiers across -O levels.  The perf-equiv and trace
+# suites are single-threaded and run plain and under ASan above.
+ctest --test-dir "$ROOT/build-tsan" --output-on-failure -L 'parallel|obs|regalloc|persist|opt'
 
 echo "== slowpath-check build (GIS_SLOWPATH_CHECK=ON): perf-equiv suite =="
 # The incremental cold path re-derives every liveness set, heuristic
-# value and per-cycle ready list from scratch and fatal-errors on any
-# divergence (DESIGN.md section 14); the equivalence suite then checks
-# the fast path pick by pick, not just end to end.
+# value and per-cycle ready list from scratch, cross-checks every
+# disambiguation-cache hit, and runs the block-scoped and the full
+# schedule verifier side by side on every region task, fatal-erroring on
+# any divergence (DESIGN.md sections 14-15); the equivalence suite then
+# checks the fast path pick by pick, not just end to end.
 build_tree "$ROOT/build-slowcheck" -DGIS_SLOWPATH_CHECK=ON
 ctest --test-dir "$ROOT/build-slowcheck" --output-on-failure -L 'perf-equiv'
 

@@ -97,7 +97,7 @@ DataDeps DataDeps::compute(const Function &F, const SchedRegion &R,
   // Block-level reachability in the region's forward graph (region-node
   // indices), from the shared memo when one is supplied: scheduling never
   // changes region shape, so the local pass, the global pass and every
-  // region-jobs slice of a function share one closure.
+  // region task of a function share one closure.
   std::shared_ptr<const std::vector<BitSet>> ReachShared;
   std::vector<BitSet> ReachLocal;
   const std::vector<BitSet> *Reach;

@@ -62,6 +62,19 @@ Key128 graphKey(const DiGraph &G) {
 void DisambigCache::noteFunctionChanged() {
   std::lock_guard<std::mutex> L(Mu);
   ++Epoch;
+#ifdef GIS_SLOWPATH_CHECK
+  WaveBase.reset();
+#endif
+}
+
+void DisambigCache::noteWaveStart(const Function &F) {
+  std::lock_guard<std::mutex> L(Mu);
+  ++Epoch;
+#ifdef GIS_SLOWPATH_CHECK
+  WaveBase = std::make_unique<Function>(F);
+#else
+  (void)F;
+#endif
 }
 
 void DisambigCache::notePosChanged(const Function &F, BlockId B) {
@@ -81,7 +94,8 @@ std::shared_ptr<const DisambigFacts> DisambigCache::facts(const Function &F) {
   if (Facts && FactsEpoch == Epoch && Facts->BlockOf.size() == F.numInstrs()) {
     ++Hits;
 #ifdef GIS_SLOWPATH_CHECK
-    auto Fresh = DisambigFacts::build(F, /*BuildDom=*/false);
+    auto Fresh = DisambigFacts::build(WaveBase ? *WaveBase : F,
+                                      /*BuildDom=*/false);
     if (Fresh->BlockOf != Facts->BlockOf || Fresh->PosOf != Facts->PosOf ||
         Fresh->SingleDef != Facts->SingleDef)
       fatalError(__FILE__, __LINE__,

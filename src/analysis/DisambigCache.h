@@ -12,23 +12,23 @@
 ///  - the all-pairs reachability closure of a region's forward graph,
 ///    keyed by a 128-bit content hash of the graph's edges.  Scheduling
 ///    never changes region shape, so the local pass, the global pass and
-///    every `--region-jobs` slice of one function hit the same entry;
-///    the content key makes entries self-validating (no invalidation
-///    protocol, stale content simply never matches);
+///    every region task of one function hit the same entry; the content
+///    key makes entries self-validating (no invalidation protocol, stale
+///    content simply never matches);
 ///
 ///  - the function-wide facts MemDisambiguator derives (owning block and
 ///    position of every instruction, single static definitions, the
 ///    function dominator tree), shared under an explicit epoch.  Every
 ///    phase that consumes the facts bumps the epoch on entry
-///    (noteFunctionChanged) because earlier phases moved code; within a
-///    phase the facts stay valid, except that the local scheduler's
-///    intra-block reorders patch positions in place (notePosChanged) --
-///    such reorders change only PosOf, never BlockOf, SingleDef or
-///    dominance.
+///    (noteFunctionChanged, or noteWaveStart for a region wave) because
+///    earlier phases moved code.  Within the local pass the facts stay
+///    exact: its intra-block reorders patch positions in place
+///    (notePosChanged) -- such reorders change only PosOf, never BlockOf,
+///    SingleDef or dominance.  Within a region wave they describe the
+///    wave-start function even after earlier tasks of the wave committed.
 ///
-/// The cache is mutex-guarded: `--region-jobs` worker tasks share it
-/// while scheduling private forks of the same base function, so whichever
-/// task builds an entry first, the content is identical.
+/// The cache is mutex-guarded.  One pipeline run owns it and runs its
+/// phases serially, so the lock is uncontended.
 ///
 /// Under -DGIS_SLOWPATH_CHECK=ON every hit is cross-checked against a
 /// fresh solve and any divergence is a fatal error.
@@ -86,6 +86,15 @@ public:
   /// need invalidation.
   void noteFunctionChanged();
 
+  /// Starts the facts epoch of one region wave over \p F.  The wave's
+  /// tasks run in place one after another, yet each must read the facts
+  /// of the function as the wave found it: the first task derives them
+  /// before it moves any code, and later tasks hit that entry.  Under
+  /// GIS_SLOWPATH_CHECK hits until the next epoch are cross-checked
+  /// against a fresh derivation from a copy of \p F taken here, not from
+  /// the function the later task already sees.
+  void noteWaveStart(const Function &F);
+
   /// Patches PosOf for the (reordered) list of block \p B of \p F.
   /// Intra-block reordering changes only positions: BlockOf, SingleDef
   /// and dominance are untouched, so the facts stay exact.  Must not
@@ -108,6 +117,11 @@ private:
   uint64_t Epoch = 0;
   uint64_t FactsEpoch = 0;
   std::shared_ptr<DisambigFacts> Facts;
+#ifdef GIS_SLOWPATH_CHECK
+  /// The wave-start function hits are cross-checked against (null outside
+  /// a region wave: hits are checked against the querying function).
+  std::unique_ptr<Function> WaveBase;
+#endif
   std::unordered_map<Key128, std::shared_ptr<const std::vector<BitSet>>,
                      Key128Hash>
       Reach;

@@ -8,11 +8,11 @@
 /// \file
 /// A self-contained analysis slice of one scheduling region: the blocks and
 /// instructions the region owns, plus region-local dominator, CSPDG and
-/// liveness views.  The slice is the unit of region-parallel scheduling
+/// liveness views.  The slice is the unit of a region wave
 /// (sched/Pipeline.cpp): every analysis a region task consults is either
-/// region-local or frozen at slice-build time, so independent regions of
-/// one function can be scheduled concurrently without reading each other's
-/// in-flight state.
+/// region-local or frozen at slice-build time, so a wave's regions are
+/// scheduled one after another against the wave-start function, none
+/// reading what an earlier task of the wave committed.
 ///
 /// Why the restricted views are exact (not approximations):
 ///  - Dominators: for two blocks of the same region, dominance on the
@@ -29,7 +29,7 @@
 ///  - CSPDG: control dependences are already region-local by definition
 ///    (computed on the region forward graph, paper Section 4.1).
 ///
-/// `tests/region_parallel_test.cpp` property-checks all three equivalences
+/// `tests/region_wave_test.cpp` property-checks all three equivalences
 /// against whole-function analyses over the random-program corpus.
 ///
 //===----------------------------------------------------------------------===//

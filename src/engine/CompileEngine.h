@@ -41,10 +41,8 @@
 namespace gis {
 
 /// Engine configuration, on top of the per-function PipelineOptions.
-/// Intra-function parallelism is configured there, not here:
-/// PipelineOptions::RegionJobs flows through the engine to every pipeline
-/// run (gisc --region-jobs), and each run owns its private region pool, so
-/// a batch may use up to Jobs x RegionJobs workers.
+/// Functions are the engine's only unit of parallelism: each pipeline run
+/// schedules its own regions serially on the worker that owns it.
 struct EngineOptions {
   /// Worker threads; 0 means ThreadPool::hardwareThreads().  With Jobs==1
   /// the engine runs inline on the calling thread (no pool).

@@ -87,15 +87,10 @@ uint64_t gis::fingerprintOptions(const PipelineOptions &Opts) {
   // the shared on-disk tier (asserted by tests/opt_test.cpp).
   for (opt::PassId P : opt::passPipeline())
     H.addBool(Opts.Opt.enabled(P));
-  // RegionJobs is deliberately NOT part of the fingerprint: region-parallel
-  // scheduling is bit-identical to sequential (see sched/Pipeline.h), so
-  // cache entries are shared across --region-jobs values.  Asserted by
-  // tests/region_parallel_test.cpp.
-  //
-  // Incremental is left out for the same reason: the incremental cold path
-  // emits schedules bit-identical to the recompute-from-scratch one (see
-  // sched/ListScheduler.h), so entries are shared across --no-incremental.
-  // Asserted by tests/coldpath_test.cpp.
+  // Incremental is deliberately NOT part of the fingerprint: the
+  // incremental cold path emits schedules bit-identical to the
+  // recompute-from-scratch one (see sched/ListScheduler.h), so entries are
+  // shared across --no-incremental.  Asserted by tests/coldpath_test.cpp.
   return H.hash();
 }
 

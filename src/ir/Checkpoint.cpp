@@ -30,20 +30,6 @@ void RegionSnapshot::restore(Function &F) const {
     F.setRegCount(C, RegCounts[static_cast<unsigned>(C)]);
 }
 
-void RegionSnapshot::applyTo(Function &F,
-                             const std::function<Reg(Reg)> &RemapReg) const {
-  for (unsigned K = 0; K != Blocks.size(); ++K)
-    F.block(Blocks[K]).instrs() = BlockInstrs[K];
-  for (const auto &[Id, Ins] : Instrs) {
-    Instruction Copy = Ins;
-    for (Reg &D : Copy.defs())
-      D = RemapReg(D);
-    for (Reg &U : Copy.uses())
-      U = RemapReg(U);
-    F.instr(Id) = std::move(Copy);
-  }
-}
-
 DeltaCheckpoint::DeltaCheckpoint(const Function &F, bool Armed)
     : Src(&F), Armed(Armed) {
   if (!Armed)

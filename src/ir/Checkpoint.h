@@ -12,7 +12,7 @@
 /// Function is a handful of dense vectors (instruction pool, blocks,
 /// layout, register counters), so a snapshot is one deep copy with no
 /// pointer fix-up.  RegionSnapshot narrows the transaction boundary to one
-/// scheduling region so independent regions can fail (and roll back) or
+/// scheduling region so the regions of a wave can fail (and roll back) or
 /// commit without touching each other's blocks.  DeltaCheckpoint narrows
 /// it further to first-touch records of exactly the blocks/instructions a
 /// transform mutates, guarded by a manifest hash so a lost record is a
@@ -26,7 +26,6 @@
 #include "ir/Function.h"
 
 #include <array>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -55,10 +54,10 @@ private:
 /// A snapshot of one scheduling region's slice of a Function: the
 /// instruction lists of the region's blocks, the pool entries of the
 /// instructions those lists reference, and the register counters.  This is
-/// the region-local transaction boundary of the parallel pipeline
-/// (sched/Pipeline.cpp): a failed region rolls back -- or a successful one
-/// commits -- only its own blocks, leaving sibling regions' schedules
-/// untouched, where the whole-function FunctionSnapshot would discard them.
+/// the region-local transaction boundary of the region waves
+/// (sched/Pipeline.cpp): a failed region rolls back only its own blocks,
+/// leaving sibling regions' committed schedules untouched, where the
+/// whole-function FunctionSnapshot would discard them.
 class RegionSnapshot {
 public:
   /// Captures the contents of \p Blocks in \p F.  Region scheduling never
@@ -71,15 +70,6 @@ public:
   /// register counters.  \p F must not have been mutated outside the
   /// captured region since the snapshot was taken.
   void restore(Function &F) const;
-
-  /// Commits the captured region contents into \p F (which may be a
-  /// different Function object of identical shape, e.g. the master copy a
-  /// parallel region task was forked from), rewriting every register
-  /// operand through \p RemapReg.  The parallel pipeline uses this to
-  /// renumber task-allocated registers into the master's counter space in
-  /// deterministic region-index order.  Register counters are not touched;
-  /// the caller advances them to cover the remapped registers.
-  void applyTo(Function &F, const std::function<Reg(Reg)> &RemapReg) const;
 
   const std::vector<BlockId> &blocks() const { return Blocks; }
   /// Per captured block (parallel to blocks()): its instruction list.

@@ -12,8 +12,8 @@
 /// and the transactional/caching machinery.  A CounterSet is a plain
 /// value: schedulers bump a private set, the pipeline merges committed
 /// deltas in deterministic (region-index, then input) order, so totals are
-/// exact for every --jobs/--region-jobs width -- the same discipline
-/// PipelineStats already follows.
+/// exact for every --jobs width -- the same discipline PipelineStats
+/// already follows.
 ///
 /// Rule-win accounting: when an instruction is picked from a ready list
 /// with at least two live candidates, exactly one of the seven rule

@@ -14,7 +14,7 @@
 /// Records are recorded into per-task buffers and merged along the same
 /// deterministic paths as PipelineStats (region-index order within a wave,
 /// input order across functions), so the rendered log is bit-identical for
-/// every --jobs/--region-jobs width.  Collection is opt-in
+/// every --jobs width.  Collection is opt-in
 /// (PipelineOptions::CollectDecisions); the default pipeline never
 /// allocates a record.
 ///

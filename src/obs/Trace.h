@@ -18,8 +18,8 @@
 ///    therefore stay in hot scheduler loops unconditionally.
 ///  - *On*, each thread appends to its own buffer; the only lock is taken
 ///    once per (thread, enable-generation) to register the buffer.  Worker
-///    threads of the region pools and the engine pool trace concurrently
-///    without contention (scripts/check.sh runs the obs tests under TSan).
+///    threads of the engine pool trace concurrently without contention
+///    (scripts/check.sh runs the obs tests under TSan).
 ///
 /// Zero-perturbation contract: the tracer only observes; enabling it never
 /// changes a scheduling decision.  tests/trace_test.cpp asserts the

@@ -109,13 +109,12 @@ public:
   /// the slice's region-restricted liveness instead of whole-function
   /// liveness: recomputation after a motion or rename then touches only
   /// the region's blocks, and -- the point of the slice -- the scheduler
-  /// reads nothing outside the region, so disjoint regions of one function
-  /// can be scheduled concurrently (sched/Pipeline.cpp).
+  /// reads nothing outside the region, so each region of a wave sees the
+  /// wave-start state whatever its siblings committed (sched/Pipeline.cpp).
   ///
   /// \p Sink optionally collects observability counters and per-pick
-  /// decision records (src/obs/).  The buffers belong to the caller; with
-  /// region parallelism each task passes private buffers that the wave
-  /// merges deterministically.
+  /// decision records (src/obs/).  The buffers belong to the caller; each
+  /// region task passes private buffers that it merges only on commit.
   ///
   /// With \p OutPDG non-null the PDG this pass scheduled against (built on
   /// \p F *before* any motion) is exported -- a cheap three-shared-ptr

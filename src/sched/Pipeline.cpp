@@ -17,16 +17,14 @@
 #include "sched/Transaction.h"
 #include "sched/Unroll.h"
 #include "support/FaultInjection.h"
-#include "support/ThreadPool.h"
 #include "trace/TailDuplication.h"
 #include "trace/TraceFormation.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <functional>
 #include <map>
-#include <memory>
+#include <optional>
 
 using namespace gis;
 
@@ -63,7 +61,7 @@ struct TxContext {
 /// Runs one whole-function transform as a transaction: snapshot,
 /// transform, verify, commit or roll back.  Region scheduling does not
 /// come through here -- it uses the region-local transaction boundary of
-/// scheduleRegionWave below, which rolls back a single region instead of
+/// scheduleRegionTask below, which rolls back a single region instead of
 /// the whole function.
 ///
 /// \param Stage    stable stage name ("prerename", "unroll", "rotate",
@@ -190,43 +188,26 @@ bool runDeltaTransaction(
 }
 
 //===----------------------------------------------------------------------===
-// Region-parallel scheduling (the region dependence forest)
+// Region waves (the region dependence forest)
 //===----------------------------------------------------------------------===
 //
 // Two regions of one function conflict exactly when one encloses the other:
 // the enclosing region reads the enclosed loop's blocks through its summary
 // nodes (SummaryDefs/SummaryUses), and "shares" no block otherwise --
 // regions partition the function's blocks.  The dependence structure is
-// therefore the loop forest itself, and its levels are the parallel waves:
-// all loops of equal forest height are pairwise disjoint and independent,
-// while a parent must wait for its children's commits.  The top-level
-// region runs as the final wave of the second pass.
+// therefore the loop forest itself, and its levels are the waves: all loops
+// of equal forest height are pairwise disjoint and independent, while a
+// parent must wait for its children's commits.  The top-level region runs
+// as the final wave of the second pass.
 //
-// Execution model (RegionJobs > 1): each wave forks the function once
-// ("Base"); every region task copies Base, schedules its region there
-// against its RegionSlice, and verifies the copy.  The serial merge then
-// walks tasks in region-index order: a failed task's copy is simply
-// dropped (the region-local rollback -- siblings are unaffected), a
-// successful task's region blocks are committed into the master function
-// via RegionSnapshot::applyTo, with registers the task allocated (renames)
-// renumbered into the master's counter space in that same deterministic
-// order.  A task never reads outside its slice, and the merge order is
-// independent of thread interleaving, so the output is bit-identical for
-// every RegionJobs value.
-
-/// One region task of a wave.
-struct RegionTask {
-  int LoopIdx = -1;
-  RegionSlice Slice;
-  Function Priv{""}; ///< the task's private copy of the wave-base function
-  PipelineStats Delta; ///< body statistics, merged only on commit
-  Status S;
-  bool FaultInjected = false;
-  unsigned EngFailures = 0;
-  unsigned VerFailures = 0;
-  unsigned OracleFailures = 0;
-  double Seconds = 0;
-};
+// Execution model: the tasks of a wave run serially, in region-index
+// order, in place on the function.  Each task is its own region-local
+// transaction (snapshot, schedule, verify, commit or roll back), so a
+// failed task rolls back only its own blocks and its siblings still
+// commit.  Every task sees the wave as it started: slices freeze their
+// out-of-region liveness from the wave-start function, and the
+// disambiguation facts are derived once per wave.  A task allocates fresh
+// registers from the function's counters, which its rollback restores.
 
 /// Forest height of every loop (leaves are 0); children therefore always
 /// sit in a strictly earlier wave than their parent.
@@ -238,53 +219,179 @@ std::vector<unsigned> loopHeights(const LoopInfo &LI) {
   return H;
 }
 
+/// Schedules the region of \p Slice in place as one region-local
+/// transaction of wave \p WaveNo.  Rollback is guarded by a region
+/// snapshot, and semantic verification by the block-scoped verifier on the
+/// scheduler's own PDG, reading the pre-pass state from a capture (DESIGN.md
+/// section 15).  Modes that need the complete pre-pass function take one
+/// full copy: the differential oracle, and --no-incremental, whose full
+/// verifier keeps that mode a fully uncached reference.  GIS_SLOWPATH_CHECK
+/// builds run both verifiers and treat any divergence as fatal.
+void scheduleRegionTask(TxContext &Ctx, const GlobalSchedOptions &GOpts,
+                        const RegionSlice &Slice, unsigned WaveNo) {
+  const SchedRegion &R = Slice.region();
+  const int LoopIdx = R.loopIndex();
+  obs::TraceSpan RegionSpan("region", "region", "loop",
+                            static_cast<int64_t>(LoopIdx), "wave",
+                            static_cast<int64_t>(WaveNo));
+  auto Start = std::chrono::steady_clock::now();
+
+  const bool Transactional = Ctx.Opts.EnableTransactions;
+  const bool Verify = Transactional && Ctx.Opts.VerifySemantic;
+#ifdef GIS_SLOWPATH_CHECK
+  const bool Scoped = Verify;
+  const bool Full = Verify;
+#else
+  const bool Scoped = Verify && Ctx.Opts.Incremental;
+  const bool Full = Verify && !Ctx.Opts.Incremental;
+#endif
+  const bool Oracle =
+      Transactional && Ctx.Opts.EnableOracle && Ctx.Opts.OracleModule;
+  std::optional<Function> Before;
+  if (Full || Oracle)
+    Before.emplace(Ctx.F);
+  ScopedVerifyContext VCtx;
+  if (Scoped)
+    VCtx = ScopedVerifyContext::capture(Ctx.F, R);
+  std::optional<RegionSnapshot> Snap;
+  if (Transactional)
+    Snap.emplace(Ctx.F, Slice.blocks());
+
+  PipelineStats Delta; // body statistics, merged only on commit
+  obs::SchedSink Sink;
+  if (Ctx.Opts.CollectCounters)
+    Sink.Counters = &Delta.Counters;
+  if (Ctx.Opts.CollectDecisions)
+    Sink.Decisions = &Delta.Decisions;
+  GlobalScheduler GS(Ctx.MD, GOpts);
+  Status S;
+  PDG P;
+  Delta.Global += GS.scheduleRegion(Ctx.F, R, Transactional ? &S : nullptr,
+                                    &Slice, Sink, Scoped ? &P : nullptr);
+  if (Transactional) {
+    ++Ctx.Stats.TransactionsRun;
+    if (!S.isOk())
+      ++Ctx.Stats.EngineFailures;
+    if (S.isOk() && FaultInjector::instance().shouldFire("region") &&
+        corruptRegionForTest(Ctx.F, Slice.blocks()))
+      ++Ctx.Stats.FaultsInjected;
+    if (S.isOk() && Ctx.Opts.VerifyStructural) {
+      std::vector<std::string> Problems = verifyFunction(Ctx.F);
+      if (!Problems.empty()) {
+        S = Status::error(ErrorCode::VerifierStructural, Problems.front());
+        ++Ctx.Stats.VerifierFailures;
+      }
+    }
+    if (S.isOk() && Verify) {
+      std::vector<std::string> Problems;
+      if (Full)
+        Problems = verifyRegionSchedule(*Before, Ctx.F, R, Ctx.MD,
+                                        Ctx.Opts.Incremental ? &P : nullptr);
+      if (Scoped) {
+        ScopedVerifyStats VS;
+        std::vector<std::string> ScopedProblems = verifyRegionScheduleScoped(
+            VCtx, *Snap, Ctx.F, R, Ctx.MD, P, &VS);
+#ifdef GIS_SLOWPATH_CHECK
+        // Dual-run: the block-scoped verifier must agree with the full
+        // sweep -- same verdict, byte-identical diagnostics.
+        if (ScopedProblems != Problems)
+          fatalError(__FILE__, __LINE__,
+                     "slow-path check: scoped schedule verifier diverges "
+                     "from the full sweep");
+#endif
+        // The scoped verdict stands only in incremental mode; the full
+        // sweep is --no-incremental's, even when both ran.
+        if (Ctx.Opts.Incremental) {
+          if (Ctx.Opts.CollectCounters) {
+            Delta.Counters.bump(obs::ColdVerifyBlocksScoped,
+                                VS.BlocksVerified);
+            Delta.Counters.bump(obs::ColdVerifyBlocksTotal, VS.BlocksTotal);
+          }
+          Problems = std::move(ScopedProblems);
+        }
+      }
+      if (!Problems.empty()) {
+        S = Status::error(ErrorCode::VerifierSemantic, Problems.front());
+        ++Ctx.Stats.VerifierFailures;
+      }
+    }
+    if (S.isOk() && Oracle) {
+      OracleOptions OOpts;
+      OOpts.MaxSteps = Ctx.Opts.OracleMaxSteps;
+      OracleReport Rep = runDifferentialOracle(*Ctx.Opts.OracleModule,
+                                               *Before, Ctx.F, OOpts);
+      if (Rep.Verdict == OracleVerdict::Mismatch) {
+        S = Status::error(ErrorCode::OracleMismatch, Rep.Detail);
+        ++Ctx.Stats.OracleMismatches;
+      }
+    }
+  } else if (!S.isOk()) {
+    // Unreachable: with Err == nullptr scheduleRegion aborts on failure
+    // (the historical fail-fast contract).
+    fatalError(__FILE__, __LINE__, S.str().c_str());
+  }
+  double Seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
+          .count();
+  Ctx.Stats.RegionTimes.push_back({LoopIdx, WaveNo, Seconds});
+
+  if (!S.isOk()) {
+    // Region-local rollback: restore the region's block lists, pool
+    // entries and the register counters.  The task's counters and
+    // decisions are dropped with it: observability reports committed work
+    // only.
+    Snap->restore(Ctx.F);
+    ++Ctx.Stats.RegionsRolledBack;
+    if (Ctx.Opts.CollectCounters)
+      Ctx.Stats.Counters.bump(obs::Rollbacks);
+    obs::Tracer::instance().instant("rollback", "tx", "loop",
+                                    static_cast<int64_t>(LoopIdx));
+    reportDiagnostic(Ctx.Stats.Diags, S, Ctx.F.name(), "region", LoopIdx);
+    return;
+  }
+  for (obs::Decision &D : Delta.Decisions) {
+    D.LoopIdx = LoopIdx;
+    D.Wave = WaveNo;
+  }
+  Ctx.Stats += Delta;
+}
+
 /// Schedules one wave of mutually independent, pre-built regions.  Shared
-/// by the loop-forest waves (scheduleRegionWave below, which builds the
+/// by the loop-forest waves (scheduleLoopWave below, which builds the
 /// regions from loop indices) and the superblock phase (whose trace
 /// regions have no loop index; SchedRegion::buildTrace).  Each task is
 /// identified by its region's loopIndex() -- a real loop index, -1 for
 /// the top-level region, or a trace encoding (<= -2) -- used only for
 /// diagnostics and timing records.
-void scheduleRegionWavePrebuilt(
-    TxContext &Ctx, std::vector<SchedRegion> Regions,
-    const std::function<ThreadPool *(size_t)> &PoolFor) {
-  const bool Transactional = Ctx.Opts.EnableTransactions;
-
-  // Serial setup on the master function: size limits, slices.  The
-  // whole-function liveness is computed once per wave and only used to
-  // freeze the slices' out-of-region boundaries.
-  std::vector<std::unique_ptr<RegionTask>> Tasks;
+void scheduleWave(TxContext &Ctx, std::vector<SchedRegion> Regions) {
+  // Size limits and slices, before any task runs.  The whole-function
+  // liveness is computed once per wave and only used to freeze the
+  // slices' out-of-region boundaries.
+  std::vector<RegionSlice> Slices;
   Liveness WaveLV;
-  bool HaveWaveLV = false;
   for (SchedRegion &R : Regions) {
     if (R.numRealBlocks() > Ctx.Opts.RegionBlockLimit ||
         R.numInstrs() > Ctx.Opts.RegionInstrLimit) {
       ++Ctx.Stats.RegionsSkippedBySize;
       continue;
     }
-    if (!HaveWaveLV) {
+    if (Slices.empty())
       WaveLV = Liveness::compute(Ctx.F);
-      HaveWaveLV = true;
-    }
-    auto T = std::make_unique<RegionTask>();
-    T->LoopIdx = R.loopIndex();
-    T->Slice = RegionSlice::build(Ctx.F, std::move(R), WaveLV);
-    Tasks.push_back(std::move(T));
+    Slices.push_back(RegionSlice::build(Ctx.F, std::move(R), WaveLV));
   }
-  if (Tasks.empty())
+  if (Slices.empty())
     return;
 
   const unsigned WaveNo = Ctx.Stats.RegionWaves;
   obs::TraceSpan WaveSpan("wave", "region", "wave",
                           static_cast<int64_t>(WaveNo), "tasks",
-                          static_cast<int64_t>(Tasks.size()));
+                          static_cast<int64_t>(Slices.size()));
 
   // Earlier transforms (unroll, rotate, prior waves' commits) moved code
-  // since the cache last saw this function; start a fresh facts epoch.
-  // Within the wave the facts stay exact: every task builds its PDG
-  // before any motion, when its private fork still equals the wave base.
+  // since the cache last saw this function; start one facts epoch for the
+  // whole wave, so every task reads the facts of the wave-start function.
   if (Ctx.Cache)
-    Ctx.Cache->noteFunctionChanged();
+    Ctx.Cache->noteWaveStart(Ctx.F);
 
   GlobalSchedOptions GOpts;
   GOpts.Level = Ctx.Opts.Level;
@@ -295,292 +402,40 @@ void scheduleRegionWavePrebuilt(
   GOpts.Incremental = Ctx.Opts.Incremental;
   GOpts.Cache = Ctx.Cache;
 
-#ifndef GIS_SLOWPATH_CHECK
-  // Single-task fast path (DESIGN.md section 15): schedule the region in
-  // place instead of forking the wave base and copying the private result
-  // back.  Rollback is guarded by a region snapshot and verification by
-  // the block-scoped verifier reading the pre-pass state from a capture;
-  // the commit/rollback bookkeeping below mirrors the forked merge
-  // exactly, and with one task the register-renumbering merge is the
-  // identity, so the output is bit-identical to the forked path (the
-  // GIS_SLOWPATH_CHECK build always takes the forked path and dual-runs
-  // both verifiers to enforce that).  Level None would return before the
-  // PDG export, and the oracle needs the complete pre-pass function, so
-  // both fall through to the forked path.
-  if (Tasks.size() == 1 && Ctx.Opts.Incremental &&
-      Ctx.Opts.Level != SchedLevel::None &&
-      !(Ctx.Opts.EnableOracle && Ctx.Opts.OracleModule)) {
-    RegionTask &T = *Tasks.front();
-    obs::TraceSpan RegionSpan("region", "region", "loop",
-                              static_cast<int64_t>(T.LoopIdx), "wave",
-                              static_cast<int64_t>(WaveNo));
-    auto Start = std::chrono::steady_clock::now();
-    GlobalScheduler GS(Ctx.MD, GOpts);
-    Status S;
-    obs::SchedSink Sink;
-    if (Ctx.Opts.CollectCounters)
-      Sink.Counters = &T.Delta.Counters;
-    if (Ctx.Opts.CollectDecisions)
-      Sink.Decisions = &T.Delta.Decisions;
-
-    const bool WantScoped = Transactional && Ctx.Opts.VerifySemantic;
-    ScopedVerifyContext VCtx;
-    if (WantScoped)
-      VCtx = ScopedVerifyContext::capture(Ctx.F, T.Slice.region());
-    std::unique_ptr<RegionSnapshot> Snap;
-    if (Transactional)
-      Snap = std::make_unique<RegionSnapshot>(Ctx.F, T.Slice.blocks());
-
-    PDG P;
-    T.Delta.Global += GS.scheduleRegion(Ctx.F, T.Slice.region(),
-                                        Transactional ? &S : nullptr,
-                                        &T.Slice, Sink,
-                                        WantScoped ? &P : nullptr);
-    if (Transactional) {
-      if (!S.isOk())
-        ++T.EngFailures;
-      if (S.isOk() && FaultInjector::instance().shouldFire("region") &&
-          corruptRegionForTest(Ctx.F, T.Slice.blocks()))
-        T.FaultInjected = true;
-      if (S.isOk() && Ctx.Opts.VerifyStructural) {
-        std::vector<std::string> Problems = verifyFunction(Ctx.F);
-        if (!Problems.empty()) {
-          S = Status::error(ErrorCode::VerifierStructural, Problems.front());
-          ++T.VerFailures;
-        }
-      }
-      if (S.isOk() && Ctx.Opts.VerifySemantic) {
-        ScopedVerifyStats VS;
-        std::vector<std::string> Problems = verifyRegionScheduleScoped(
-            VCtx, *Snap, Ctx.F, T.Slice.region(), Ctx.MD, P, &VS);
-        if (Ctx.Opts.CollectCounters) {
-          T.Delta.Counters.bump(obs::ColdVerifyBlocksScoped,
-                                VS.BlocksVerified);
-          T.Delta.Counters.bump(obs::ColdVerifyBlocksTotal, VS.BlocksTotal);
-        }
-        if (!Problems.empty()) {
-          S = Status::error(ErrorCode::VerifierSemantic, Problems.front());
-          ++T.VerFailures;
-        }
-      }
-    } else if (!S.isOk()) {
-      // Unreachable: with Err == nullptr scheduleRegion aborts on failure
-      // (the historical fail-fast contract).
-      fatalError(__FILE__, __LINE__, S.str().c_str());
-    }
-    T.Seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
-            .count();
-
-    if (Transactional)
-      ++Ctx.Stats.TransactionsRun;
-    Ctx.Stats.EngineFailures += T.EngFailures;
-    Ctx.Stats.VerifierFailures += T.VerFailures;
-    if (T.FaultInjected)
-      ++Ctx.Stats.FaultsInjected;
-    Ctx.Stats.RegionTimes.push_back({T.LoopIdx, WaveNo, T.Seconds});
-    if (!S.isOk()) {
-      // Region-local rollback, in place: restore the region's block lists,
-      // pool entries and the register counters from the snapshot.
-      Snap->restore(Ctx.F);
-      ++Ctx.Stats.RegionsRolledBack;
-      if (Ctx.Opts.CollectCounters)
-        Ctx.Stats.Counters.bump(obs::Rollbacks);
-      obs::Tracer::instance().instant("rollback", "tx", "loop",
-                                      static_cast<int64_t>(T.LoopIdx));
-      reportDiagnostic(Ctx.Stats.Diags, S, Ctx.F.name(), "region", T.LoopIdx);
-    } else {
-      for (obs::Decision &D : T.Delta.Decisions) {
-        D.LoopIdx = T.LoopIdx;
-        D.Wave = WaveNo;
-      }
-      Ctx.Stats += T.Delta;
-    }
-    ++Ctx.Stats.RegionWaves;
-    return;
-  }
-#endif // !GIS_SLOWPATH_CHECK
-
-  const Function Base = Ctx.F; // the wave's fork point
-
-  auto RunTask = [&](RegionTask &T) {
-    obs::TraceSpan RegionSpan("region", "region", "loop",
-                              static_cast<int64_t>(T.LoopIdx), "wave",
-                              static_cast<int64_t>(WaveNo));
-    auto Start = std::chrono::steady_clock::now();
-    T.Priv = Base;
-    GlobalScheduler GS(Ctx.MD, GOpts);
-    Status S;
-    obs::SchedSink Sink;
-    if (Ctx.Opts.CollectCounters)
-      Sink.Counters = &T.Delta.Counters;
-    if (Ctx.Opts.CollectDecisions)
-      Sink.Decisions = &T.Delta.Decisions;
-    // Reuse the PDG the scheduler built (exported pre-motion, so
-    // content-equal to one built on Base) for semantic verification.
-    // --no-incremental deliberately leaves it unused: the reference mode
-    // re-derives everything from scratch.
-    const bool UsePrebuilt =
-        Transactional && Ctx.Opts.VerifySemantic && Ctx.Opts.Incremental;
-#ifdef GIS_SLOWPATH_CHECK
-    const bool ExportPDG = Transactional && Ctx.Opts.VerifySemantic;
-    ScopedVerifyContext SlowCtx;
-    std::unique_ptr<RegionSnapshot> SlowSnap;
-    if (ExportPDG) {
-      SlowCtx = ScopedVerifyContext::capture(Base, T.Slice.region());
-      SlowSnap = std::make_unique<RegionSnapshot>(Base, T.Slice.blocks());
-    }
-#else
-    const bool ExportPDG = UsePrebuilt;
-#endif
-    PDG P;
-    T.Delta.Global += GS.scheduleRegion(T.Priv, T.Slice.region(),
-                                        Transactional ? &S : nullptr,
-                                        &T.Slice, Sink,
-                                        ExportPDG ? &P : nullptr);
-    if (Transactional) {
-      if (!S.isOk())
-        ++T.EngFailures;
-      if (S.isOk() && FaultInjector::instance().shouldFire("region") &&
-          corruptRegionForTest(T.Priv, T.Slice.blocks()))
-        T.FaultInjected = true;
-      if (S.isOk() && Ctx.Opts.VerifyStructural) {
-        std::vector<std::string> Problems = verifyFunction(T.Priv);
-        if (!Problems.empty()) {
-          S = Status::error(ErrorCode::VerifierStructural, Problems.front());
-          ++T.VerFailures;
-        }
-      }
-      if (S.isOk() && Ctx.Opts.VerifySemantic) {
-        std::vector<std::string> Problems =
-            verifyRegionSchedule(Base, T.Priv, T.Slice.region(), Ctx.MD,
-                                 UsePrebuilt ? &P : nullptr);
-#ifdef GIS_SLOWPATH_CHECK
-        // Dual-run: the block-scoped verifier must agree with the full
-        // sweep -- same verdict, byte-identical diagnostics.
-        std::vector<std::string> Scoped = verifyRegionScheduleScoped(
-            SlowCtx, *SlowSnap, T.Priv, T.Slice.region(), Ctx.MD, P);
-        if (Scoped != Problems)
-          fatalError(__FILE__, __LINE__,
-                     "slow-path check: scoped schedule verifier diverges "
-                     "from the full sweep");
-#endif
-        if (!Problems.empty()) {
-          S = Status::error(ErrorCode::VerifierSemantic, Problems.front());
-          ++T.VerFailures;
-        }
-      }
-      if (S.isOk() && Ctx.Opts.EnableOracle && Ctx.Opts.OracleModule) {
-        OracleOptions OOpts;
-        OOpts.MaxSteps = Ctx.Opts.OracleMaxSteps;
-        OracleReport Rep = runDifferentialOracle(*Ctx.Opts.OracleModule,
-                                                 Base, T.Priv, OOpts);
-        if (Rep.Verdict == OracleVerdict::Mismatch) {
-          S = Status::error(ErrorCode::OracleMismatch, Rep.Detail);
-          ++T.OracleFailures;
-        }
-      }
-    } else if (!S.isOk()) {
-      // Unreachable: with Err == nullptr scheduleRegion aborts on failure
-      // (the historical fail-fast contract).
-      fatalError(__FILE__, __LINE__, S.str().c_str());
-    }
-    T.S = S;
-    T.Seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
-            .count();
-  };
-
-  if (ThreadPool *Pool = PoolFor(Tasks.size())) {
-    for (auto &T : Tasks)
-      Pool->submit([&RunTask, &Task = *T] { RunTask(Task); });
-    Pool->waitIdle();
-  } else {
-    for (auto &T : Tasks)
-      RunTask(*T);
-  }
-
-  // Serial merge in region-index (construction) order: failure counters
-  // always, body statistics and the region patch only on commit.
-  const std::array<RegClass, 3> Classes = {RegClass::GPR, RegClass::FPR,
-                                           RegClass::CR};
-  std::array<unsigned, 3> BaseRegs;
-  for (unsigned C = 0; C != 3; ++C)
-    BaseRegs[C] = Base.numRegs(Classes[C]);
-  const unsigned Wave = Ctx.Stats.RegionWaves;
-  for (auto &TP : Tasks) {
-    RegionTask &T = *TP;
-    if (Transactional)
-      ++Ctx.Stats.TransactionsRun;
-    Ctx.Stats.EngineFailures += T.EngFailures;
-    Ctx.Stats.VerifierFailures += T.VerFailures;
-    Ctx.Stats.OracleMismatches += T.OracleFailures;
-    if (T.FaultInjected)
-      ++Ctx.Stats.FaultsInjected;
-    Ctx.Stats.RegionTimes.push_back({T.LoopIdx, Wave, T.Seconds});
-    if (!T.S.isOk()) {
-      // Region-local rollback: drop the private copy; siblings and the
-      // master function are untouched by construction.  The task's
-      // counters and decisions are dropped with it: observability reports
-      // committed work only.
-      ++Ctx.Stats.RegionsRolledBack;
-      if (Ctx.Opts.CollectCounters)
-        Ctx.Stats.Counters.bump(obs::Rollbacks);
-      obs::Tracer::instance().instant("rollback", "tx", "loop",
-                                      static_cast<int64_t>(T.LoopIdx));
-      reportDiagnostic(Ctx.Stats.Diags, T.S, Ctx.F.name(), "region",
-                       T.LoopIdx);
-      continue;
-    }
-    for (obs::Decision &D : T.Delta.Decisions) {
-      D.LoopIdx = T.LoopIdx;
-      D.Wave = Wave;
-    }
-    Ctx.Stats += T.Delta;
-    // Commit: copy the region's blocks into the master, renumbering the
-    // registers this task allocated (renames) into the master's counter
-    // space.  Task-order renumbering keeps the result independent of how
-    // the tasks interleaved.
-    std::array<unsigned, 3> MasterBase;
-    for (unsigned C = 0; C != 3; ++C)
-      MasterBase[C] = Ctx.F.numRegs(Classes[C]);
-    RegionSnapshot Patch(T.Priv, T.Slice.blocks());
-    Patch.applyTo(Ctx.F, [&](Reg R) {
-      unsigned C = static_cast<unsigned>(R.regClass());
-      if (R.index() < BaseRegs[C])
-        return R;
-      return Reg::make(R.regClass(), MasterBase[C] + (R.index() - BaseRegs[C]));
-    });
-    for (unsigned C = 0; C != 3; ++C) {
-      unsigned Fresh = T.Priv.numRegs(Classes[C]) - BaseRegs[C];
-      if (Fresh > 0)
-        Ctx.F.noteReg(Reg::make(Classes[C], MasterBase[C] + Fresh - 1));
-    }
-  }
+  for (const RegionSlice &Slice : Slices)
+    scheduleRegionTask(Ctx, GOpts, Slice, WaveNo);
   ++Ctx.Stats.RegionWaves;
 }
 
 /// Schedules one wave of mutually independent regions (\p LoopIdxs; -1 is
-/// the top-level region).  \p PoolFor returns the pool to dispatch on (or
-/// null to run inline) given the number of runnable tasks.
-void scheduleRegionWave(TxContext &Ctx, const LoopInfo &LI,
-                        const std::vector<int> &LoopIdxs,
-                        const std::function<ThreadPool *(size_t)> &PoolFor) {
+/// the top-level region).
+void scheduleLoopWave(TxContext &Ctx, const LoopInfo &LI,
+                      const std::vector<int> &LoopIdxs) {
   std::vector<SchedRegion> Regions;
   Regions.reserve(LoopIdxs.size());
   for (int LoopIdx : LoopIdxs)
     Regions.push_back(SchedRegion::build(Ctx.F, LI, LoopIdx));
-  scheduleRegionWavePrebuilt(Ctx, std::move(Regions), PoolFor);
+  scheduleWave(Ctx, std::move(Regions));
 }
 
 } // namespace
+
+PipelineStats gis::scheduleRegionWave(Function &F, const MachineDescription &MD,
+                                      const PipelineOptions &Opts,
+                                      std::vector<SchedRegion> Regions) {
+  PipelineStats Stats;
+  DisambigCache DCache;
+  TxContext Ctx{F, MD, Opts, Stats, Opts.Incremental ? &DCache : nullptr};
+  scheduleWave(Ctx, std::move(Regions));
+  return Stats;
+}
 
 PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
                                     const PipelineOptions &Opts) {
   PipelineStats Stats;
   // One disambiguation cache per pipeline run, shared by both global
-  // passes, the local pass and every --region-jobs task (DESIGN.md
-  // section 15).  --no-incremental runs fully uncached.
+  // passes, the local pass and every region task (DESIGN.md section 15).
+  // --no-incremental runs fully uncached.
   DisambigCache DCache;
   TxContext Ctx{F, MD, Opts, Stats, Opts.Incremental ? &DCache : nullptr};
   obs::Tracer &Tr = obs::Tracer::instance();
@@ -622,26 +477,6 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
     ++Stats.FunctionsSkippedIrreducible;
     GlobalEnabled = false;
   }
-
-  // The pool for region waves, created lazily for the first wave with two
-  // or more runnable regions.  The pipeline owns its own pool rather than
-  // borrowing the engine's: this run may itself be an engine task, and
-  // waitIdle() must not be called from inside a task of the same pool.
-  // With the oracle enabled region tasks run serially (the oracle
-  // interprets whole functions); wave semantics are kept either way, so
-  // the output does not depend on RegionJobs.
-  const unsigned RegionJobs =
-      Opts.RegionJobs == 0 ? ThreadPool::hardwareThreads() : Opts.RegionJobs;
-  std::unique_ptr<ThreadPool> RegionPool;
-  auto PoolFor = [&](size_t NumTasks) -> ThreadPool * {
-    if (RegionJobs <= 1 || NumTasks <= 1)
-      return nullptr;
-    if (Opts.EnableOracle && Opts.OracleModule)
-      return nullptr;
-    if (!RegionPool)
-      RegionPool = std::make_unique<ThreadPool>(RegionJobs);
-    return RegionPool.get();
-  };
 
   // Step 0: the Section 4.2 preprocessing -- rename block-local values so
   // register reuse does not manufacture anti/output dependences.  In the
@@ -710,7 +545,7 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
         if (isInnerLoop(LI, L))
           Inner.push_back(static_cast<int>(L));
       if (!Inner.empty())
-        scheduleRegionWave(Ctx, LI, Inner, PoolFor);
+        scheduleLoopWave(Ctx, LI, Inner);
     }
 
     // Step 3: rotate small inner loops.  As with unrolling, a rolled-back
@@ -777,7 +612,7 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
           Waves[Heights[L]].push_back(static_cast<int>(L));
       }
       for (const auto &[Height, Loops] : Waves)
-        scheduleRegionWave(Ctx, LI, Loops, PoolFor);
+        scheduleLoopWave(Ctx, LI, Loops);
     }
     // The function body region: with the two-level restriction it is
     // scheduled only when no loop nesting exceeds it (the body is then
@@ -791,7 +626,7 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
     }
     if (ScheduleTop) {
       obs::TraceSpan TopSpan("pass2", "stage");
-      scheduleRegionWave(Ctx, LI, {-1}, PoolFor);
+      scheduleLoopWave(Ctx, LI, {-1});
     }
 
     // Superblock formation (DESIGN.md section 16): pick hot chains by
@@ -892,7 +727,7 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
         if (Opts.CollectCounters)
           Stats.Counters.bump(obs::TraceSuperblocksScheduled, Regions.size());
         obs::TraceSpan SBSpan("superblocks", "stage");
-        scheduleRegionWavePrebuilt(Ctx, std::move(Regions), PoolFor);
+        scheduleWave(Ctx, std::move(Regions));
       }
     }
 
@@ -1009,8 +844,8 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
   // Cache effectiveness of the whole run.  Bumped once at the end (the
   // cache is shared across stages, so per-stage deltas would double
   // count); request totals are deterministic -- one facts and one
-  // reachability request per region build -- so these are exact for
-  // every --region-jobs width like the rest of the registry.
+  // reachability request per region build -- so these are exact like the
+  // rest of the registry.
   if (Opts.CollectCounters && Ctx.Cache) {
     Stats.Counters.bump(obs::ColdDisambigCacheHits, DCache.hits());
     Stats.Counters.bump(obs::ColdDisambigCacheMisses, DCache.misses());

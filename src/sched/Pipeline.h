@@ -30,17 +30,11 @@
 /// scheduled concurrently (the engine widens its work unit to the module
 /// in that configuration).
 ///
-/// Region-level parallelism: with PipelineOptions::RegionJobs > 1 the two
-/// global scheduling passes dispatch independent regions of *one* function
-/// to an internal thread pool (never the engine's: a pipeline run may
-/// itself be an engine task, and blocking a pool on work queued to the
-/// same pool would deadlock).  Each region task schedules a private copy
-/// of the function forked from the wave start and the results are merged
-/// in region-index order, so the output is bit-identical for every
-/// RegionJobs value -- see the "Region-parallel scheduling" section of
-/// DESIGN.md.  With the oracle enabled, region tasks run serially (the
-/// oracle interprets whole functions); the wave-snapshot semantics are
-/// kept, so the output is still RegionJobs-invariant.
+/// Region waves: each global scheduling pass groups its regions into waves
+/// of mutually independent regions (one level of the loop forest, or the
+/// superblock traces) and schedules a wave's regions serially, in place, in
+/// region-index order, each as its own region-local transaction -- see the
+/// "Region waves" section of DESIGN.md.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -128,22 +122,13 @@ struct PipelineOptions {
   /// asserted by tests/superblock_test.cpp).
   unsigned TraceDupBudget = 64;
 
-  /// Worker threads for scheduling independent regions of one function
-  /// concurrently (gisc --region-jobs).  1 runs regions inline; 0 uses the
-  /// hardware thread count.  The scheduled output is bit-identical for
-  /// every value (asserted by tests/region_parallel_test.cpp), which is
-  /// also why the schedule cache deliberately leaves this field out of its
-  /// options fingerprint (engine/ScheduleCache.cpp).  Composes with
-  /// EngineOptions::Jobs: a batch may run up to Jobs x RegionJobs workers.
-  unsigned RegionJobs = 1;
-
   /// Incremental cold-path maintenance (DESIGN.md section 14): dirty-set
   /// liveness deltas, per-block D/CP refreshes and the engine's
   /// event-driven ready pool, instead of recomputing each from scratch.
   /// Emitted schedules are bit-identical either way (asserted by
   /// tests/coldpath_test.cpp and, pick by pick, by GIS_SLOWPATH_CHECK
   /// builds), which is why the schedule cache leaves this field out of
-  /// its options fingerprint, like RegionJobs (engine/ScheduleCache.cpp).
+  /// its options fingerprint (engine/ScheduleCache.cpp).
   /// gisc --no-incremental turns it off.
   bool Incremental = true;
 
@@ -189,9 +174,9 @@ struct PipelineOptions {
 
   /// Collect the obs counter registry (PipelineStats::Counters): motion
   /// classes, comparator-rule wins, guard rejections, rollbacks.  Cheap
-  /// (plain array increments on buffers already private to each region
-  /// task), so on by default; bench_pipeline_ablation measures the cost of
-  /// this flag and the issue budget is < 2%.
+  /// (plain array increments on a buffer private to each region task), so
+  /// on by default; bench_pipeline_ablation measures the cost of this flag
+  /// and the issue budget is < 2%.
   bool CollectCounters = true;
   /// Record one obs::Decision per engine pick (PipelineStats::Decisions),
   /// the data behind `gisc --explain`.  Allocates per pick; off by
@@ -242,9 +227,8 @@ struct PipelineStats {
   /// pass is enabled.
   opt::OptStats Opt;
 
-  /// Waves of the region dependence forest dispatched by the two global
-  /// scheduling passes (a wave's regions are mutually independent and may
-  /// run concurrently; see PipelineOptions::RegionJobs).
+  /// Waves of the region dependence forest scheduled by the global passes
+  /// and the superblock phase (a wave's regions are mutually independent).
   unsigned RegionWaves = 0;
   /// One record per region-scheduling task, in deterministic commit order.
   std::vector<RegionTime> RegionTimes;
@@ -272,8 +256,8 @@ struct PipelineStats {
   /// Observability counter registry (PipelineOptions::CollectCounters).
   /// Collected into per-task buffers and merged along the same
   /// deterministic commit paths as the rest of this struct, so every value
-  /// is exact -- identical for every --jobs/--region-jobs width, and
-  /// rolled-back work never counts.
+  /// is exact -- identical for every --jobs width, and rolled-back work
+  /// never counts.
   obs::CounterSet Counters;
   /// Per-pick decision log (PipelineOptions::CollectDecisions), in
   /// deterministic commit order; rendered by `gisc --explain`.
@@ -324,6 +308,16 @@ struct PipelineStats {
 /// Runs the full pipeline on one function.
 PipelineStats schedulePipeline(Function &F, const MachineDescription &MD,
                                const PipelineOptions &Opts);
+
+/// Schedules one wave of mutually independent regions of \p F the way the
+/// global passes do: serially, in place, in the given order, each region
+/// its own region-local transaction.  \p Regions must be built on \p F in
+/// its current state and be pairwise disjoint (sibling loops of one
+/// loop-forest level, or block-disjoint traces).  For tests and tools that
+/// drive a single wave.
+PipelineStats scheduleRegionWave(Function &F, const MachineDescription &MD,
+                                 const PipelineOptions &Opts,
+                                 std::vector<SchedRegion> Regions);
 
 /// Runs the full pipeline on every function of \p M.  When the oracle is
 /// enabled and PipelineOptions::OracleModule is null, \p M itself is used

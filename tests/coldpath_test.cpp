@@ -6,8 +6,8 @@
 //
 //  - a 200-seed fuzz compares the incremental pipeline against
 //    --no-incremental bit for bit (printer text and content hash), across
-//    scheduling levels, optimizer levels and region parallelism, and
-//    checks that every non-coldpath obs counter agrees;
+//    scheduling levels and optimizer levels, and checks that every
+//    non-coldpath obs counter agrees;
 //  - direct property tests pin the incremental liveness delta against a
 //    fresh fixpoint after hand-made instruction motions;
 //  - deterministic fault injection corrupts the two new delta stages
@@ -109,8 +109,6 @@ PipelineOptions coldpathOpts(uint64_t Seed) {
   Opts.Level = (Seed % 2) ? SchedLevel::Speculative : SchedLevel::Useful;
   Opts.Opt.Level = (Seed % 3 == 0) ? 2 : 0;
   Opts.CollectDecisions = true;
-  if (Seed % 7 == 0)
-    Opts.RegionJobs = 4;
   return Opts;
 }
 
@@ -158,8 +156,8 @@ TEST(ColdpathEquiv, IncrementalMatchesSlowPathOver200Seeds) {
 }
 
 // The schedule cache shares entries across the toggle (the fingerprint
-// deliberately leaves Incremental out, like RegionJobs), which is only
-// sound because of the bit-identity the fuzz above establishes.
+// deliberately leaves Incremental out), which is only sound because of the
+// bit-identity the fuzz above establishes.
 TEST(ColdpathEquiv, CacheFingerprintIgnoresIncremental) {
   PipelineOptions A, B;
   B.Incremental = false;
@@ -544,52 +542,45 @@ TEST(ColdpathCheckpoint, DeltaRestoreIsByteIdenticalToPreTransaction) {
   }
 }
 
-// End to end through the pipeline, at --region-jobs 1 and 4: force the
-// delta-checkpointed "local" transaction to roll back in the incremental
-// run and the full-snapshot "local" transaction in the --no-incremental
-// run.  The full snapshot restores the pre-transaction bytes by
-// construction, so byte-identical outputs prove the delta rollback does
-// too -- under exactly the region-parallel surroundings the checkpoint
-// shares the pipeline with.
+// End to end through the pipeline: force the delta-checkpointed "local"
+// transaction to roll back in the incremental run and the full-snapshot
+// "local" transaction in the --no-incremental run.  The full snapshot
+// restores the pre-transaction bytes by construction, so byte-identical
+// outputs prove the delta rollback does too -- under exactly the region
+// waves the checkpoint shares the pipeline with.
 TEST_F(ColdpathFaultTest, DeltaRollbackMatchesSnapshotRollbackAcrossJobs) {
-  for (unsigned RJ : {1u, 4u}) {
-    for (uint64_t Seed : {1u, 4u, 9u, 16u}) {
-      std::string Source = generateRandomMiniC(Seed);
-      std::unique_ptr<Module> Inc = compileMiniCOrDie(Source);
-      std::unique_ptr<Module> Ref = compileMiniCOrDie(Source);
+  for (uint64_t Seed : {1u, 4u, 9u, 16u}) {
+    std::string Source = generateRandomMiniC(Seed);
+    std::unique_ptr<Module> Inc = compileMiniCOrDie(Source);
+    std::unique_ptr<Module> Ref = compileMiniCOrDie(Source);
 
-      PipelineOptions IOpts;
-      IOpts.Level = SchedLevel::Speculative;
-      IOpts.RegionJobs = RJ;
-      PipelineOptions ROpts = IOpts;
-      ROpts.Incremental = false;
+    PipelineOptions IOpts;
+    IOpts.Level = SchedLevel::Speculative;
+    PipelineOptions ROpts = IOpts;
+    ROpts.Incremental = false;
 
-      // The local pass is serial, so the first "local" occurrence is the
-      // same transaction in both runs regardless of RegionJobs.
-      FaultInjector::instance().arm("local:1");
-      PipelineStats IS =
-          scheduleModule(*Inc, MachineDescription::rs6k(), IOpts);
-      unsigned FiredInc = FaultInjector::instance().firedCount();
-      FaultInjector::instance().arm("local:1");
-      PipelineStats RS =
-          scheduleModule(*Ref, MachineDescription::rs6k(), ROpts);
-      unsigned FiredRef = FaultInjector::instance().firedCount();
-      FaultInjector::instance().disarm();
+    // The local pass runs once per function, after every region wave, so
+    // the first "local" occurrence is the same transaction in both runs.
+    FaultInjector::instance().arm("local:1");
+    PipelineStats IS = scheduleModule(*Inc, MachineDescription::rs6k(), IOpts);
+    unsigned FiredInc = FaultInjector::instance().firedCount();
+    FaultInjector::instance().arm("local:1");
+    PipelineStats RS = scheduleModule(*Ref, MachineDescription::rs6k(), ROpts);
+    unsigned FiredRef = FaultInjector::instance().firedCount();
+    FaultInjector::instance().disarm();
 
-      std::string Tag =
-          "seed " + std::to_string(Seed) + " rj " + std::to_string(RJ);
-      EXPECT_EQ(FiredInc, FiredRef) << Tag;
-      EXPECT_EQ(IS.FaultsInjected, RS.FaultsInjected) << Tag;
-      if (IS.FaultsInjected) {
-        EXPECT_GE(IS.TransformsRolledBack, 1u) << Tag;
-        EXPECT_GE(RS.TransformsRolledBack, 1u) << Tag;
-      }
-      ASSERT_TRUE(verifyModule(*Inc).empty()) << Tag;
-      std::string A = moduleToString(*Inc), B = moduleToString(*Ref);
-      ASSERT_EQ(A, B) << Tag;
-      ASSERT_TRUE(hashKey128(A) == hashKey128(B)) << Tag;
-      EXPECT_GE(FiredInc, 1u) << Tag << ": local fault never fired";
+    std::string Tag = "seed " + std::to_string(Seed);
+    EXPECT_EQ(FiredInc, FiredRef) << Tag;
+    EXPECT_EQ(IS.FaultsInjected, RS.FaultsInjected) << Tag;
+    if (IS.FaultsInjected) {
+      EXPECT_GE(IS.TransformsRolledBack, 1u) << Tag;
+      EXPECT_GE(RS.TransformsRolledBack, 1u) << Tag;
     }
+    ASSERT_TRUE(verifyModule(*Inc).empty()) << Tag;
+    std::string A = moduleToString(*Inc), B = moduleToString(*Ref);
+    ASSERT_EQ(A, B) << Tag;
+    ASSERT_TRUE(hashKey128(A) == hashKey128(B)) << Tag;
+    EXPECT_GE(FiredInc, 1u) << Tag << ": local fault never fired";
   }
 }
 

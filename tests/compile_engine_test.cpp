@@ -48,8 +48,8 @@ TEST(ThreadPoolTest, WaitIdleCoversNestedSubmissions) {
   std::atomic<unsigned> Ran{0};
   for (unsigned K = 0; K != 8; ++K)
     Pool.submit([&Pool, &Ran] {
-      // A task fanning out further work, as a region-parallel scheduler
-      // would; waitIdle must cover the children too.
+      // A task fanning out further work; waitIdle must cover the
+      // children too.
       for (unsigned J = 0; J != 4; ++J)
         Pool.submit([&Ran] { Ran.fetch_add(1, std::memory_order_relaxed); });
       Ran.fetch_add(1, std::memory_order_relaxed);

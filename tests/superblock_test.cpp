@@ -6,12 +6,11 @@
 // duplication makes a chain single-entry within its clone budget or
 // truncates it; the pipeline's superblock phase survives 200-seed
 // differential-oracle fuzzing at every -O x scheduling level combination,
-// is bit-identical across --region-jobs, contains injected "trace-form"
-// and "tail-dup" faults, and splits the schedule-cache fingerprint on
-// every superblock knob.  The timing simulator's predictor keeps cycle
-// counts bit-identical when off and prices mispredictions sensibly when
-// on (profile-oracle never worse than always-taken; bimodal learns a
-// biased branch).
+// contains injected "trace-form" and "tail-dup" faults, and splits the
+// schedule-cache fingerprint on every superblock knob.  The timing
+// simulator's predictor keeps cycle counts bit-identical when off and
+// prices mispredictions sensibly when on (profile-oracle never worse than
+// always-taken; bimodal learns a biased branch).
 //
 //===----------------------------------------------------------------------===//
 
@@ -398,30 +397,6 @@ TEST(SuperblockFuzzTest, O2UsefulIsOracleClean) {
 }
 TEST(SuperblockFuzzTest, O2SpeculativeIsOracleClean) {
   fuzzSuperblocks(2, SchedLevel::Speculative);
-}
-
-namespace {
-
-std::string scheduledIR(const std::string &Source, unsigned RegionJobs) {
-  auto M = compileMiniCOrDie(Source);
-  PipelineOptions Opts;
-  Opts.EnableSuperblocks = true;
-  Opts.RegionJobs = RegionJobs;
-  scheduleModule(*M, MachineDescription::rs6k(), Opts);
-  EXPECT_TRUE(verifyModule(*M).empty());
-  return moduleToString(*M);
-}
-
-} // namespace
-
-// Tail duplication and superblock scheduling run inside the same wave
-// machinery as loop regions, so --region-jobs must stay bit-identical.
-TEST(SuperblockDeterminismTest, RegionJobsBitIdenticalWithSuperblocks) {
-  for (uint64_t Seed = 1; Seed <= 40; ++Seed) {
-    std::string Source = generateRandomMiniC(Seed);
-    EXPECT_EQ(scheduledIR(Source, 1), scheduledIR(Source, 4))
-        << "seed " << Seed;
-  }
 }
 
 //===----------------------------------------------------------------------===

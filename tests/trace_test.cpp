@@ -9,20 +9,17 @@
 //     file.  Regenerate with GIS_UPDATE_GOLDENS=1 after an intentional
 //     format or heuristic change.
 //
-//  2. Determinism: the decision log and the counter registry are
-//     bit-identical across --region-jobs widths.
+//  2. Trace format: the Chrome-trace JSON parses, every 'B' has a matching
+//     'E' on its own thread, and span nesting respects the
+//     pipeline -> stage -> wave -> region -> block hierarchy.
 //
-//  3. Trace format: the Chrome-trace JSON parses, every 'B' has a matching
-//     'E' on its own thread, span nesting respects the
-//     pipeline -> stage -> wave -> region -> block hierarchy, and the span
-//     multiset is --region-jobs invariant.
-//
-//  4. Zero perturbation: the scheduled IR (and its 128-bit hash) is
+//  3. Zero perturbation: the scheduled IR (and its 128-bit hash) is
 //     bit-identical with tracing on or off and with the obs collection
 //     flags on or off.
 //
 //===----------------------------------------------------------------------===//
 
+#include "engine/CompileEngine.h"
 #include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "ir/Verifier.h"
@@ -71,11 +68,10 @@ std::string readFileOrDie(const std::string &Path) {
 /// The fixture .gis files; each has a matching <name>.explain.txt golden.
 const char *const Fixtures[] = {"obs_diamond", "obs_loop_spec"};
 
-PipelineOptions obsOptions(unsigned RegionJobs = 1) {
+PipelineOptions obsOptions() {
   PipelineOptions Opts;
   Opts.CollectCounters = true;
   Opts.CollectDecisions = true;
-  Opts.RegionJobs = RegionJobs;
   return Opts;
 }
 
@@ -271,11 +267,10 @@ private:
 /// events.  The tracer is process-global, so tests that use it serialize
 /// through gtest's single-threaded runner.
 std::vector<obs::TraceEvent> tracedRun(const std::string &Name,
-                                       unsigned RegionJobs,
                                        std::string *JsonOut = nullptr) {
   obs::Tracer &Tr = obs::Tracer::instance();
   Tr.enable();
-  runFixture(Name, obsOptions(RegionJobs));
+  runFixture(Name, obsOptions());
   Tr.disable();
   std::vector<obs::TraceEvent> Events = Tr.snapshot();
   if (JsonOut) {
@@ -333,28 +328,12 @@ TEST(DecisionLogGolden, EveryLineCarriesRuleAndClass) {
 }
 
 //===----------------------------------------------------------------------===
-// 2. Determinism across --region-jobs
-//===----------------------------------------------------------------------===
-
-TEST(DecisionLogDeterminism, RegionJobsInvariant) {
-  for (const char *Name : Fixtures) {
-    RunResult Seq = runFixture(Name, obsOptions(1));
-    RunResult Par = runFixture(Name, obsOptions(8));
-    EXPECT_EQ(Seq.IR, Par.IR) << Name;
-    EXPECT_EQ(renderedLog(Seq.Stats.Decisions),
-              renderedLog(Par.Stats.Decisions))
-        << Name;
-    EXPECT_TRUE(Seq.Stats.Counters == Par.Stats.Counters) << Name;
-  }
-}
-
-//===----------------------------------------------------------------------===
-// 3. Trace format
+// 2. Trace format
 //===----------------------------------------------------------------------===
 
 TEST(TraceFormat, ChromeJsonParses) {
   std::string Json;
-  std::vector<obs::TraceEvent> Events = tracedRun("obs_loop_spec", 1, &Json);
+  std::vector<obs::TraceEvent> Events = tracedRun("obs_loop_spec", &Json);
   EXPECT_FALSE(Events.empty());
   EXPECT_NE(Json.find("\"traceEvents\""), std::string::npos);
   JsonReader Reader(Json);
@@ -367,9 +346,28 @@ TEST(TraceFormat, ChromeJsonParses) {
 }
 
 /// Per-thread 'B'/'E' matching: events of one thread form balanced,
-/// properly nested spans.
+/// properly nested spans, also when engine workers trace concurrently.
 TEST(TraceFormat, SpansBalancePerThread) {
-  std::vector<obs::TraceEvent> Events = tracedRun("obs_loop_spec", 8);
+  // Enough modules that both workers of the pool pick up work.
+  std::vector<std::unique_ptr<Module>> Modules;
+  std::vector<BatchItem> Items;
+  for (unsigned Copy = 0; Copy != 8; ++Copy)
+    for (const char *Name : Fixtures) {
+      Modules.push_back(parseModuleOrDie(
+          readFileOrDie(dataPath(std::string(Name) + ".gis"))));
+      Items.push_back(BatchItem{Modules.back().get(), Name});
+    }
+  EngineOptions EOpts;
+  EOpts.Jobs = 2;
+  EOpts.UseCache = false;
+  CompileEngine Engine(MachineDescription::rs6k(), obsOptions(), EOpts);
+  obs::Tracer &Tr = obs::Tracer::instance();
+  Tr.enable();
+  Engine.compileBatch(Items);
+  Tr.disable();
+  std::vector<obs::TraceEvent> Events = Tr.snapshot();
+  Tr.clear();
+  ASSERT_FALSE(Events.empty());
   std::map<unsigned, std::vector<const obs::TraceEvent *>> Stacks;
   for (const obs::TraceEvent &E : Events) {
     auto &Stack = Stacks[E.Tid];
@@ -388,13 +386,12 @@ TEST(TraceFormat, SpansBalancePerThread) {
         << KV.second.size() << " unclosed span(s) on tid " << KV.first;
 }
 
-/// At --region-jobs 1 everything runs on one thread, so the full
-/// hierarchy is visible on a single stack: stage spans open under the
-/// pipeline span, waves under a stage, regions under a wave, blocks under
-/// a region (global) or the local stage, and cycle-level instants under a
-/// block.
+/// A pipeline run is single-threaded, so the full hierarchy is visible on
+/// a single stack: stage spans open under the pipeline span, waves under a
+/// stage, regions under a wave, blocks under a region (global) or the
+/// local stage, and cycle-level instants under a block.
 TEST(TraceFormat, NestingRespectsHierarchy) {
-  std::vector<obs::TraceEvent> Events = tracedRun("obs_loop_spec", 1);
+  std::vector<obs::TraceEvent> Events = tracedRun("obs_loop_spec");
   std::vector<const obs::TraceEvent *> Stack;
   auto Enclosing = [&](const char *Name) {
     return std::any_of(Stack.begin(), Stack.end(),
@@ -446,21 +443,6 @@ TEST(TraceFormat, NestingRespectsHierarchy) {
   EXPECT_GT(Picks, 0u);
 }
 
-/// The span multiset (Ph, Name, Cat) is identical for --region-jobs 1 and
-/// 8: parallel dispatch changes interleaving and thread assignment, never
-/// what work happens.
-TEST(TraceFormat, RegionJobsSpanMultisetInvariant) {
-  auto Multiset = [](const std::vector<obs::TraceEvent> &Events) {
-    std::map<std::string, size_t> M;
-    for (const obs::TraceEvent &E : Events)
-      ++M[std::string(1, E.Ph) + "|" + E.Name + "|" + E.Cat];
-    return M;
-  };
-  auto Seq = Multiset(tracedRun("obs_loop_spec", 1));
-  auto Par = Multiset(tracedRun("obs_loop_spec", 8));
-  EXPECT_EQ(Seq, Par);
-}
-
 TEST(TraceFormat, DisabledTracerCollectsNothing) {
   obs::Tracer &Tr = obs::Tracer::instance();
   Tr.clear();
@@ -471,7 +453,7 @@ TEST(TraceFormat, DisabledTracerCollectsNothing) {
 }
 
 //===----------------------------------------------------------------------===
-// 4. Zero perturbation
+// 3. Zero perturbation
 //===----------------------------------------------------------------------===
 
 TEST(TracePerturbation, TracingDoesNotChangeSchedules) {
