@@ -3,8 +3,7 @@
 // The paper schedules IR the XL compiler had already optimized; src/opt/
 // recreates that stage.  E12 measures how the mid-end optimizer changes
 // the global scheduler's raw material and payoff: run-time cycles under
-// useful-only, speculative and speculative+duplication scheduling at each
-// -O level, plus the block-size and register-pressure deltas that explain
+// useful-only and speculative scheduling at each -O level, plus the block-size and register-pressure deltas that explain
 // the differences (smaller, cleaner blocks leave less local parallelism,
 // so global motion matters more).
 //
@@ -33,9 +32,6 @@ std::vector<SchedConfig> schedConfigs() {
   C.push_back({"base", baseOptions()});
   C.push_back({"useful", usefulOptions()});
   C.push_back({"spec", speculativeOptions()});
-  PipelineOptions Dup = speculativeOptions();
-  Dup.AllowDuplication = true;
-  C.push_back({"spec+dup", Dup});
   return C;
 }
 

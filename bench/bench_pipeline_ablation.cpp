@@ -58,10 +58,6 @@ std::vector<Config> configs() {
   Deep.OnlyTwoInnerLevels = false;
   C.push_back({"+ deep spec (ext)", Deep});
 
-  PipelineOptions Dup = speculativeOptions();
-  Dup.AllowDuplication = true;
-  C.push_back({"+ duplication (ext)", Dup});
-
   PipelineOptions Opt = speculativeOptions();
   Opt.Opt.Level = 2;
   C.push_back({"+ optimizer -O2", Opt});

@@ -62,7 +62,6 @@
 //     --order paper|d|cp|source  priority-rule ordering (default paper)
 //     --no-unroll --no-rotate --no-local --no-renaming --no-prerename
 //     --all-levels               schedule every region nesting level
-//     --duplication              enable join replication (Definition 6)
 //     --superblocks              superblock formation: trace picking +
 //                                tail duplication + superblock scheduling
 //                                (profile-guided with --profile)
@@ -282,8 +281,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Cli) {
       Cli.Pipeline.EnablePreRenaming = false;
     } else if (A == "--all-levels") {
       Cli.Pipeline.OnlyTwoInnerLevels = false;
-    } else if (A == "--duplication") {
-      Cli.Pipeline.AllowDuplication = true;
     } else if (A == "--superblocks") {
       Cli.Pipeline.EnableSuperblocks = true;
     } else if (A == "--trace-max-blocks") {
@@ -913,7 +910,6 @@ int main(int argc, char **argv) {
               << Stats.Global.VetoedSpeculations
               << "\n  register renames:     " << Stats.Global.Renames
               << "\n  pre-renamed defs:     " << Stats.PreRenamedDefs
-              << "\n  duplicated instrs:    " << Stats.DuplicatedInstrs
               << "\n  loops unrolled:       " << Stats.LoopsUnrolled
               << "\n  loops rotated:        " << Stats.LoopsRotated
               << "\n  regions over size cap: "

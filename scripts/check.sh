@@ -7,10 +7,11 @@
 # those workers share -- under TSan (-DGIS_SANITIZE=thread; TSan and ASan
 # cannot share a build), then the cold-path equivalence suite (label
 # "perf-equiv") in a -DGIS_SLOWPATH_CHECK=ON build where the incremental
-# scheduler cross-checks every update against full recomputation, and
-# finally two gisc processes sharing one cache directory.  Run from
-# anywhere; builds land in build/, build-san/, build-tsan/ and
-# build-slowcheck/ next to the sources.
+# scheduler cross-checks every update against full recomputation, then
+# two gisc processes sharing one cache directory, and finally the
+# benchmark's own self-test.  Run from anywhere; builds land in build/,
+# build-san/, build-tsan/, build-slowcheck/ and .bench_build/ next to the
+# sources.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -99,5 +100,13 @@ if ! grep -q '"disk_hits": [1-9]' "$WORK/s3.json"; then
   grep '"disk_hits"' "$WORK/s3.json" >&2 || cat "$WORK/s3.json" >&2
   exit 1
 fi
+
+echo "== benchmark self-test (gisbench) =="
+# gisbench builds the library from src/ into its own tree and compiles
+# against PipelineStats, analysis/Liveness.h and the obs registry, so an
+# API change that breaks the benchmark surfaces here, not only when the
+# benchmark runs.  Its build and results stay in the git-ignored
+# .bench_build/ directory.
+(cd "$ROOT" && python3 gisbench/run.py --self-test)
 
 echo "OK: all suites passed"

@@ -58,8 +58,8 @@ public:
   /// the head has the preceding chain block as its only CFG predecessor
   /// (tail duplication restores this when formation crossed a join) --
   /// so the head dominates every trace block and region dominance over
-  /// the chain is exact, the same soundness argument RegionSlice makes
-  /// for loop regions.  Off-chain successors become region exits; a
+  /// the chain is exact, as it is for a loop region (entered only through
+  /// its header).  Off-chain successors become region exits; a
   /// loop-back edge to the head is dropped like a loop region's back
   /// edge.  \p TraceIndex tags the region for diagnostics (encoded in
   /// loopIndex() as -2 - TraceIndex; see isTrace()/traceIndex()).

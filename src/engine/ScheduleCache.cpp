@@ -55,8 +55,6 @@ uint64_t gis::fingerprintOptions(const PipelineOptions &Opts) {
   H.addU32(Opts.RegionInstrLimit);
   H.addBool(Opts.OnlyTwoInnerLevels);
   H.addBool(Opts.RunLocalScheduler);
-  H.addBool(Opts.AllowDuplication);
-  H.addU32(Opts.MaxDuplicationsPerRegion);
   // Superblock formation rewrites the CFG (tail duplication) and
   // reschedules the hot chains, so every knob that steers it splits the
   // cache -- in the memory tier and the shared on-disk tier alike

@@ -18,7 +18,6 @@ struct CounterInfo {
 constexpr CounterInfo Infos[NumCounters] = {
     {"motion.useful", "useful motions"},
     {"motion.speculative", "speculative motions"},
-    {"motion.duplication", "duplicated instructions"},
     {"rule.useful_over_spec", "rule 1/2 wins (useful class)"},
     {"rule.spec_freq", "profile tie-break wins (spec frequency)"},
     {"rule.delay_useful", "rule 3 wins (D, useful)"},

@@ -43,7 +43,6 @@ enum class CounterId : unsigned {
   // Code motions by classification.
   MotionUseful,      ///< external pick from U(A) (rules 1/2 class "useful")
   MotionSpeculative, ///< external pick gambling on >= 1 branch
-  MotionDuplication, ///< instructions replicated by join duplication
 
   // Comparator-rule wins (Section 5.2; see the header comment).
   RuleUsefulOverSpec, ///< rules 1/2: class separated the candidates
@@ -134,7 +133,6 @@ constexpr unsigned NumCounters =
 // rather than obs::CounterId::MotionUseful.
 inline constexpr CounterId MotionUseful = CounterId::MotionUseful;
 inline constexpr CounterId MotionSpeculative = CounterId::MotionSpeculative;
-inline constexpr CounterId MotionDuplication = CounterId::MotionDuplication;
 inline constexpr CounterId RuleUsefulOverSpec = CounterId::RuleUsefulOverSpec;
 inline constexpr CounterId RuleSpecFreq = CounterId::RuleSpecFreq;
 inline constexpr CounterId RuleDelayUseful = CounterId::RuleDelayUseful;

@@ -103,7 +103,6 @@ void writePipelineFields(std::ostream &OS, const PipelineStats &S,
   W.field("loops_unrolled", S.LoopsUnrolled);
   W.field("loops_rotated", S.LoopsRotated);
   W.field("prerenamed_defs", S.PreRenamedDefs);
-  W.field("duplicated_instrs", S.DuplicatedInstrs);
   W.field("traces_formed", S.TracesFormed);
   W.field("trace_blocks", S.TraceBlocks);
   W.field("tail_dup_instrs", S.TailDupInstrs);

@@ -52,7 +52,6 @@ std::string serializeStats(const PipelineStats &S) {
   Put("loops_unrolled", S.LoopsUnrolled);
   Put("loops_rotated", S.LoopsRotated);
   Put("prerenamed_defs", S.PreRenamedDefs);
-  Put("duplicated_instrs", S.DuplicatedInstrs);
   Put("regions_skipped_by_size", S.RegionsSkippedBySize);
   Put("functions_skipped_irreducible", S.FunctionsSkippedIrreducible);
   Put("pressure_peak_gpr", S.PressurePeak[0]);
@@ -121,7 +120,6 @@ bool parseStats(const std::string &Text, PipelineStats &S) {
   S.LoopsUnrolled = GetU("loops_unrolled");
   S.LoopsRotated = GetU("loops_rotated");
   S.PreRenamedDefs = GetU("prerenamed_defs");
-  S.DuplicatedInstrs = GetU("duplicated_instrs");
   S.RegionsSkippedBySize = GetU("regions_skipped_by_size");
   S.FunctionsSkippedIrreducible = GetU("functions_skipped_irreducible");
   S.PressurePeak[0] = GetU("pressure_peak_gpr");

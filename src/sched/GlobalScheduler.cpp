@@ -3,7 +3,6 @@
 #include "sched/GlobalScheduler.h"
 
 #include "analysis/Liveness.h"
-#include "analysis/RegionSlice.h"
 #include "obs/Trace.h"
 #include "sched/Heuristics.h"
 #include "sched/ListScheduler.h"
@@ -11,6 +10,7 @@
 #include "support/FaultInjection.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_set>
 
 using namespace gis;
@@ -18,7 +18,7 @@ using namespace gis;
 GlobalSchedStats GlobalScheduler::scheduleRegion(Function &F,
                                                  const SchedRegion &R,
                                                  Status *Err,
-                                                 const RegionSlice *Slice,
+                                                 const Liveness *WaveLV,
                                                  const obs::SchedSink &Sink,
                                                  PDG *OutPDG) {
   GlobalSchedStats Stats;
@@ -68,16 +68,14 @@ GlobalSchedStats GlobalScheduler::scheduleRegion(Function &F,
     CurNode[N] = DD.ddgNode(N).RegionNode;
 
   // Live-on-exit sets, maintained dynamically (Section 5.3): recomputed
-  // lazily after motions.  With a RegionSlice the view is region-restricted
-  // (frozen out-of-region boundary) and recomputation touches only the
-  // region's blocks; without one, classic whole-function liveness.
-  Liveness LV;
-  LivenessSlice SLV;
-  const bool UseSlice = Slice != nullptr;
-  if (UseSlice)
-    SLV = Slice->liveness();
-  else
-    LV = Liveness::compute(F);
+  // lazily after motions.  The view is region-restricted, its out-of-region
+  // boundary frozen from the wave-start liveness, so recomputation touches
+  // only the region's blocks and the task reads nothing outside its region
+  // (analysis/Liveness.h).
+  std::optional<Liveness> EntryLV;
+  if (!WaveLV)
+    WaveLV = &EntryLV.emplace(Liveness::compute(F));
+  RegionLiveness LV = RegionLiveness::build(F, R, *WaveLV);
   // Dirty-set maintenance (DESIGN.md section 14): motions and renames
   // record which blocks changed; freshening re-solves only the affected
   // cone (or everything, after ForceFullLiveness -- the self-heal path of
@@ -91,38 +89,28 @@ GlobalSchedStats GlobalScheduler::scheduleRegion(Function &F,
     if (LivenessDirtyBlocks.empty() && !ForceFullLiveness)
       return;
     if (!Opts.Incremental || ForceFullLiveness) {
-      if (UseSlice)
-        SLV.recompute(F);
-      else
-        LV = Liveness::compute(F);
+      LV.recompute(F);
       BumpObs(obs::ColdLivenessFull);
       ForceFullLiveness = false;
     } else {
-      Liveness::UpdateResult U =
-          UseSlice ? SLV.recomputeBlocks(F, LivenessDirtyBlocks)
-                   : LV.recomputeBlocks(F, LivenessDirtyBlocks);
+      RegionLiveness::UpdateResult U =
+          LV.recomputeBlocks(F, LivenessDirtyBlocks);
       if (U.Full)
         BumpObs(obs::ColdLivenessFull);
       else
         BumpObs(obs::ColdLivenessDelta, U.BlocksResolved);
 #ifdef GIS_SLOWPATH_CHECK
-      if (UseSlice) {
-        LivenessSlice Fresh = Slice->liveness();
-        Fresh.recompute(F);
-        GIS_ASSERT(SLV.sameSetsAs(Fresh),
-                   "slowpath check: incremental slice liveness diverged "
-                   "from a fresh recompute");
-      } else {
-        GIS_ASSERT(LV.sameSetsAs(Liveness::compute(F)),
-                   "slowpath check: incremental liveness diverged from a "
-                   "fresh recompute");
-      }
+      RegionLiveness Fresh = LV;
+      Fresh.recompute(F);
+      GIS_ASSERT(LV.sameSetsAs(Fresh),
+                 "slowpath check: incremental region liveness diverged from "
+                 "a fresh recompute");
 #endif
     }
     LivenessDirtyBlocks.clear();
   };
   std::function<bool(BlockId, Reg)> IsLiveOut = [&](BlockId B, Reg Rg) {
-    return UseSlice ? SLV.isLiveOut(B, Rg) : LV.isLiveOut(B, Rg);
+    return LV.isLiveOut(B, Rg);
   };
 
   unsigned SpecDepth =
@@ -261,10 +249,7 @@ GlobalSchedStats GlobalScheduler::scheduleRegion(Function &F,
         // decision and the semantic verifier/rollback must catch whatever
         // escapes.  Fired after FreshenLiveness (and its slowpath
         // cross-check), which validates the real update, not the sabotage.
-        if (UseSlice)
-          SLV.corruptLiveOutForTest(ABlock);
-        else
-          LV.corruptLiveOutForTest(ABlock);
+        LV.corruptLiveOutForTest(ABlock);
         ForceFullLiveness = true;
       }
       // Collect conflicting defs first; rename only if all are renameable.

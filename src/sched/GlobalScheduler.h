@@ -33,7 +33,7 @@
 namespace gis {
 
 class DisambigCache;
-class RegionSlice;
+class Liveness;
 
 /// Scheduling level (paper Section 5.1 "two levels of scheduling").
 enum class SchedLevel : uint8_t {
@@ -104,13 +104,14 @@ public:
   /// With \p Err null such failures abort, preserving the historical
   /// fail-fast contract for direct callers without a transaction layer.
   ///
-  /// With \p Slice non-null (a RegionSlice built on \p F in its current
-  /// state for this same region), the Section 5.3 live-on-exit guard uses
-  /// the slice's region-restricted liveness instead of whole-function
-  /// liveness: recomputation after a motion or rename then touches only
-  /// the region's blocks, and -- the point of the slice -- the scheduler
-  /// reads nothing outside the region, so each region of a wave sees the
+  /// The Section 5.3 live-on-exit guard reads a region-restricted
+  /// liveness view (RegionLiveness) built on entry, its out-of-region
+  /// boundary frozen from \p WaveLV: recomputation after a motion or
+  /// rename touches only the region's blocks, and the scheduler reads
+  /// nothing outside the region, so each region of a wave sees the
   /// wave-start state whatever its siblings committed (sched/Pipeline.cpp).
+  /// \p WaveLV is whole-function liveness of \p F as the wave started;
+  /// when null, it is computed on entry.
   ///
   /// \p Sink optionally collects observability counters and per-pick
   /// decision records (src/obs/).  The buffers belong to the caller; each
@@ -122,7 +123,7 @@ public:
   /// verifier instead of paying a second build.
   GlobalSchedStats scheduleRegion(Function &F, const SchedRegion &R,
                                   Status *Err = nullptr,
-                                  const RegionSlice *Slice = nullptr,
+                                  const Liveness *WaveLV = nullptr,
                                   const obs::SchedSink &Sink = {},
                                   PDG *OutPDG = nullptr);
 

@@ -3,14 +3,13 @@
 #include "sched/Pipeline.h"
 
 #include "analysis/DisambigCache.h"
+#include "analysis/Liveness.h"
 #include "analysis/RegPressure.h"
 #include "analysis/Region.h"
-#include "analysis/RegionSlice.h"
 #include "interp/DifferentialOracle.h"
 #include "ir/Checkpoint.h"
 #include "ir/Verifier.h"
 #include "obs/Trace.h"
-#include "sched/Duplication.h"
 #include "sched/PreRenaming.h"
 #include "sched/Rotate.h"
 #include "sched/ScheduleVerifier.h"
@@ -65,8 +64,8 @@ struct TxContext {
 /// the whole function.
 ///
 /// \param Stage    stable stage name ("prerename", "unroll", "rotate",
-///                 "duplicate", "local"); also the fault injection trigger
-///                 point (GIS_FAULT_INJECT).
+///                 "local", ...); also the fault injection trigger point
+///                 (GIS_FAULT_INJECT).
 /// \param LoopIdx  region loop index for diagnostics (-1: whole function).
 /// \param Body     the transform.  Records its statistics into the passed
 ///                 delta (merged into Ctx.Stats only on commit) and
@@ -204,8 +203,8 @@ bool runDeltaTransaction(
 // order, in place on the function.  Each task is its own region-local
 // transaction (snapshot, schedule, verify, commit or roll back), so a
 // failed task rolls back only its own blocks and its siblings still
-// commit.  Every task sees the wave as it started: slices freeze their
-// out-of-region liveness from the wave-start function, and the
+// commit.  Every task sees the wave as it started: its region liveness
+// freezes the out-of-region boundary from the wave-start function, and the
 // disambiguation facts are derived once per wave.  A task allocates fresh
 // registers from the function's counters, which its rollback restores.
 
@@ -219,17 +218,18 @@ std::vector<unsigned> loopHeights(const LoopInfo &LI) {
   return H;
 }
 
-/// Schedules the region of \p Slice in place as one region-local
-/// transaction of wave \p WaveNo.  Rollback is guarded by a region
-/// snapshot, and semantic verification by the block-scoped verifier on the
-/// scheduler's own PDG, reading the pre-pass state from a capture (DESIGN.md
-/// section 15).  Modes that need the complete pre-pass function take one
-/// full copy: the differential oracle, and --no-incremental, whose full
-/// verifier keeps that mode a fully uncached reference.  GIS_SLOWPATH_CHECK
-/// builds run both verifiers and treat any divergence as fatal.
+/// Schedules region \p R in place as one region-local transaction of wave
+/// \p WaveNo; \p WaveLV is the wave-start whole-function liveness.
+/// Rollback is guarded by a region snapshot, and semantic verification by
+/// the block-scoped verifier on the scheduler's own PDG, reading the
+/// pre-pass state from a capture (DESIGN.md section 15).  Modes that need
+/// the complete pre-pass function take one full copy: the differential
+/// oracle, and --no-incremental, whose full verifier keeps that mode a
+/// fully uncached reference.  GIS_SLOWPATH_CHECK builds run both verifiers
+/// and treat any divergence as fatal.
 void scheduleRegionTask(TxContext &Ctx, const GlobalSchedOptions &GOpts,
-                        const RegionSlice &Slice, unsigned WaveNo) {
-  const SchedRegion &R = Slice.region();
+                        const SchedRegion &R, const Liveness &WaveLV,
+                        unsigned WaveNo) {
   const int LoopIdx = R.loopIndex();
   obs::TraceSpan RegionSpan("region", "region", "loop",
                             static_cast<int64_t>(LoopIdx), "wave",
@@ -253,9 +253,13 @@ void scheduleRegionTask(TxContext &Ctx, const GlobalSchedOptions &GOpts,
   ScopedVerifyContext VCtx;
   if (Scoped)
     VCtx = ScopedVerifyContext::capture(Ctx.F, R);
+  std::vector<BlockId> Blocks; // the region's real blocks
+  for (const RegionNode &N : R.nodes())
+    if (N.isBlock())
+      Blocks.push_back(N.Block);
   std::optional<RegionSnapshot> Snap;
   if (Transactional)
-    Snap.emplace(Ctx.F, Slice.blocks());
+    Snap.emplace(Ctx.F, Blocks);
 
   PipelineStats Delta; // body statistics, merged only on commit
   obs::SchedSink Sink;
@@ -267,13 +271,13 @@ void scheduleRegionTask(TxContext &Ctx, const GlobalSchedOptions &GOpts,
   Status S;
   PDG P;
   Delta.Global += GS.scheduleRegion(Ctx.F, R, Transactional ? &S : nullptr,
-                                    &Slice, Sink, Scoped ? &P : nullptr);
+                                    &WaveLV, Sink, Scoped ? &P : nullptr);
   if (Transactional) {
     ++Ctx.Stats.TransactionsRun;
     if (!S.isOk())
       ++Ctx.Stats.EngineFailures;
     if (S.isOk() && FaultInjector::instance().shouldFire("region") &&
-        corruptRegionForTest(Ctx.F, Slice.blocks()))
+        corruptRegionForTest(Ctx.F, Blocks))
       ++Ctx.Stats.FaultsInjected;
     if (S.isOk() && Ctx.Opts.VerifyStructural) {
       std::vector<std::string> Problems = verifyFunction(Ctx.F);
@@ -364,28 +368,24 @@ void scheduleRegionTask(TxContext &Ctx, const GlobalSchedOptions &GOpts,
 /// the top-level region, or a trace encoding (<= -2) -- used only for
 /// diagnostics and timing records.
 void scheduleWave(TxContext &Ctx, std::vector<SchedRegion> Regions) {
-  // Size limits and slices, before any task runs.  The whole-function
-  // liveness is computed once per wave and only used to freeze the
-  // slices' out-of-region boundaries.
-  std::vector<RegionSlice> Slices;
-  Liveness WaveLV;
-  for (SchedRegion &R : Regions) {
-    if (R.numRealBlocks() > Ctx.Opts.RegionBlockLimit ||
-        R.numInstrs() > Ctx.Opts.RegionInstrLimit) {
+  // Size limits, before any task runs.
+  std::erase_if(Regions, [&](const SchedRegion &R) {
+    bool TooBig = R.numRealBlocks() > Ctx.Opts.RegionBlockLimit ||
+                  R.numInstrs() > Ctx.Opts.RegionInstrLimit;
+    if (TooBig)
       ++Ctx.Stats.RegionsSkippedBySize;
-      continue;
-    }
-    if (Slices.empty())
-      WaveLV = Liveness::compute(Ctx.F);
-    Slices.push_back(RegionSlice::build(Ctx.F, std::move(R), WaveLV));
-  }
-  if (Slices.empty())
+    return TooBig;
+  });
+  if (Regions.empty())
     return;
+  // Whole-function liveness of the wave-start function, computed once per
+  // wave; each task freezes its region's out-of-region boundary from it.
+  const Liveness WaveLV = Liveness::compute(Ctx.F);
 
   const unsigned WaveNo = Ctx.Stats.RegionWaves;
   obs::TraceSpan WaveSpan("wave", "region", "wave",
                           static_cast<int64_t>(WaveNo), "tasks",
-                          static_cast<int64_t>(Slices.size()));
+                          static_cast<int64_t>(Regions.size()));
 
   // Earlier transforms (unroll, rotate, prior waves' commits) moved code
   // since the cache last saw this function; start one facts epoch for the
@@ -402,8 +402,8 @@ void scheduleWave(TxContext &Ctx, std::vector<SchedRegion> Regions) {
   GOpts.Incremental = Ctx.Opts.Incremental;
   GOpts.Cache = Ctx.Cache;
 
-  for (const RegionSlice &Slice : Slices)
-    scheduleRegionTask(Ctx, GOpts, Slice, WaveNo);
+  for (const SchedRegion &R : Regions)
+    scheduleRegionTask(Ctx, GOpts, R, WaveLV, WaveNo);
   ++Ctx.Stats.RegionWaves;
 }
 
@@ -728,35 +728,6 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
           Stats.Counters.bump(obs::TraceSuperblocksScheduled, Regions.size());
         obs::TraceSpan SBSpan("superblocks", "stage");
         scheduleWave(Ctx, std::move(Regions));
-      }
-    }
-
-    // Future-work extension: join replication (Definition 6) over the
-    // inner regions, feeding the final basic-block pass extra slack.
-    // Duplication breaks instruction conservation by design, so only the
-    // structural verifier and the oracle apply.
-    if (Opts.AllowDuplication) {
-      LI = LoopInfo::compute(F);
-      DuplicationOptions DOpts;
-      DOpts.MaxPerRegion = Opts.MaxDuplicationsPerRegion;
-      for (unsigned L : LI.innermostFirstOrder()) {
-        if (!isInnerLoop(LI, L))
-          continue;
-        SchedRegion R = SchedRegion::build(F, LI, static_cast<int>(L));
-        if (R.numRealBlocks() > Opts.RegionBlockLimit ||
-            R.numInstrs() > Opts.RegionInstrLimit)
-          continue;
-        runTransaction(
-            Ctx, "duplicate", static_cast<int>(L),
-            [&](PipelineStats &Delta) {
-              Delta.DuplicatedInstrs +=
-                  duplicateIntoPreds(F, R, DOpts).DuplicatedInstrs;
-              if (Opts.CollectCounters)
-                Delta.Counters.bump(obs::MotionDuplication,
-                                    Delta.DuplicatedInstrs);
-              return Status::ok();
-            },
-            /*RegionScoped=*/true);
       }
     }
   }

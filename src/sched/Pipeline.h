@@ -101,12 +101,6 @@ struct PipelineOptions {
   /// applies with AllocateRegisters and RunLocalScheduler.
   bool RescheduleAfterAlloc = true;
 
-  /// Future-work extension (paper Section 7): scheduling with duplication
-  /// (Definition 6), restricted to join replication.  Off by default, as
-  /// in the paper's prototype ("no duplication of code is allowed").
-  bool AllowDuplication = false;
-  unsigned MaxDuplicationsPerRegion = 16;
-
   /// Superblock formation (DESIGN.md section 16; gisc --superblocks):
   /// form traces by mutual-most-likely edge selection over recorded edge
   /// profiles (ProfileData::recordEdges) -- static branch-not-taken
@@ -200,7 +194,6 @@ struct PipelineStats {
   unsigned LoopsUnrolled = 0;
   unsigned LoopsRotated = 0;
   unsigned PreRenamedDefs = 0;
-  unsigned DuplicatedInstrs = 0;
   unsigned RegionsSkippedBySize = 0;
   unsigned FunctionsSkippedIrreducible = 0;
 
@@ -235,8 +228,8 @@ struct PipelineStats {
 
   // Transactional execution (see PipelineOptions::EnableTransactions).
   unsigned TransactionsRun = 0;
-  /// Region-scoped transactions (region scheduling, duplication) rolled
-  /// back to their checkpoint.
+  /// Region-scoped transactions (region scheduling, tail duplication)
+  /// rolled back to their checkpoint.
   unsigned RegionsRolledBack = 0;
   /// Whole-function transforms (pre-renaming, unroll, rotate, local
   /// scheduling) rolled back to their checkpoint.
@@ -271,7 +264,6 @@ struct PipelineStats {
     LoopsUnrolled += RHS.LoopsUnrolled;
     LoopsRotated += RHS.LoopsRotated;
     PreRenamedDefs += RHS.PreRenamedDefs;
-    DuplicatedInstrs += RHS.DuplicatedInstrs;
     RegionsSkippedBySize += RHS.RegionsSkippedBySize;
     FunctionsSkippedIrreducible += RHS.FunctionsSkippedIrreducible;
     TracesFormed += RHS.TracesFormed;

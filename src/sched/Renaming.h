@@ -41,8 +41,8 @@ bool renameLocalDef(Function &F, BlockId B, InstrId I, Reg Old,
 
 /// Same, with the escape check abstracted behind a predicate: \p IsLiveOut
 /// must answer "is \p Old live on exit from \p B" against the current state
-/// of \p F.  Lets the global scheduler supply a region-restricted liveness
-/// view (analysis/RegionSlice.h) instead of whole-function liveness.
+/// of \p F.  Lets the global scheduler supply its region-restricted
+/// liveness view (RegionLiveness) instead of whole-function liveness.
 bool renameLocalDef(Function &F, BlockId B, InstrId I, Reg Old,
                     const std::function<bool(BlockId, Reg)> &IsLiveOut);
 

@@ -97,6 +97,5 @@ void gis::printReport(const ScheduleReport &R, std::ostream &OS) {
      << R.Stats.Global.Renames << " renames); "
      << R.Stats.LoopsUnrolled << " loops unrolled, " << R.Stats.LoopsRotated
      << " rotated; " << R.Stats.PreRenamedDefs << " defs pre-renamed; "
-     << R.Stats.DuplicatedInstrs << " instrs replicated; "
      << R.Stats.RegionsSkippedBySize << " regions over the size cap\n";
 }

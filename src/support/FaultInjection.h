@@ -14,7 +14,7 @@
 /// Armed either programmatically (tests) or with the GIS_FAULT_INJECT
 /// environment variable, whose value is "<stage>" or "<stage>:<n>": the
 /// stage is one of the pipeline stage names ("prerename", "unroll",
-/// "rotate", "region", "duplicate", "local") and n is the 1-based
+/// "rotate", "region", "local") and n is the 1-based
 /// occurrence of that stage to corrupt (default 1).  The fault fires once
 /// per arming.
 ///

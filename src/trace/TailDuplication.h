@@ -6,10 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tail duplication (DESIGN.md section 16): the generalization of the
-/// restricted join-replication pass (sched/Duplication.h) from single
-/// instructions hoisted above a join to whole trace tails.  For the first
-/// side entrance at chain position i, the tail blocks[i..n] is cloned and
+/// Tail duplication (DESIGN.md section 16): the repo's route to the
+/// paper's Definition 6 motion, cloning whole trace tails rather than
+/// single instructions hoisted above a join.  For the first side entrance at chain position i, the tail blocks[i..n] is cloned and
 /// every off-chain predecessor is redirected into the clone chain, so each
 /// remaining trace block's sole predecessor is its chain predecessor --
 /// the head then dominates the whole chain and the paper's Definition 6

@@ -130,7 +130,6 @@ TEST_P(WidthSemanticsTest, SchedulingForAnyWidthPreservesBehaviour) {
   CompileResult Sched = compileMiniC(Source);
   MachineDescription MD = MachineDescription::superscalar(Width, 1, 2);
   PipelineOptions Opts;
-  Opts.AllowDuplication = true;
   Opts.MaxSpecDepth = 2;
   scheduleModule(*Sched.M, MD, Opts);
 

@@ -8,8 +8,8 @@
 //    --no-incremental bit for bit (printer text and content hash), across
 //    scheduling levels and optimizer levels, and checks that every
 //    non-coldpath obs counter agrees;
-//  - direct property tests pin the incremental liveness delta against a
-//    fresh fixpoint after hand-made instruction motions;
+//  - direct property tests pin the incremental region liveness delta
+//    against a fresh solve after hand-made instruction motions;
 //  - deterministic fault injection corrupts the two new delta stages
 //    ("liveness-delta", "heur-delta") and asserts the
 //    verifier/rollback/self-heal machinery keeps the final program
@@ -167,54 +167,93 @@ TEST(ColdpathEquiv, CacheFingerprintIgnoresIncremental) {
 }
 
 //===----------------------------------------------------------------------===
-// Direct property: the liveness delta equals a fresh fixpoint
+// Direct property: the region liveness delta equals a fresh solve
 //===----------------------------------------------------------------------===
 
-// Hand-move instructions between blocks (upward, like the scheduler does)
-// and re-solve only the changed blocks; the result must equal a
-// from-scratch computation on every seed and after every single motion.
+// Hand-move instructions between the blocks of one region (upward, like
+// the scheduler does) and re-solve only the changed blocks; the region
+// view must equal a fresh solve of the same region on every seed and
+// after every single motion.  A rename that grows the register universe
+// must fall back to a full solve, and an update with no change must be a
+// no-op.
 TEST(ColdpathLiveness, RecomputeBlocksMatchesFullCompute) {
+  unsigned Deltas = 0, Renames = 0;
   for (uint64_t Seed = 1; Seed <= 40; ++Seed) {
     std::unique_ptr<Module> M = compileMiniCOrDie(generateRandomMiniC(Seed));
     for (const std::unique_ptr<Function> &FP : M->functions()) {
       Function &F = *FP;
       F.recomputeCFG();
-      if (F.numBlocks() < 2)
+      LoopInfo LI = LoopInfo::compute(F);
+      if (!LI.isReducible())
         continue;
-      Liveness LV = Liveness::compute(F);
+      for (int LoopIdx = -1; LoopIdx < static_cast<int>(LI.numLoops());
+           ++LoopIdx) {
+        SchedRegion R = SchedRegion::build(F, LI, LoopIdx);
+        std::vector<BlockId> Blocks;
+        for (const RegionNode &N : R.nodes())
+          if (N.isBlock())
+            Blocks.push_back(N.Block);
+        const Liveness WholeLV = Liveness::compute(F);
+        RegionLiveness LV = RegionLiveness::build(F, R, WholeLV);
+        auto Fresh = [&] { return RegionLiveness::build(F, R, WholeLV); };
+        std::string Where = "seed " + std::to_string(Seed) + " func " +
+                            std::string(F.name()) + " loop " +
+                            std::to_string(LoopIdx);
 
-      // Move the first movable (non-terminator) instruction of each block
-      // to the end of its layout predecessor, one motion at a time.
-      const std::vector<BlockId> &Layout = F.layout();
-      for (size_t K = 1; K < Layout.size(); ++K) {
-        BlockId From = Layout[K], To = Layout[K - 1];
-        std::vector<InstrId> &Src = F.block(From).instrs();
-        if (Src.size() < 2)
-          continue; // keep the terminator in place
-        InstrId Moved = Src.front();
-        if (F.instr(Moved).isTerminator())
-          continue;
-        Src.erase(Src.begin());
-        std::vector<InstrId> &Dst = F.block(To).instrs();
-        // Insert before To's terminator when it has one.
-        size_t Pos = Dst.size();
-        if (!Dst.empty() && F.instr(Dst.back()).isTerminator())
-          --Pos;
-        Dst.insert(Dst.begin() + static_cast<long>(Pos), Moved);
+        // Move the first movable (non-terminator) instruction of each
+        // region block to the end of the region block before it, one
+        // motion at a time.
+        for (size_t K = 1; K < Blocks.size(); ++K) {
+          BlockId From = Blocks[K], To = Blocks[K - 1];
+          std::vector<InstrId> &Src = F.block(From).instrs();
+          if (Src.size() < 2)
+            continue; // keep the terminator in place
+          InstrId Moved = Src.front();
+          if (F.instr(Moved).isTerminator())
+            continue;
+          Src.erase(Src.begin());
+          std::vector<InstrId> &Dst = F.block(To).instrs();
+          // Insert before To's terminator when it has one.
+          size_t Pos = Dst.size();
+          if (!Dst.empty() && F.instr(Dst.back()).isTerminator())
+            --Pos;
+          Dst.insert(Dst.begin() + static_cast<long>(Pos), Moved);
 
-        Liveness::UpdateResult U = LV.recomputeBlocks(F, {From, To});
-        Liveness Fresh = Liveness::compute(F);
-        ASSERT_TRUE(LV.sameSetsAs(Fresh))
-            << "seed " << Seed << " move block " << From << " -> " << To
-            << (U.Full ? " (full)" : " (delta)");
+          RegionLiveness::UpdateResult U = LV.recomputeBlocks(F, {From, To});
+          EXPECT_FALSE(U.Full) << Where;
+          Deltas += U.BlocksResolved != 0;
+          ASSERT_TRUE(LV.sameSetsAs(Fresh()))
+              << Where << " move block " << From << " -> " << To;
+        }
+
+        // A no-change update is a no-op.
+        RegionLiveness::UpdateResult U = LV.recomputeBlocks(F, {Blocks[0]});
+        EXPECT_FALSE(U.Full) << Where;
+        EXPECT_EQ(U.BlocksResolved, 0u) << Where;
+        ASSERT_TRUE(LV.sameSetsAs(Fresh())) << Where;
+
+        // Renaming the first def of the region to a fresh register grows
+        // the universe, shifting the dense indexing: a full solve.
+        for (BlockId B : Blocks) {
+          auto It = std::find_if(
+              F.block(B).instrs().begin(), F.block(B).instrs().end(),
+              [&](InstrId Id) { return !F.instr(Id).defs().empty(); });
+          if (It == F.block(B).instrs().end())
+            continue;
+          Reg &D = F.instr(*It).defs().front();
+          D = F.newReg(D.regClass());
+          U = LV.recomputeBlocks(F, {B});
+          EXPECT_TRUE(U.Full) << Where;
+          ASSERT_TRUE(LV.sameSetsAs(Fresh())) << Where << " rename";
+          ++Renames;
+          break;
+        }
       }
-
-      // A no-change delta is a no-op.
-      Liveness::UpdateResult U = LV.recomputeBlocks(F, {Layout[0]});
-      EXPECT_FALSE(U.Full);
-      ASSERT_TRUE(LV.sameSetsAs(Liveness::compute(F))) << "seed " << Seed;
     }
   }
+  // The corpus must exercise both paths.
+  EXPECT_GE(Deltas, 1000u);
+  EXPECT_GE(Renames, 100u);
 }
 
 //===----------------------------------------------------------------------===

@@ -121,7 +121,6 @@ TEST(IntegrationTest, FullPipelineOnApplication) {
 
   auto Sched = compileMiniCOrDie(AppSource);
   PipelineOptions Opts;
-  Opts.AllowDuplication = true;
   PipelineStats Stats = scheduleModule(*Sched, MD, Opts);
   EXPECT_TRUE(verifyModule(*Sched).empty());
   EXPECT_GT(Stats.Global.UsefulMotions + Stats.Global.SpeculativeMotions, 0u);

@@ -9,7 +9,6 @@
 //
 //   motion.useful        == GlobalSchedStats::UsefulMotions
 //   motion.speculative   == GlobalSchedStats::SpeculativeMotions
-//   motion.duplication   == PipelineStats::DuplicatedInstrs
 //   sum(rule.*)          == sched.picks_contested
 //                        == decisions with >= 2 candidates
 //   spec.veto_liveout    == GlobalSchedStats::VetoedSpeculations
@@ -48,7 +47,6 @@ void checkInvariants(const PipelineStats &S, const std::string &Tag) {
   EXPECT_EQ(C.get(obs::MotionUseful), S.Global.UsefulMotions) << Tag;
   EXPECT_EQ(C.get(obs::MotionSpeculative), S.Global.SpeculativeMotions)
       << Tag;
-  EXPECT_EQ(C.get(obs::MotionDuplication), S.DuplicatedInstrs) << Tag;
 
   // Rule wins: exactly one rule counter per contested pick.
   EXPECT_EQ(C.ruleWinTotal(), C.get(obs::PicksContested)) << Tag;
@@ -88,8 +86,6 @@ TEST(ObsCounters, InvariantsOverRandomCorpus) {
         compileMiniCOrDie(generateRandomMiniC(Seed));
     PipelineOptions Opts;
     Opts.CollectDecisions = true;
-    // Exercise the duplication counter on a slice of the corpus.
-    Opts.AllowDuplication = (Seed % 5 == 0);
     PipelineStats Stats = scheduleModule(*M, MachineDescription::rs6k(), Opts);
     ASSERT_TRUE(verifyModule(*M).empty()) << "seed " << Seed;
     checkInvariants(Stats, "seed " + std::to_string(Seed));

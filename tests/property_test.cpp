@@ -90,9 +90,9 @@ TEST_P(ScheduleSemanticsTest, SchedulingPreservesBehaviour) {
     Opts.MaxSpecDepth = 3;
     Opts.OnlyTwoInnerLevels = false;
     break;
-  case 4: // future-work extension: scheduling with duplication
+  case 4: // code duplication by superblock tail duplication (Def. 6)
     Opts.Level = SchedLevel::Speculative;
-    Opts.AllowDuplication = true;
+    Opts.EnableSuperblocks = true;
     break;
   default:
     FAIL();

@@ -108,7 +108,8 @@ PipelineOptions configOpts(int Config) {
     break;
   case 3:
     Opts.Level = SchedLevel::Speculative;
-    Opts.AllowDuplication = true;
+    Opts.MaxSpecDepth = 3;
+    Opts.OnlyTwoInnerLevels = false;
     break;
   default:
     ADD_FAILURE();
@@ -174,9 +175,9 @@ TEST_P(RegAllocOracleTest, AllocatedCodeBehavesIdentically) {
   EXPECT_EQ(Stats.VerifierFailures, 0u) << diagDump(Stats) << Source;
   // GPRs and FPRs spill, so their allocation never fails at these sizes.
   // Condition registers cannot spill (LinearScan.h): when the pressure-
-  // oblivious scheduler leaves more than 8 CRs live -- rare but real,
-  // especially under duplication -- the allocation must roll back cleanly
-  // to symbolic registers, which the behaviour check below still covers.
+  // oblivious scheduler leaves more than 8 CRs live -- rare but real --
+  // the allocation must roll back cleanly to symbolic registers, which the
+  // behaviour check below still covers.
   bool CrOverflow = Stats.PressurePeak[2] > MD.numRegs(RegClass::CR);
   if (!CrOverflow) {
     EXPECT_EQ(Stats.EngineFailures, 0u) << diagDump(Stats) << Source;

@@ -54,7 +54,8 @@ Observed observe(const Module &M) {
 }
 
 /// The pipeline configurations the fuzz tests cover: local-only, useful,
-/// the paper's full speculative pipeline, and the duplication extension.
+/// the paper's full speculative pipeline, and the deep-speculation
+/// extension.
 PipelineOptions configOpts(int Config) {
   PipelineOptions Opts;
   switch (Config) {
@@ -69,9 +70,10 @@ PipelineOptions configOpts(int Config) {
   case 2: // the paper's full pipeline
     Opts.Level = SchedLevel::Speculative;
     break;
-  case 3: // future-work extension: scheduling with duplication
+  case 3: // future-work extension: deeper speculation, all region levels
     Opts.Level = SchedLevel::Speculative;
-    Opts.AllowDuplication = true;
+    Opts.MaxSpecDepth = 3;
+    Opts.OnlyTwoInnerLevels = false;
     break;
   default:
     ADD_FAILURE();
@@ -165,7 +167,6 @@ TEST_P(FaultMatrixTest, CorruptionIsCaughtAndRolledBack) {
 
     PipelineOptions Opts;
     Opts.Level = SchedLevel::Speculative;
-    Opts.AllowDuplication = true; // so the "duplicate" stage exists
     FaultInjector::instance().arm(Stage);
     PipelineStats Stats =
         scheduleModule(*Sched.M, MachineDescription::rs6k(), Opts);
@@ -190,7 +191,7 @@ TEST_P(FaultMatrixTest, CorruptionIsCaughtAndRolledBack) {
 
 INSTANTIATE_TEST_SUITE_P(Stages, FaultMatrixTest,
                          ::testing::Values("prerename", "unroll", "region",
-                                           "rotate", "duplicate", "local"));
+                                           "rotate", "local"));
 
 // A fault in a region-scheduling transaction specifically bumps the
 // region rollback counter.
