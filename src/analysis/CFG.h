@@ -21,11 +21,15 @@ namespace gis {
 
 /// The CFG of \p F as a DiGraph (node index == BlockId).
 inline DiGraph buildCFG(const Function &F) {
-  DiGraph G(F.numBlocks(), F.entry());
+  size_t NumEdges = 0;
+  for (BlockId B = 0; B != F.numBlocks(); ++B)
+    NumEdges += F.block(B).succs().size();
+  std::vector<GraphEdge> Edges;
+  Edges.reserve(NumEdges);
   for (BlockId B = 0; B != F.numBlocks(); ++B)
     for (BlockId S : F.block(B).succs())
-      G.addEdge(B, S);
-  return G;
+      Edges.push_back({B, S});
+  return DiGraph(F.numBlocks(), F.entry(), Edges);
 }
 
 } // namespace gis

@@ -11,7 +11,7 @@ using namespace gis;
 ControlDeps ControlDeps::compute(const SchedRegion &R) {
   ControlDeps CD;
   const DiGraph &G = R.forwardGraph();
-  unsigned N = G.NumNodes;
+  unsigned N = G.numNodes();
   CD.Deps.assign(N, {});
   CD.Succs.assign(N, {});
 
@@ -23,8 +23,9 @@ ControlDeps ControlDeps::compute(const SchedRegion &R) {
   // postdominate A, every node on the postdominator-tree path from B up to
   // (exclusive) ipdom(A) is control dependent on (A, label of the edge).
   for (unsigned A = 0; A != N; ++A) {
-    for (unsigned Label = 0; Label != G.Succs[A].size(); ++Label) {
-      unsigned B = G.Succs[A][Label];
+    NodeRange Succs = G.succs(A);
+    for (unsigned Label = 0; Label != Succs.size(); ++Label) {
+      unsigned B = Succs[Label];
       if (PDT.postDominates(B, A))
         continue;
       unsigned Stop = PDT.ipdom(A);

@@ -7,6 +7,7 @@
 #include "support/Assert.h"
 
 #include <algorithm>
+#include <functional>
 #include <optional>
 
 using namespace gis;
@@ -92,7 +93,7 @@ DataDeps DataDeps::compute(const Function &F, const SchedRegion &R,
   }
 
   unsigned M = DD.numNodes();
-  DD.Ancestors.assign(M, BitSet(M));
+  DD.Ancestors.assign(M, M);
 
   // Block-level reachability in the region's forward graph (region-node
   // indices), from the shared memo when one is supplied: scheduling never
@@ -143,60 +144,122 @@ DataDeps DataDeps::compute(const Function &F, const SchedRegion &R,
                         F.instr(DD.Nodes[B].Instr).opcode());
   };
 
-  // Pairwise construction with the paper's transitive reduction: walk
-  // sources in descending order; skip a pair already ordered by recorded
-  // edges.  Only the edge list and the ancestor closure are maintained
-  // here; the CSR adjacency is derived in one pass afterwards.
+  // Register side of the candidate sources.  Number the region's distinct
+  // registers densely (sorting the fact positions by register), then give
+  // each register two rows -- row 2r the nodes so far that define it, row
+  // 2r+1 those that use it -- stored flat and sized by the fact counts, so
+  // memory stays linear in the region's register facts.
+  const size_t NumFacts = DD.FactRegs.size();
+  const Reg *Facts = DD.FactRegs.data();
+  std::vector<uint64_t> ByReg(NumFacts);
+  for (size_t P = 0; P != NumFacts; ++P)
+    ByReg[P] = uint64_t(Facts[P].key()) << 32 | P;
+  std::sort(ByReg.begin(), ByReg.end());
+  std::vector<unsigned> FactReg(NumFacts);
+  unsigned NumRegs = 0;
+  for (size_t K = 0; K != NumFacts; ++K) {
+    if (K != 0 && ByReg[K] >> 32 != ByReg[K - 1] >> 32)
+      ++NumRegs;
+    FactReg[static_cast<uint32_t>(ByReg[K])] = NumRegs;
+  }
+  NumRegs += NumFacts != 0;
+
+  auto ForEachFact = [&](ArenaSpan S, auto Fn) {
+    for (uint32_t P = S.Offset, E = S.Offset + S.Length; P != E; ++P)
+      Fn(FactReg[P]);
+  };
+  std::vector<unsigned> RowOff(2 * NumRegs + 1, 0);
+  for (unsigned N = 0; N != M; ++N) {
+    ForEachFact(DD.DefSpan[N], [&](unsigned Rg) { ++RowOff[2 * Rg + 1]; });
+    ForEachFact(DD.UseSpan[N], [&](unsigned Rg) { ++RowOff[2 * Rg + 2]; });
+  }
+  for (unsigned K = 0; K != 2 * NumRegs; ++K)
+    RowOff[K + 1] += RowOff[K];
+  std::vector<unsigned> RowEnd(RowOff.begin(), RowOff.end() - 1);
+  std::vector<unsigned> RowNodes(NumFacts);
+
+  // Memory side: the memory nodes so far, and those that are not plain
+  // loads.
+  std::vector<unsigned> MemNodes, MemWriters;
+
+  // Construction with the paper's transitive reduction: for each node B,
+  // walk its candidate sources in descending order; skip a pair already
+  // ordered by recorded edges.  Only the edge list and the ancestor closure
+  // are maintained here; the CSR adjacency is derived in one pass
+  // afterwards.
+  std::vector<unsigned> Cands;
   for (unsigned B = 0; B != M; ++B) {
+    Cands.clear();
+    auto AddRow = [&](unsigned Row) {
+      Cands.insert(Cands.end(), RowNodes.begin() + RowOff[Row],
+                   RowNodes.begin() + RowEnd[Row]);
+    };
+    // Earlier defs of what B uses (flow); earlier defs and uses of what B
+    // defines (output, anti).
+    ForEachFact(DD.UseSpan[B], [&](unsigned Rg) { AddRow(2 * Rg); });
+    ForEachFact(DD.DefSpan[B], [&](unsigned Rg) {
+      AddRow(2 * Rg);
+      AddRow(2 * Rg + 1);
+    });
+    // Earlier memory nodes B can conflict with: a plain load only those
+    // that are not plain loads (stores, calls, barriers), any other memory
+    // node every one (MemConflict answers no for a load pair unasked).
+    bool BLoad = TouchesMemory[B] && !IsCallOrBarrier[B] &&
+                 F.instr(DD.Nodes[B].Instr).isLoad();
+    if (TouchesMemory[B]) {
+      const std::vector<unsigned> &Mem = BLoad ? MemWriters : MemNodes;
+      Cands.insert(Cands.end(), Mem.begin(), Mem.end());
+    }
+    std::sort(Cands.begin(), Cands.end(), std::greater<unsigned>());
+    Cands.erase(std::unique(Cands.begin(), Cands.end()), Cands.end());
+
     unsigned BR = DD.Nodes[B].RegionNode;
-    for (unsigned A = B; A-- > 0;) {
+    uint64_t *BAnc = DD.Ancestors.row(B);
+    for (unsigned A : Cands) {
       unsigned AR = DD.Nodes[A].RegionNode;
       // Only pairs in the same block or with B's block reachable from A's.
       if (AR != BR && !(*Reach)[AR].test(BR))
         continue;
-      if (DD.Ancestors[B].test(A))
+      if (DD.Ancestors.test(B, A))
         continue; // transitive: already ordered
       std::optional<DepKind> Kind = Classify(A, B);
       if (!Kind)
         continue;
       unsigned Delay = *Kind == DepKind::Flow ? FlowDelay(A, B) : 0;
       DD.Edges.push_back(DepEdge{A, B, *Kind, Delay});
-      DD.Ancestors[B].set(A);
-      DD.Ancestors[B].unionWith(DD.Ancestors[A]);
+      DD.Ancestors.set(B, A);
+      // A's ancestors all precede A, so only the words up to A's own can
+      // hold any.
+      const uint64_t *AAnc = DD.Ancestors.row(A);
+      for (unsigned W = 0, E = A / 64 + 1; W != E; ++W)
+        BAnc[W] |= AAnc[W];
+    }
+
+    // B joins the rows of its registers (once per row) and the memory
+    // lists, as a source for the nodes after it.
+    auto Append = [&](unsigned Row) {
+      if (RowEnd[Row] == RowOff[Row] || RowNodes[RowEnd[Row] - 1] != B)
+        RowNodes[RowEnd[Row]++] = B;
+    };
+    ForEachFact(DD.DefSpan[B], [&](unsigned Rg) { Append(2 * Rg); });
+    ForEachFact(DD.UseSpan[B], [&](unsigned Rg) { Append(2 * Rg + 1); });
+    if (TouchesMemory[B]) {
+      MemNodes.push_back(B);
+      if (!BLoad)
+        MemWriters.push_back(B);
     }
   }
 
   // CSR adjacency: counting sort of edge indices by endpoint.  Filling in
-  // edge-index order keeps each row in edge-creation order, matching the
-  // append order the per-node vectors historically had.
+  // edge-index order keeps each row in edge-creation order.
   unsigned E = static_cast<unsigned>(DD.Edges.size());
-  std::vector<unsigned> SuccOff(M + 1, 0), PredOff(M + 1, 0);
-  for (const DepEdge &Ed : DD.Edges) {
-    ++SuccOff[Ed.From + 1];
-    ++PredOff[Ed.To + 1];
-  }
-  for (unsigned N = 0; N != M; ++N) {
-    SuccOff[N + 1] += SuccOff[N];
-    PredOff[N + 1] += PredOff[N];
-  }
-  std::vector<unsigned> SuccFlat(E), PredFlat(E);
-  {
-    std::vector<unsigned> SuccFill = SuccOff, PredFill = PredOff;
-    for (unsigned EIdx = 0; EIdx != E; ++EIdx) {
-      SuccFlat[SuccFill[DD.Edges[EIdx].From]++] = EIdx;
-      PredFlat[PredFill[DD.Edges[EIdx].To]++] = EIdx;
-    }
-  }
-  DD.SuccIdx.reserve(E);
-  DD.PredIdx.reserve(E);
-  DD.SuccIdx.append(SuccFlat);
-  DD.PredIdx.append(PredFlat);
-  DD.SuccSpan.resize(M);
-  DD.PredSpan.resize(M);
-  for (unsigned N = 0; N != M; ++N) {
-    DD.SuccSpan[N] = ArenaSpan{SuccOff[N], SuccOff[N + 1] - SuccOff[N]};
-    DD.PredSpan[N] = ArenaSpan{PredOff[N], PredOff[N + 1] - PredOff[N]};
-  }
+  auto EdgeIndex = [](unsigned I) { return I; };
+  countingSortRows(
+      M, E, [&](unsigned I) { return DD.Edges[I].From; }, EdgeIndex,
+      DD.SuccOff, DD.SuccIdx);
+  countingSortRows(
+      M, E, [&](unsigned I) { return DD.Edges[I].To; }, EdgeIndex,
+      DD.PredOff, DD.PredIdx);
 
   return DD;
 }
@@ -205,16 +268,15 @@ DataDeps::Stats DataDeps::stats() const {
   Stats S;
   S.Nodes = numNodes();
   S.Edges = static_cast<unsigned>(Edges.size());
-  S.ArenaBytes = FactRegs.bytesReserved() + SuccIdx.bytesReserved() +
-                 PredIdx.bytesReserved() +
+  S.ArenaBytes = FactRegs.bytesReserved() + Ancestors.bytesReserved() +
                  static_cast<uint64_t>(Edges.capacity()) * sizeof(DepEdge) +
                  static_cast<uint64_t>(Nodes.capacity()) * sizeof(Node) +
                  static_cast<uint64_t>(DefSpan.capacity() +
-                                       UseSpan.capacity() +
-                                       SuccSpan.capacity() +
-                                       PredSpan.capacity()) *
+                                       UseSpan.capacity()) *
                      sizeof(ArenaSpan) +
-                 static_cast<uint64_t>(numNodes()) *
-                     ((numNodes() + 63) / 64) * sizeof(uint64_t);
+                 static_cast<uint64_t>(SuccOff.capacity() + SuccIdx.capacity() +
+                                       PredOff.capacity() +
+                                       PredIdx.capacity()) *
+                     sizeof(unsigned);
   return S;
 }

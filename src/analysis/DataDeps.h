@@ -22,8 +22,14 @@
 /// are two words; register def/use facts (including barrier payloads) live
 /// in one flat SpanArena; the adjacency is compressed-sparse-row (one
 /// offsets array plus one edge-index array per direction), so the
-/// scheduler's per-pick successor walks and the builder's O(n^2) pairwise
-/// classification are sequential index scans, not pointer chases.
+/// scheduler's per-pick successor walks are sequential index scans, not
+/// pointer chases; the transitive closure is one flat node x node bit
+/// matrix.  The builder visits only dependent pairs: for each node, the
+/// earlier nodes that share a register with it (per-register def and use
+/// rows, linear in the region's register facts) and the earlier memory
+/// nodes it can conflict with.  Every skipped pair would have classified
+/// to no edge, so the edge list, its order and the disambiguator's
+/// questions are those of a walk over all pairs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -108,11 +114,13 @@ public:
 
   /// Indices into edges() of the edges leaving / entering \p Node: CSR
   /// rows, iterable ranges over the flat index arrays.
-  SpanRange<unsigned> succEdges(unsigned Node) const {
-    return {SuccIdx, SuccSpan[Node]};
+  NodeRange succEdges(unsigned Node) const {
+    return {SuccIdx.data() + SuccOff[Node],
+            SuccIdx.data() + SuccOff[Node + 1]};
   }
-  SpanRange<unsigned> predEdges(unsigned Node) const {
-    return {PredIdx, PredSpan[Node]};
+  NodeRange predEdges(unsigned Node) const {
+    return {PredIdx.data() + PredOff[Node],
+            PredIdx.data() + PredOff[Node + 1]};
   }
 
   /// True if there is a direct edge From -> To.
@@ -125,7 +133,7 @@ public:
 
   /// True if \p From reaches \p To through dependence edges (transitive).
   bool depends(unsigned From, unsigned To) const {
-    return Ancestors[To].test(From);
+    return Ancestors.test(To, From);
   }
 
   /// Size and reserved-bytes numbers for the obs coldpath counters.
@@ -139,14 +147,15 @@ private:
   SpanArena<Reg> FactRegs;
   std::vector<ArenaSpan> DefSpan;
   std::vector<ArenaSpan> UseSpan;
-  /// CSR adjacency: per-node spans into flat edge-index arrays, built in
-  /// one pass after edge discovery.
-  SpanArena<unsigned> SuccIdx;
-  SpanArena<unsigned> PredIdx;
-  std::vector<ArenaSpan> SuccSpan;
-  std::vector<ArenaSpan> PredSpan;
-  /// Ancestors[N] = DDG nodes with a dependence path into N.
-  std::vector<BitSet> Ancestors;
+  /// CSR adjacency: node N's outgoing edge indices are
+  /// SuccIdx[SuccOff[N] .. SuccOff[N + 1]), incoming likewise; built in one
+  /// counting sort after edge discovery.
+  std::vector<unsigned> SuccOff;
+  std::vector<unsigned> SuccIdx;
+  std::vector<unsigned> PredOff;
+  std::vector<unsigned> PredIdx;
+  /// Row N = DDG nodes with a dependence path into N.
+  BitMatrix Ancestors;
 };
 
 } // namespace gis

@@ -47,11 +47,11 @@ Key128 graphKey(const DiGraph &G) {
     Lo.addU64(V);
     Hi.addU64(V);
   };
-  Feed(G.NumNodes);
-  Feed(G.Entry);
-  for (unsigned N = 0; N != G.NumNodes; ++N) {
-    Feed(G.Succs[N].size());
-    for (unsigned S : G.Succs[N])
+  Feed(G.numNodes());
+  Feed(G.entry());
+  for (unsigned N = 0; N != G.numNodes(); ++N) {
+    Feed(G.succs(N).size());
+    for (unsigned S : G.succs(N))
       Feed(S);
   }
   return Key128{Lo.hash(), Hi.hash()};

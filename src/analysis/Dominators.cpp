@@ -2,13 +2,15 @@
 
 #include "analysis/Dominators.h"
 
+#include <algorithm>
+
 using namespace gis;
 
-DomTree::DomTree(const DiGraph &G) : Root(G.Entry) {
-  unsigned N = G.NumNodes;
+DomTree::DomTree(const DiGraph &G) : Root(G.entry()) {
+  unsigned N = G.numNodes();
   IDom.assign(N, NoDominator);
   Depth.assign(N, 0);
-  Children.assign(N, {});
+  ChildOff.assign(N + 1, 0);
   if (N == 0)
     return;
 
@@ -36,7 +38,7 @@ DomTree::DomTree(const DiGraph &G) : Root(G.Entry) {
       if (Node == Root)
         continue;
       unsigned NewIDom = NoDominator;
-      for (unsigned P : G.Preds[Node]) {
+      for (unsigned P : G.preds(Node)) {
         if (IDom[P] == NoDominator || RPOIndex[P] == ~0u)
           continue; // predecessor not processed / unreachable
         NewIDom = NewIDom == NoDominator ? P : Intersect(P, NewIDom);
@@ -49,13 +51,20 @@ DomTree::DomTree(const DiGraph &G) : Root(G.Entry) {
   }
   IDom[Root] = NoDominator;
 
-  // Depths and children, walking nodes in RPO (parents first).
-  for (unsigned Node : RPO) {
-    if (Node == Root || IDom[Node] == NoDominator)
-      continue;
+  // Depths and children, walking the nodes with a parent in RPO (parents
+  // first); the children rows are a counting sort by parent, so each row
+  // stays in RPO.
+  RPO.erase(std::remove_if(RPO.begin(), RPO.end(),
+                           [&](unsigned Node) {
+                             return Node == Root || IDom[Node] == NoDominator;
+                           }),
+            RPO.end());
+  for (unsigned Node : RPO)
     Depth[Node] = Depth[IDom[Node]] + 1;
-    Children[IDom[Node]].push_back(Node);
-  }
+  countingSortRows(
+      N, static_cast<unsigned>(RPO.size()),
+      [&](unsigned I) { return IDom[RPO[I]]; },
+      [&](unsigned I) { return RPO[I]; }, ChildOff, ChildIdx);
 }
 
 bool DomTree::dominates(unsigned A, unsigned B) const {
@@ -72,19 +81,27 @@ bool DomTree::dominates(unsigned A, unsigned B) const {
 
 DiGraph PostDomTree::buildReversed(const DiGraph &G,
                                    const std::vector<unsigned> &ExtraExits) {
-  unsigned ExitNode = G.NumNodes;
-  DiGraph Ext(G.NumNodes + 1, G.Entry);
-  for (unsigned N = 0; N != G.NumNodes; ++N)
-    for (unsigned S : G.Succs[N])
-      Ext.addEdge(N, S);
-  for (unsigned N = 0; N != G.NumNodes; ++N)
-    if (G.Succs[N].empty())
-      Ext.addEdge(N, ExitNode);
-  for (unsigned N : ExtraExits)
-    Ext.addEdge(N, ExitNode);
-  return Ext.reversed(ExitNode);
+  // The reverse of G extended with a virtual exit, which every node without
+  // successors and every extra exit reaches.  Emitting the reversed edges
+  // source node by source node, each node's own successors before its exit
+  // edge, gives every row the order it has when the extended graph is built
+  // first and then reversed.
+  unsigned ExitNode = G.numNodes();
+  size_t NumEdges = ExtraExits.size();
+  for (unsigned N = 0; N != G.numNodes(); ++N)
+    NumEdges += G.succs(N).size() + 1;
+  std::vector<GraphEdge> Edges;
+  Edges.reserve(NumEdges);
+  for (unsigned N = 0; N != G.numNodes(); ++N) {
+    for (unsigned S : G.succs(N))
+      Edges.push_back({S, N});
+    if (G.succs(N).empty() ||
+        std::find(ExtraExits.begin(), ExtraExits.end(), N) != ExtraExits.end())
+      Edges.push_back({ExitNode, N});
+  }
+  return DiGraph(G.numNodes() + 1, ExitNode, Edges);
 }
 
 PostDomTree::PostDomTree(const DiGraph &G,
                          const std::vector<unsigned> &ExtraExits)
-    : ExitNode(G.NumNodes), Tree(buildReversed(G, ExtraExits)) {}
+    : ExitNode(G.numNodes()), Tree(buildReversed(G, ExtraExits)) {}

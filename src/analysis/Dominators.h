@@ -52,16 +52,19 @@ public:
 
   unsigned root() const { return Root; }
 
-  /// Children of \p N in the dominator tree.
-  const std::vector<unsigned> &children(unsigned N) const {
-    return Children[N];
+  /// Children of \p N in the dominator tree, in reverse postorder.
+  NodeRange children(unsigned N) const {
+    return {ChildIdx.data() + ChildOff[N], ChildIdx.data() + ChildOff[N + 1]};
   }
 
 private:
   unsigned Root;
   std::vector<unsigned> IDom;
   std::vector<unsigned> Depth;
-  std::vector<std::vector<unsigned>> Children;
+  /// Children, compressed sparse row: node N's are
+  /// ChildIdx[ChildOff[N] .. ChildOff[N + 1]).
+  std::vector<unsigned> ChildOff;
+  std::vector<unsigned> ChildIdx;
 };
 
 /// A postdominator tree: the dominator tree of the reversed graph with a

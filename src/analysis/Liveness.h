@@ -18,13 +18,17 @@
 /// on exit from that block, so the live-on-exit sets are kept current
 /// after each speculative motion).  It solves the region's blocks only,
 /// with an exact delta update after each motion (DESIGN.md section 14).
-/// Both views use dense per-class register indexing throughout.
+/// Both views use dense per-class register indexing throughout, and keep
+/// each per-block family of sets (UEVar, Kill, LiveIn, LiveOut, boundary)
+/// as one flat word array of rows; the fixpoints work a row at a time
+/// through one scratch row.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GIS_ANALYSIS_LIVENESS_H
 #define GIS_ANALYSIS_LIVENESS_H
 
+#include "analysis/Graph.h"
 #include "ir/Function.h"
 #include "support/BitSet.h"
 
@@ -43,12 +47,12 @@ public:
 
   /// True if \p R is live on exit from block \p B.
   bool isLiveOut(BlockId B, Reg R) const {
-    return LiveOut[B].test(denseIndex(R));
+    return LiveOut.test(B, denseIndex(R));
   }
 
   /// True if \p R is live on entry to block \p B.
   bool isLiveIn(BlockId B, Reg R) const {
-    return LiveIn[B].test(denseIndex(R));
+    return LiveIn.test(B, denseIndex(R));
   }
 
   /// Number of distinct register slots in the universe.
@@ -57,9 +61,19 @@ public:
   /// Registers live on exit from \p B, materialized as Reg values.
   std::vector<Reg> liveOutRegs(BlockId B) const;
 
-  /// Registers live on entry to \p B, materialized as Reg values (used by
-  /// RegionLiveness to freeze a region's out-of-region boundary).
+  /// Registers live on entry to \p B, materialized as Reg values.
   std::vector<Reg> liveInRegs(BlockId B) const;
+
+  /// Calls \p Fn for every register live on exit from / entry to \p B, in
+  /// dense-index order, without materializing a list.
+  template <typename CallableT>
+  void forEachLiveOut(BlockId B, CallableT Fn) const {
+    LiveOut.forEachInRow(B, [&](unsigned I) { Fn(regForIndex(I)); });
+  }
+  template <typename CallableT>
+  void forEachLiveIn(BlockId B, CallableT Fn) const {
+    LiveIn.forEachInRow(B, [&](unsigned I) { Fn(regForIndex(I)); });
+  }
 
 private:
   unsigned denseIndex(Reg R) const {
@@ -71,8 +85,8 @@ private:
 
   std::array<unsigned, 3> ClassBase = {0, 0, 0};
   unsigned Universe = 0;
-  std::vector<BitSet> LiveIn;  ///< per block
-  std::vector<BitSet> LiveOut; ///< per block
+  BitMatrix LiveIn;  ///< one row per block
+  BitMatrix LiveOut; ///< one row per block
 };
 
 /// Region-restricted backward liveness with a frozen boundary.
@@ -143,12 +157,12 @@ public:
 
   /// True if \p R is live on exit from region block \p B.
   bool isLiveOut(BlockId B, Reg R) const {
-    return LiveOuts[slotOf(B)].test(denseIndex(R));
+    return LiveOuts.test(slotOf(B), denseIndex(R));
   }
 
   /// True if \p R is live on entry to region block \p B.
   bool isLiveIn(BlockId B, Reg R) const {
-    return LiveIns[slotOf(B)].test(denseIndex(R));
+    return LiveIns.test(slotOf(B), denseIndex(R));
   }
 
   /// True when both views hold identical solutions, for the
@@ -163,11 +177,11 @@ public:
   /// nothing is live on exit, so an illegal speculative motion can slip
   /// through -- which the semantic verifier / transaction rollback must
   /// catch.
-  void corruptLiveOutForTest(BlockId B) { LiveOuts[slotOf(B)].clear(); }
+  void corruptLiveOutForTest(BlockId B) { LiveOuts.clearRow(slotOf(B)); }
 
 private:
   /// Rebuilds slot \p S's UEVar/Kill summary from the function's current
-  /// contents; returns true when either set changed.
+  /// contents; returns true when either row changed.
   bool rebuildSlotSets(const Function &F, unsigned S);
 
   /// Re-solves the \p Affected slots (one flag per slot) from bottom, the
@@ -185,24 +199,27 @@ private:
 
   std::vector<BlockId> Blocks; ///< region real blocks, layout order
   std::vector<int> SlotOf;     ///< BlockId -> slot, -1 outside
-  /// Per slot: slots of in-region CFG successors (back edges included).
-  std::vector<std::vector<unsigned>> InSuccs;
-  /// Per slot: slots of in-region CFG predecessors (the inverse of
-  /// InSuccs), for the delta path's backward affected-set walk.
-  std::vector<std::vector<unsigned>> InPreds;
+  /// In-region CFG edges between slots (back edges included): successors
+  /// feed the fixpoint, predecessors the delta path's backward
+  /// affected-set walk.
+  DiGraph InRegion;
   /// Per slot: union of the frozen live-in sets of out-of-region CFG
-  /// successors (loop exits and collapsed child-loop entries), sorted.
+  /// successors (loop exits and collapsed child-loop entries), sorted;
+  /// slot S's are BoundaryRegs[BoundaryOff[S] .. BoundaryOff[S + 1]).
   /// Stored as Reg values so the set survives universe growth.
-  std::vector<std::vector<Reg>> Boundary;
+  std::vector<unsigned> BoundaryOff;
+  std::vector<Reg> BoundaryRegs;
 
   std::array<unsigned, 3> ClassBase = {0, 0, 0};
   unsigned Universe = 0;
-  std::vector<BitSet> LiveIns;  ///< per slot
-  std::vector<BitSet> LiveOuts; ///< per slot
-  std::vector<BitSet> UEVars;   ///< per slot, cached for delta updates
-  std::vector<BitSet> Kills;    ///< per slot, cached for delta updates
-  /// Per slot: BoundaryBits = Boundary in the current dense indexing.
-  std::vector<BitSet> BoundaryBits;
+  BitMatrix LiveIns;  ///< one row per slot
+  BitMatrix LiveOuts; ///< one row per slot
+  BitMatrix UEVars;   ///< one row per slot, cached for delta updates
+  BitMatrix Kills;    ///< one row per slot, cached for delta updates
+  /// One row per slot: the boundary in the current dense indexing.
+  BitMatrix BoundaryBits;
+  /// Two rows of working space for solve() and rebuildSlotSets().
+  std::vector<uint64_t> Scratch;
 };
 
 } // namespace gis

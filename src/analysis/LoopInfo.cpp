@@ -5,7 +5,6 @@
 #include "analysis/CFG.h"
 
 #include <algorithm>
-#include <map>
 
 using namespace gis;
 
@@ -19,34 +18,42 @@ LoopInfo LoopInfo::compute(const Function &F) {
   DiGraph G = buildCFG(F);
   DomTree Dom(G);
 
-  // Find back edges, grouped by header.
-  std::map<BlockId, std::vector<BlockId>> BackEdges;
-  for (unsigned A = 0; A != N; ++A) {
-    if (!Dom.isReachable(A))
-      continue;
-    for (unsigned H : G.Succs[A])
-      if (Dom.dominates(H, A))
-        BackEdges[H].push_back(A);
-  }
-
-  // Reducibility: removing back edges must leave an acyclic graph.
-  DiGraph Forward(N, G.Entry);
+  // Back edges (latch -> header) and the forward graph without them, in
+  // one sweep.  Removing back edges must leave an acyclic graph, or the
+  // CFG is irreducible.
+  std::vector<GraphEdge> BackEdges, ForwardEdges;
   for (unsigned A = 0; A != N; ++A)
-    for (unsigned S : G.Succs[A])
+    for (unsigned S : G.succs(A)) {
       if (!Dom.dominates(S, A))
-        Forward.addEdge(A, S);
-  LI.Reducible = isAcyclic(Forward);
+        ForwardEdges.push_back({A, S});
+      else if (Dom.isReachable(A))
+        BackEdges.push_back({A, S});
+    }
+  LI.Reducible = isAcyclic(DiGraph(N, G.entry(), ForwardEdges));
+
+  // Group back edges by header, headers ascending and each header's
+  // latches in ascending order (the sweep above visits latches in order).
+  std::stable_sort(BackEdges.begin(), BackEdges.end(),
+                   [](const GraphEdge &X, const GraphEdge &Y) {
+                     return X.To < Y.To;
+                   });
 
   // Natural loop of each header: backward walk from the latches, stopping
   // at the header.
-  for (auto &[Header, Latches] : BackEdges) {
+  std::vector<BlockId> Work;
+  for (size_t First = 0; First != BackEdges.size();) {
+    size_t Last = First;
+    while (Last != BackEdges.size() &&
+           BackEdges[Last].To == BackEdges[First].To)
+      ++Last;
     Loop L;
-    L.Header = Header;
-    L.Latches = Latches;
+    L.Header = BackEdges[First].To;
+    L.Latches.reserve(Last - First);
+    for (size_t K = First; K != Last; ++K)
+      L.Latches.push_back(BackEdges[K].From);
     L.Blocks = BitSet(N);
-    L.Blocks.set(Header);
-    std::vector<BlockId> Work;
-    for (BlockId Latch : Latches)
+    L.Blocks.set(L.Header);
+    for (BlockId Latch : L.Latches)
       if (!L.Blocks.test(Latch)) {
         L.Blocks.set(Latch);
         Work.push_back(Latch);
@@ -54,13 +61,14 @@ LoopInfo LoopInfo::compute(const Function &F) {
     while (!Work.empty()) {
       BlockId B = Work.back();
       Work.pop_back();
-      for (unsigned P : G.Preds[B])
+      for (unsigned P : G.preds(B))
         if (Dom.isReachable(P) && !L.Blocks.test(P)) {
           L.Blocks.set(P);
           Work.push_back(P);
         }
     }
     LI.Loops.push_back(std::move(L));
+    First = Last;
   }
 
   // Nesting: parent of L is the smallest loop strictly containing L's

@@ -17,7 +17,7 @@ SchedRegion SchedRegion::buildSingleBlock(const Function &F, BlockId B) {
   R.Nodes.push_back(N);
   R.RealBlocks = 1;
   R.NumInstrs = static_cast<unsigned>(F.block(B).size());
-  R.Forward = DiGraph(1, 0);
+  R.Forward = DiGraph(1, 0, {});
   R.Entry = 0;
   R.Topo = {0};
   return R;
@@ -45,7 +45,7 @@ SchedRegion SchedRegion::buildTrace(const Function &F,
   // Forward edges: in-chain CFG edges (necessarily to the next chain
   // position, by the single-entry property), minus a loop-back edge to
   // the head.  Any off-chain successor is a side exit of the superblock.
-  R.Forward = DiGraph(R.numNodes(), R.Entry);
+  std::vector<GraphEdge> Edges;
   BitSet IsExit(R.numNodes());
   for (unsigned N = 0; N != R.numNodes(); ++N) {
     for (BlockId S : F.block(Chain[N]).succs()) {
@@ -58,9 +58,10 @@ SchedRegion SchedRegion::buildTrace(const Function &F,
         continue; // loop-back to the trace head, like a loop back edge
       GIS_ASSERT(static_cast<unsigned>(To) == N + 1,
                  "superblock edge must go to the next trace block");
-      R.Forward.addEdge(N, static_cast<unsigned>(To));
+      Edges.push_back({N, static_cast<unsigned>(To)});
     }
   }
+  R.Forward = DiGraph(R.numNodes(), R.Entry, Edges);
   IsExit.forEach([&](unsigned N) { R.Exits.push_back(N); });
 
   GIS_ASSERT(isAcyclic(R.Forward), "superblock forward graph must be acyclic");
@@ -151,7 +152,7 @@ SchedRegion SchedRegion::build(const Function &F, const LoopInfo &LI,
 
   // Forward edges: all in-universe CFG edges, minus self edges (internal
   // to one summary) and minus back edges to the region entry.
-  R.Forward = DiGraph(R.numNodes(), R.Entry);
+  std::vector<GraphEdge> Edges;
   BitSet IsExit(R.numNodes());
   for (BlockId B = 0; B != NumBlocks; ++B) {
     if (!InUniverse(B))
@@ -169,10 +170,11 @@ SchedRegion SchedRegion::build(const Function &F, const LoopInfo &LI,
         continue;
       if (static_cast<unsigned>(To) == R.Entry)
         continue; // back edge
-      R.Forward.addEdge(static_cast<unsigned>(From),
-                        static_cast<unsigned>(To));
+      Edges.push_back(
+          {static_cast<unsigned>(From), static_cast<unsigned>(To)});
     }
   }
+  R.Forward = DiGraph(R.numNodes(), R.Entry, Edges);
   IsExit.forEach([&](unsigned N) { R.Exits.push_back(N); });
 
   GIS_ASSERT(isAcyclic(R.Forward),

@@ -4,8 +4,6 @@
 
 #include "support/Format.h"
 
-#include <set>
-
 using namespace gis;
 
 namespace {
@@ -32,17 +30,27 @@ private:
       problem("empty layout");
       return;
     }
-    std::set<BlockId> Seen;
-    for (BlockId B : F.layout()) {
+    // First layout position of every block (NotInLayout when absent): the
+    // duplicate and coverage checks here, and each block's layout
+    // successor in checkBlock().
+    FirstPos.assign(F.numBlocks(), NotInLayout);
+    unsigned Distinct = 0;
+    const std::vector<BlockId> &Layout = F.layout();
+    for (size_t Pos = 0, E = Layout.size(); Pos != E; ++Pos) {
+      BlockId B = Layout[Pos];
       if (B >= F.numBlocks()) {
         problem(formatString("layout references unknown block %u", B));
         continue;
       }
-      if (!Seen.insert(B).second)
+      if (FirstPos[B] != NotInLayout) {
         problem(formatString("block %s appears twice in layout",
                              F.block(B).label().c_str()));
+        continue;
+      }
+      FirstPos[B] = Pos;
+      ++Distinct;
     }
-    if (Seen.size() != F.numBlocks())
+    if (Distinct != F.numBlocks())
       problem("some blocks are missing from the layout");
 
     // Instructions must belong to exactly one block.
@@ -82,7 +90,10 @@ private:
     bool MayFallThrough =
         Term == InvalidId || F.instr(Term).opcode() == Opcode::BT ||
         F.instr(Term).opcode() == Opcode::BF;
-    if (MayFallThrough && F.layoutSuccessor(B) == InvalidId)
+    size_t Next = FirstPos[B] + 1;
+    BlockId LayoutSucc =
+        Next < F.layout().size() ? F.layout()[Next] : InvalidId;
+    if (MayFallThrough && LayoutSucc == InvalidId)
       problem(formatString("%s: control may fall off the end of the function",
                            Label.c_str()));
   }
@@ -247,8 +258,11 @@ private:
     }
   }
 
+  static constexpr size_t NotInLayout = ~size_t(0);
+
   const Function &F;
   std::vector<std::string> Problems;
+  std::vector<size_t> FirstPos; ///< per block, set by checkLayout()
 };
 
 } // namespace

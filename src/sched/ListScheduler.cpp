@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <queue>
-#include <unordered_map>
 
 using namespace gis;
 
@@ -64,9 +63,12 @@ EngineResult ListScheduler::run(
     Result.S = Status::error(Code, std::move(Msg));
   };
 
-  // Candidate table and DDG-node -> candidate index map.
+  // Candidate table and DDG-node -> candidate index map (NoCand for nodes
+  // that are not candidates), both sized once per run.
+  constexpr unsigned NoCand = ~0u;
   std::vector<CandState> Cands;
-  std::unordered_map<unsigned, unsigned> CandOf;
+  Cands.reserve(Own.size() + External.size());
+  std::vector<unsigned> CandOf(DD.numNodes(), NoCand);
   auto AddCand = [&](unsigned Node, bool IsOwn, bool Useful, bool Spec,
                      uint64_t Freq) {
     CandState C;
@@ -79,12 +81,12 @@ EngineResult ListScheduler::run(
     if (N.isBarrier())
       return Fail(ErrorCode::SchedulerInconsistency,
                   "barrier node offered as a scheduling candidate");
-    if (CandOf.count(Node))
+    if (CandOf[Node] != NoCand)
       return Fail(ErrorCode::SchedulerInconsistency,
                   formatString("instruction %u offered as a candidate twice",
                                N.Instr));
     C.IsTerminator = F.instr(N.Instr).isTerminator();
-    CandOf.emplace(Node, static_cast<unsigned>(Cands.size()));
+    CandOf[Node] = static_cast<unsigned>(Cands.size());
     Cands.push_back(C);
   };
   for (unsigned Node : Own)
@@ -99,8 +101,7 @@ EngineResult ListScheduler::run(
   for (CandState &C : Cands) {
     for (unsigned EIdx : DD.predEdges(C.DDGNode)) {
       unsigned P = DD.edges()[EIdx].From;
-      auto It = CandOf.find(P);
-      if (It != CandOf.end()) {
+      if (CandOf[P] != NoCand) {
         ++C.PredsRemaining;
         continue;
       }
@@ -122,8 +123,8 @@ EngineResult ListScheduler::run(
     if (C.Dropped)
       continue;
     for (unsigned EIdx : DD.predEdges(C.DDGNode)) {
-      auto It = CandOf.find(DD.edges()[EIdx].From);
-      if (It != CandOf.end() && Cands[It->second].Dropped) {
+      unsigned P = CandOf[DD.edges()[EIdx].From];
+      if (P != NoCand && Cands[P].Dropped) {
         if (C.Own) {
           Fail(ErrorCode::SchedulerInconsistency,
                "own instruction depends on a dropped external");
@@ -228,10 +229,12 @@ EngineResult ListScheduler::run(
     return obs::RuleId::SourceOrder;
   };
 
-  // Unit occupancy: busy-until per unit instance, per type.
-  std::vector<std::vector<uint64_t>> UnitBusy(MD.numUnitTypes());
+  // Unit occupancy: busy-until per unit instance, one flat table; type T's
+  // instances are UnitBusy[UnitBase[T] .. UnitBase[T + 1]).
+  std::vector<unsigned> UnitBase(MD.numUnitTypes() + 1, 0);
   for (unsigned T = 0; T != MD.numUnitTypes(); ++T)
-    UnitBusy[T].assign(MD.unitType(T).Count, 0);
+    UnitBase[T + 1] = UnitBase[T] + MD.unitType(T).Count;
+  std::vector<uint64_t> UnitBusy(UnitBase.back(), 0);
 
   unsigned OwnRemaining = static_cast<unsigned>(Own.size());
   uint64_t Cycle = 0;
@@ -244,12 +247,24 @@ EngineResult ListScheduler::run(
   // the future, keyed by it; Live holds the currently eligible ones.  The
   // target block's own terminator is held aside until it is the last own
   // instruction, mirroring the full scan's positional gate.
+  //
+  // The loop's containers are reserved once here, not per cycle: a
+  // candidate enters each of them at most once per run (HeldTerm holds at
+  // most the target block's terminator).
+  std::vector<std::pair<uint64_t, unsigned>> FutureStore;
+  std::vector<unsigned> Live, HeldTerm, Ready;
+  if (Incremental) {
+    FutureStore.reserve(Cands.size());
+    Live.reserve(Cands.size());
+  }
+  Ready.reserve(Cands.size());
+  Result.Order.reserve(Cands.size());
+  Result.Cycles.reserve(Cands.size());
   std::priority_queue<std::pair<uint64_t, unsigned>,
                       std::vector<std::pair<uint64_t, unsigned>>,
                       std::greater<std::pair<uint64_t, unsigned>>>
-      Future;
-  std::vector<unsigned> Live;
-  std::vector<unsigned> HeldTerm;
+      Future(std::greater<std::pair<uint64_t, unsigned>>(),
+             std::move(FutureStore));
   if (Incremental)
     for (unsigned K = 0; K != Cands.size(); ++K) {
       const CandState &C = Cands[K];
@@ -271,10 +286,10 @@ EngineResult ListScheduler::run(
     // Release successors.
     for (unsigned EIdx : DD.succEdges(C.DDGNode)) {
       const DepEdge &E = DD.edges()[EIdx];
-      auto It = CandOf.find(E.To);
-      if (It == CandOf.end())
+      unsigned SI = CandOf[E.To];
+      if (SI == NoCand)
         continue;
-      CandState &S = Cands[It->second];
+      CandState &S = Cands[SI];
       if (S.PredsRemaining == 0) {
         Fail(ErrorCode::SchedulerInconsistency,
              "predecessor count underflow while releasing successors");
@@ -284,9 +299,9 @@ EngineResult ListScheduler::run(
       S.ReadyTime = std::max(S.ReadyTime, At + Exec + E.Delay);
       if (Incremental && S.PredsRemaining == 0 && !S.Dropped) {
         if (S.Own && S.IsTerminator && OwnRemaining > 1)
-          HeldTerm.push_back(It->second);
+          HeldTerm.push_back(SI);
         else
-          Future.push({S.ReadyTime, It->second});
+          Future.push({S.ReadyTime, SI});
       }
     }
   };
@@ -305,7 +320,7 @@ EngineResult ListScheduler::run(
     // total order (rule 7 breaks every tie on the unique original order),
     // so equal ready *sets* sort to equal sequences -- which is what makes
     // the event-driven pool below bit-identical to the full scan.
-    std::vector<unsigned> Ready;
+    Ready.clear();
     auto EligibleNow = [&](const CandState &C) {
       if (C.Scheduled || C.Dropped || C.PredsRemaining > 0 ||
           C.ReadyTime > Cycle)
@@ -392,8 +407,8 @@ EngineResult ListScheduler::run(
       unsigned Type = MD.unitTypeForOp(Op);
       // A free unit instance of the right type this cycle?
       int Unit = -1;
-      for (unsigned UI = 0; UI != UnitBusy[Type].size(); ++UI)
-        if (UnitBusy[Type][UI] <= Cycle) {
+      for (unsigned UI = UnitBase[Type]; UI != UnitBase[Type + 1]; ++UI)
+        if (UnitBusy[UI] <= Cycle) {
           Unit = static_cast<int>(UI);
           break;
         }
@@ -460,8 +475,7 @@ EngineResult ListScheduler::run(
         }
       }
 
-      UnitBusy[Type][static_cast<unsigned>(Unit)] =
-          Cycle + MD.execTime(Op);
+      UnitBusy[static_cast<unsigned>(Unit)] = Cycle + MD.execTime(Op);
       OnScheduled(C, Cycle);
       if (!Result.S.isOk())
         return Result;

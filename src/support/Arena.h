@@ -7,13 +7,15 @@
 ///
 /// \file
 /// A tiny struct-of-arrays building block: SpanArena<T> packs many small
-/// per-node sequences (register def/use lists, adjacency rows) into one
+/// per-node sequences (the DDG's register def/use lists) into one
 /// contiguous buffer addressed by (offset, length) spans.  Compared to a
 /// vector-of-vectors it removes one pointer indirection and one heap
-/// allocation per node, so the O(n^2) pairwise walks of the dependence
-/// builder and the per-pick fact lookups of the scheduler touch memory
-/// sequentially.  The arena only grows; spans stay valid across appends
-/// because they are indices, not pointers.
+/// allocation per node, so the dependence builder's per-register candidate
+/// rows and the scheduler's per-pick fact lookups touch memory
+/// sequentially.  (Fixed-shape adjacency is plain CSR offset/index arrays
+/// instead: DiGraph, DomTree children, the DDG's edge rows.)  The arena
+/// only grows; spans stay valid across appends because they are indices,
+/// not pointers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,6 +56,9 @@ public:
   const T *end(ArenaSpan S) const { return Data.data() + S.Offset + S.Length; }
 
   size_t size() const { return Data.size(); }
+
+  /// The whole buffer, every span's elements in append order.
+  const T *data() const { return Data.data(); }
 
   /// Bytes the arena's buffer has reserved (capacity, not size): the number
   /// the obs coldpath.arena_bytes counter reports.

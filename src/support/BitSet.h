@@ -132,6 +132,80 @@ private:
   std::vector<uint64_t> Words;
 };
 
+/// A family of equally sized bit rows -- one per block, per DDG node --
+/// stored back to back in one flat word array, so a family costs one
+/// allocation instead of one per row.  Rows are addressed by index; the
+/// word-level accessors let fixpoint loops work a row at a time without
+/// BitSet temporaries.
+class BitMatrix {
+public:
+  BitMatrix() = default;
+  BitMatrix(unsigned Rows, unsigned Bits) { assign(Rows, Bits); }
+
+  /// Resizes to \p Rows rows of \p Bits bits, all clear (keeps capacity).
+  void assign(unsigned Rows, unsigned Bits) {
+    NumRows = Rows;
+    NumBits = Bits;
+    RowWords = (Bits + 63) / 64;
+    Words.assign(static_cast<size_t>(Rows) * RowWords, 0);
+  }
+
+  unsigned wordsPerRow() const { return RowWords; }
+
+  uint64_t *row(unsigned R) {
+    return Words.data() + static_cast<size_t>(R) * RowWords;
+  }
+  const uint64_t *row(unsigned R) const {
+    return Words.data() + static_cast<size_t>(R) * RowWords;
+  }
+
+  bool test(unsigned R, unsigned I) const {
+    GIS_ASSERT(R < NumRows && I < NumBits, "bit matrix index out of range");
+    return (row(R)[I / 64] >> (I % 64)) & 1;
+  }
+
+  void set(unsigned R, unsigned I) {
+    GIS_ASSERT(R < NumRows && I < NumBits, "bit matrix index out of range");
+    row(R)[I / 64] |= uint64_t(1) << (I % 64);
+  }
+
+  void clearRow(unsigned R) {
+    uint64_t *W = row(R);
+    for (unsigned K = 0; K != RowWords; ++K)
+      W[K] = 0;
+  }
+
+  /// Calls \p Fn for every set bit of row \p R in ascending order.
+  template <typename CallableT>
+  void forEachInRow(unsigned R, CallableT Fn) const {
+    const uint64_t *Row = row(R);
+    for (unsigned WI = 0; WI != RowWords; ++WI) {
+      uint64_t W = Row[WI];
+      while (W) {
+        unsigned Bit = static_cast<unsigned>(__builtin_ctzll(W));
+        Fn(WI * 64 + Bit);
+        W &= W - 1;
+      }
+    }
+  }
+
+  /// Bytes the word array has reserved (capacity, not size).
+  uint64_t bytesReserved() const {
+    return static_cast<uint64_t>(Words.capacity()) * sizeof(uint64_t);
+  }
+
+  bool operator==(const BitMatrix &RHS) const {
+    return NumRows == RHS.NumRows && NumBits == RHS.NumBits &&
+           Words == RHS.Words;
+  }
+
+private:
+  unsigned NumRows = 0;
+  unsigned NumBits = 0;
+  unsigned RowWords = 0;
+  std::vector<uint64_t> Words;
+};
+
 } // namespace gis
 
 #endif // GIS_SUPPORT_BITSET_H

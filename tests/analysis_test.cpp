@@ -80,11 +80,7 @@ BlockId blockByLabel(const Function &F, const std::string &Label) {
 //===----------------------------------------------------------------------===
 
 TEST(GraphTest, ReversePostOrderStartsAtEntry) {
-  DiGraph G(4, 0);
-  G.addEdge(0, 1);
-  G.addEdge(0, 2);
-  G.addEdge(1, 3);
-  G.addEdge(2, 3);
+  DiGraph G(4, 0, {{0, 1}, {0, 2}, {1, 3}, {2, 3}});
   std::vector<unsigned> RPO = reversePostOrder(G);
   ASSERT_EQ(RPO.size(), 4u);
   EXPECT_EQ(RPO.front(), 0u);
@@ -92,10 +88,7 @@ TEST(GraphTest, ReversePostOrderStartsAtEntry) {
 }
 
 TEST(GraphTest, ReachableFrom) {
-  DiGraph G(5, 0);
-  G.addEdge(0, 1);
-  G.addEdge(1, 2);
-  G.addEdge(3, 4); // disconnected
+  DiGraph G(5, 0, {{0, 1}, {1, 2}, {3, 4}}); // 3 -> 4 is disconnected
   BitSet R = reachableFrom(G, 0);
   EXPECT_TRUE(R.test(0));
   EXPECT_TRUE(R.test(2));
@@ -104,40 +97,47 @@ TEST(GraphTest, ReachableFrom) {
 }
 
 TEST(GraphTest, AcyclicDetection) {
-  DiGraph Acyclic(3, 0);
-  Acyclic.addEdge(0, 1);
-  Acyclic.addEdge(1, 2);
+  DiGraph Acyclic(3, 0, {{0, 1}, {1, 2}});
   EXPECT_TRUE(isAcyclic(Acyclic));
 
-  DiGraph Cyclic(3, 0);
-  Cyclic.addEdge(0, 1);
-  Cyclic.addEdge(1, 2);
-  Cyclic.addEdge(2, 1);
+  DiGraph Cyclic(3, 0, {{0, 1}, {1, 2}, {2, 1}});
   EXPECT_FALSE(isAcyclic(Cyclic));
 }
 
 TEST(GraphTest, TopologicalOrderRespectsEdges) {
-  DiGraph G(5, 0);
-  G.addEdge(0, 2);
-  G.addEdge(0, 1);
-  G.addEdge(1, 3);
-  G.addEdge(2, 3);
-  G.addEdge(3, 4);
+  DiGraph G(5, 0, {{0, 2}, {0, 1}, {1, 3}, {2, 3}, {3, 4}});
   std::vector<unsigned> Order = topologicalOrder(G);
   ASSERT_EQ(Order.size(), 5u);
   std::vector<unsigned> Pos(5);
   for (unsigned I = 0; I != Order.size(); ++I)
     Pos[Order[I]] = I;
   for (unsigned N = 0; N != 5; ++N)
-    for (unsigned S : G.Succs[N])
+    for (unsigned S : G.succs(N))
       EXPECT_LT(Pos[N], Pos[S]);
 }
 
+// A graph is built once from its edge list: every row, successors and
+// predecessors alike, keeps the list's order (not node order), and a
+// repeated edge is dropped with its first occurrence kept.
+TEST(GraphTest, DuplicateEdgeKeepsFirstOccurrenceInBothDirections) {
+  DiGraph G(4, 0, {{0, 2}, {0, 1}, {2, 3}, {1, 3}, {2, 3}, {0, 2}, {3, 0}});
+  auto Row = [](NodeRange R) {
+    return std::vector<unsigned>(R.begin(), R.end());
+  };
+  EXPECT_EQ(Row(G.succs(0)), (std::vector<unsigned>{2, 1}));
+  EXPECT_EQ(Row(G.succs(1)), (std::vector<unsigned>{3}));
+  EXPECT_EQ(Row(G.succs(2)), (std::vector<unsigned>{3}));
+  EXPECT_EQ(Row(G.succs(3)), (std::vector<unsigned>{0}));
+  EXPECT_EQ(Row(G.preds(0)), (std::vector<unsigned>{3}));
+  EXPECT_EQ(Row(G.preds(1)), (std::vector<unsigned>{0}));
+  EXPECT_EQ(Row(G.preds(2)), (std::vector<unsigned>{0}));
+  EXPECT_EQ(Row(G.preds(3)), (std::vector<unsigned>{2, 1}));
+  EXPECT_TRUE(G.hasEdge(0, 2));
+  EXPECT_FALSE(G.hasEdge(2, 0));
+}
+
 TEST(GraphTest, AllPairsReachabilityHandlesCycles) {
-  DiGraph G(3, 0);
-  G.addEdge(0, 1);
-  G.addEdge(1, 2);
-  G.addEdge(2, 1); // cycle 1 <-> 2
+  DiGraph G(3, 0, {{0, 1}, {1, 2}, {2, 1}}); // cycle 1 <-> 2
   std::vector<BitSet> Reach = allPairsReachability(G);
   EXPECT_TRUE(Reach[0].test(2));
   EXPECT_TRUE(Reach[1].test(1)); // on a cycle through itself
@@ -150,11 +150,7 @@ TEST(GraphTest, AllPairsReachabilityHandlesCycles) {
 //===----------------------------------------------------------------------===
 
 TEST(DomTest, Diamond) {
-  DiGraph G(4, 0);
-  G.addEdge(0, 1);
-  G.addEdge(0, 2);
-  G.addEdge(1, 3);
-  G.addEdge(2, 3);
+  DiGraph G(4, 0, {{0, 1}, {0, 2}, {1, 3}, {2, 3}});
   DomTree D(G);
   EXPECT_EQ(D.idom(1), 0u);
   EXPECT_EQ(D.idom(2), 0u);
@@ -168,11 +164,7 @@ TEST(DomTest, Diamond) {
 
 TEST(DomTest, LoopDoesNotDisturbDominance) {
   // 0 -> 1 -> 2 -> 1 (back edge), 2 -> 3
-  DiGraph G(4, 0);
-  G.addEdge(0, 1);
-  G.addEdge(1, 2);
-  G.addEdge(2, 1);
-  G.addEdge(2, 3);
+  DiGraph G(4, 0, {{0, 1}, {1, 2}, {2, 1}, {2, 3}});
   DomTree D(G);
   EXPECT_EQ(D.idom(1), 0u);
   EXPECT_EQ(D.idom(2), 1u);
@@ -180,8 +172,7 @@ TEST(DomTest, LoopDoesNotDisturbDominance) {
 }
 
 TEST(DomTest, UnreachableNodes) {
-  DiGraph G(3, 0);
-  G.addEdge(0, 1);
+  DiGraph G(3, 0, {{0, 1}});
   DomTree D(G);
   EXPECT_TRUE(D.isReachable(1));
   EXPECT_FALSE(D.isReachable(2));
@@ -189,11 +180,7 @@ TEST(DomTest, UnreachableNodes) {
 }
 
 TEST(PostDomTest, Diamond) {
-  DiGraph G(4, 0);
-  G.addEdge(0, 1);
-  G.addEdge(0, 2);
-  G.addEdge(1, 3);
-  G.addEdge(2, 3);
+  DiGraph G(4, 0, {{0, 1}, {0, 2}, {1, 3}, {2, 3}});
   PostDomTree PD(G);
   EXPECT_TRUE(PD.postDominates(3, 0));
   EXPECT_FALSE(PD.postDominates(1, 0));
@@ -207,9 +194,7 @@ TEST(PostDomTest, Diamond) {
 TEST(PostDomTest, ExtraExits) {
   // 0 -> 1 -> 2, and node 1 also leaves the region (extra exit): 2 no
   // longer postdominates 0.
-  DiGraph G(3, 0);
-  G.addEdge(0, 1);
-  G.addEdge(1, 2);
+  DiGraph G(3, 0, {{0, 1}, {1, 2}});
   PostDomTree NoExtra(G);
   EXPECT_TRUE(NoExtra.postDominates(2, 0));
   PostDomTree WithExtra(G, {1});

@@ -15,6 +15,12 @@
 //    verifier/rollback/self-heal machinery keeps the final program
 //    well-formed and behaviourally identical to the unscheduled one.
 //
+// The dependence builder, which visits only dependent pairs, is pinned to
+// a test-local copy of the all-pairs builder it replaced: same edges in
+// the same order, same transitive closure, and -- with the
+// "disambig-cache" fault armed -- the same sequence of disambiguator
+// questions.
+//
 // The round-two machinery (DESIGN.md section 15) gets the same treatment:
 // a 200-seed differential fuzz cross-checks every cached memory
 // disambiguation answer against a stand-alone solve, another pins the
@@ -36,6 +42,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/DataDeps.h"
 #include "analysis/DisambigCache.h"
 #include "analysis/Graph.h"
 #include "analysis/Liveness.h"
@@ -49,6 +56,7 @@
 #include "ir/Checkpoint.h"
 #include "ir/Printer.h"
 #include "ir/Verifier.h"
+#include "opt/PassManager.h"
 #include "sched/GlobalScheduler.h"
 #include "sched/LocalScheduler.h"
 #include "sched/Pipeline.h"
@@ -254,6 +262,210 @@ TEST(ColdpathLiveness, RecomputeBlocksMatchesFullCompute) {
   // The corpus must exercise both paths.
   EXPECT_GE(Deltas, 1000u);
   EXPECT_GE(Renames, 100u);
+}
+
+//===----------------------------------------------------------------------===
+// The dependent-pair DDG builder against the all-pairs reference
+//===----------------------------------------------------------------------===
+
+/// The all-pairs dependence builder DataDeps::compute replaced, kept as the
+/// reference: every earlier node is classified against every later one,
+/// sources in descending order, with the transitive reduction.  Built on
+/// the public SchedRegion, MemDisambiguator and MachineDescription API.
+struct ReferenceDDG {
+  std::vector<DepEdge> Edges;
+  std::vector<BitSet> Ancestors; ///< Ancestors[N]: nodes reaching N
+};
+
+ReferenceDDG allPairsDataDeps(const Function &F, const SchedRegion &R,
+                              const MachineDescription &MD,
+                              DisambigCache *Cache) {
+  struct RefNode {
+    InstrId Instr;
+    unsigned RegionNode;
+    std::vector<Reg> Defs, Uses;
+    bool TouchesMemory, IsCallOrBarrier;
+  };
+  std::vector<RefNode> Nodes;
+  for (unsigned RN : R.topoOrder()) {
+    const RegionNode &Node = R.node(RN);
+    if (!Node.isBlock()) {
+      Nodes.push_back(
+          {InvalidId, RN, Node.SummaryDefs, Node.SummaryUses, true, true});
+      continue;
+    }
+    for (InstrId I : F.block(Node.Block).instrs()) {
+      const Instruction &Ins = F.instr(I);
+      Nodes.push_back({I, RN,
+                       std::vector<Reg>(Ins.defs().begin(), Ins.defs().end()),
+                       std::vector<Reg>(Ins.uses().begin(), Ins.uses().end()),
+                       Ins.touchesMemory(), Ins.isCall()});
+    }
+  }
+
+  unsigned M = static_cast<unsigned>(Nodes.size());
+  ReferenceDDG Ref;
+  Ref.Ancestors.assign(M, BitSet(M));
+  std::shared_ptr<const std::vector<BitSet>> ReachShared;
+  std::vector<BitSet> ReachLocal;
+  if (Cache)
+    ReachShared = Cache->reachability(R.forwardGraph());
+  else
+    ReachLocal = allPairsReachability(R.forwardGraph());
+  const std::vector<BitSet> &Reach = Cache ? *ReachShared : ReachLocal;
+  MemDisambiguator Disambig(F, R, Cache);
+
+  auto Intersects = [](const std::vector<Reg> &A, const std::vector<Reg> &B) {
+    for (Reg X : A)
+      for (Reg Y : B)
+        if (X == Y)
+          return true;
+    return false;
+  };
+  auto MemConflict = [&](const RefNode &A, const RefNode &B) {
+    if (!A.TouchesMemory || !B.TouchesMemory)
+      return false;
+    if (A.IsCallOrBarrier || B.IsCallOrBarrier)
+      return true;
+    if (F.instr(A.Instr).isLoad() && F.instr(B.Instr).isLoad())
+      return false;
+    return !Disambig.provablyDisjoint(A.Instr, B.Instr);
+  };
+  for (unsigned B = 0; B != M; ++B) {
+    const RefNode &NB = Nodes[B];
+    for (unsigned A = B; A-- > 0;) {
+      const RefNode &NA = Nodes[A];
+      if (NA.RegionNode != NB.RegionNode &&
+          !Reach[NA.RegionNode].test(NB.RegionNode))
+        continue;
+      if (Ref.Ancestors[B].test(A))
+        continue;
+      DepKind Kind;
+      if (Intersects(NA.Defs, NB.Uses))
+        Kind = DepKind::Flow;
+      else if (Intersects(NA.Uses, NB.Defs))
+        Kind = DepKind::Anti;
+      else if (Intersects(NA.Defs, NB.Defs))
+        Kind = DepKind::Output;
+      else if (MemConflict(NA, NB))
+        Kind = DepKind::Memory;
+      else
+        continue;
+      unsigned Delay = 0;
+      if (Kind == DepKind::Flow && NA.Instr != InvalidId &&
+          NB.Instr != InvalidId)
+        Delay = MD.flowDelay(F.instr(NA.Instr).opcode(),
+                             F.instr(NB.Instr).opcode());
+      Ref.Edges.push_back(DepEdge{A, B, Kind, Delay});
+      Ref.Ancestors[B].set(A);
+      Ref.Ancestors[B].unionWith(Ref.Ancestors[A]);
+    }
+  }
+  return Ref;
+}
+
+/// Asserts that DataDeps::compute equals the reference on region \p R:
+/// the edge list element by element, in order, and depends() for every
+/// ordered pair of nodes.
+void expectSameDDG(const DataDeps &DD, const ReferenceDDG &Ref,
+                   const std::string &Tag) {
+  ASSERT_EQ(DD.numNodes(), Ref.Ancestors.size()) << Tag;
+  ASSERT_EQ(DD.edges().size(), Ref.Edges.size()) << Tag;
+  for (size_t K = 0; K != Ref.Edges.size(); ++K) {
+    const DepEdge &E = DD.edges()[K], &X = Ref.Edges[K];
+    ASSERT_TRUE(E.From == X.From && E.To == X.To && E.Kind == X.Kind &&
+                E.Delay == X.Delay)
+        << Tag << " edge " << K << ": " << E.From << "->" << E.To << " "
+        << depKindName(E.Kind) << "/" << E.Delay << " vs " << X.From << "->"
+        << X.To << " " << depKindName(X.Kind) << "/" << X.Delay;
+  }
+  for (unsigned B = 0; B != DD.numNodes(); ++B)
+    for (unsigned A = 0; A != DD.numNodes(); ++A)
+      if (DD.depends(A, B) != Ref.Ancestors[B].test(A))
+        FAIL() << Tag << " depends(" << A << ", " << B << ") differs";
+}
+
+/// Every region the pipeline builds over \p F's current state: each loop
+/// and the top level (reducible functions), and each single block.
+std::vector<SchedRegion> pipelineRegions(const Function &F) {
+  std::vector<SchedRegion> Regions;
+  LoopInfo LI = LoopInfo::compute(F);
+  if (LI.isReducible())
+    for (int Id = -1; Id < static_cast<int>(LI.numLoops()); ++Id)
+      Regions.push_back(SchedRegion::build(F, LI, Id));
+  for (BlockId B : F.layout())
+    Regions.push_back(SchedRegion::buildSingleBlock(F, B));
+  return Regions;
+}
+
+// Over the 200-seed corpus at -O0 and -O2 (every fourth seed also after
+// scheduling, which adds unrolled, rotated and renamed shapes), with and
+// without a shared DisambigCache: both builders agree on every region.
+// Then each builder runs with the Nth provablyDisjoint answer flipped,
+// N = 1..4; they can only still agree if they ask the disambiguator the
+// same questions in the same order.
+TEST(ColdpathDDG, DependentPairBuilderMatchesAllPairsReference) {
+  const MachineDescription MD = MachineDescription::rs6k();
+  unsigned Regions = 0, Edges = 0, FaultsFired = 0;
+  for (uint64_t Seed = 1; Seed <= 200; ++Seed) {
+    for (unsigned OptLevel : {0u, 2u}) {
+      std::unique_ptr<Module> M = compileMiniCOrDie(generateRandomMiniC(Seed));
+      // Every fourth seed is checked again after scheduling.
+      for (int Scheduled = 0; Scheduled != (Seed % 4 == 0 ? 2 : 1);
+           ++Scheduled) {
+        if (Scheduled) {
+          PipelineOptions Opts;
+          Opts.Opt.Level = OptLevel;
+          scheduleModule(*M, MD, Opts);
+        }
+        for (const std::unique_ptr<Function> &FP : M->functions()) {
+          Function &F = *FP;
+          F.recomputeCFG();
+          if (!Scheduled && OptLevel != 0) {
+            opt::OptOptions OptOpts;
+            OptOpts.Level = OptLevel;
+            opt::runOptPasses(F, MD, OptOpts, TransactionConfig(), nullptr);
+          }
+          std::string Where = "seed " + std::to_string(Seed) + " -O" +
+                              std::to_string(OptLevel) +
+                              (Scheduled ? " scheduled " : " ") + F.name();
+          DisambigCache Cache;
+          std::vector<SchedRegion> Rs = pipelineRegions(F);
+          for (size_t RI = 0; RI != Rs.size(); ++RI) {
+            const SchedRegion &R = Rs[RI];
+            std::string Tag = Where + " region " + std::to_string(RI);
+            for (DisambigCache *C : {static_cast<DisambigCache *>(nullptr),
+                                     &Cache}) {
+              std::string CTag = Tag + (C ? " cached" : " uncached");
+              DataDeps DD = DataDeps::compute(F, R, MD, C);
+              expectSameDDG(DD, allPairsDataDeps(F, R, MD, C), CTag);
+              ++Regions;
+              Edges += static_cast<unsigned>(DD.edges().size());
+              // Past the reference's last question nothing fires; one
+              // such arming still checks the builder asks no more.
+              for (unsigned N = 1, RefFired = 1; N <= 4 && RefFired; ++N) {
+                std::string Arm = "disambig-cache:" + std::to_string(N);
+                FaultInjector::instance().arm(Arm);
+                ReferenceDDG Ref = allPairsDataDeps(F, R, MD, C);
+                RefFired = FaultInjector::instance().firedCount();
+                FaultInjector::instance().arm(Arm);
+                DataDeps Faulted = DataDeps::compute(F, R, MD, C);
+                unsigned Fired = FaultInjector::instance().firedCount();
+                FaultInjector::instance().disarm();
+                ASSERT_EQ(Fired, RefFired) << CTag << " " << Arm;
+                FaultsFired += Fired;
+                expectSameDDG(Faulted, Ref, CTag + " " + Arm);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  // The corpus must exercise the builders and the armed disambiguator.
+  EXPECT_GE(Regions, 10000u);
+  EXPECT_GE(Edges, 100000u);
+  EXPECT_GE(FaultsFired, 1000u);
 }
 
 //===----------------------------------------------------------------------===

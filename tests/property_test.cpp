@@ -177,16 +177,16 @@ bool bruteForceDominates(const DiGraph &G, unsigned A, unsigned B) {
   if (A == B)
     return true;
   // Reachability avoiding A.
-  std::vector<uint8_t> Seen(G.NumNodes, 0);
+  std::vector<uint8_t> Seen(G.numNodes(), 0);
   std::vector<unsigned> Work;
-  if (G.Entry != A) {
-    Seen[G.Entry] = 1;
-    Work.push_back(G.Entry);
+  if (G.entry() != A) {
+    Seen[G.entry()] = 1;
+    Work.push_back(G.entry());
   }
   while (!Work.empty()) {
     unsigned N = Work.back();
     Work.pop_back();
-    for (unsigned S : G.Succs[N])
+    for (unsigned S : G.succs(N))
       if (S != A && !Seen[S]) {
         Seen[S] = 1;
         Work.push_back(S);
@@ -198,15 +198,17 @@ bool bruteForceDominates(const DiGraph &G, unsigned A, unsigned B) {
 DiGraph randomGraph(uint64_t Seed) {
   RNG R(Seed);
   unsigned N = 3 + static_cast<unsigned>(R.nextBelow(10));
-  DiGraph G(N, 0);
-  // A spine guarantees some reachability; extra random edges add shape.
+  std::vector<GraphEdge> Edges;
+  // A spine guarantees some reachability; extra random edges add shape
+  // (and the odd repeated edge, which the graph drops).
   for (unsigned K = 1; K != N; ++K)
-    G.addEdge(static_cast<unsigned>(R.nextBelow(K)), K);
+    Edges.push_back({static_cast<unsigned>(R.nextBelow(K)), K});
   unsigned Extra = static_cast<unsigned>(R.nextBelow(2 * N));
-  for (unsigned K = 0; K != Extra; ++K)
-    G.addEdge(static_cast<unsigned>(R.nextBelow(N)),
-              static_cast<unsigned>(R.nextBelow(N)));
-  return G;
+  for (unsigned K = 0; K != Extra; ++K) {
+    unsigned From = static_cast<unsigned>(R.nextBelow(N));
+    Edges.push_back({From, static_cast<unsigned>(R.nextBelow(N))});
+  }
+  return DiGraph(N, 0, Edges);
 }
 
 } // namespace
@@ -216,9 +218,9 @@ class DominatorPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(DominatorPropertyTest, MatchesBruteForce) {
   DiGraph G = randomGraph(GetParam());
   DomTree D(G);
-  BitSet Reachable = reachableFrom(G, G.Entry);
-  for (unsigned A = 0; A != G.NumNodes; ++A)
-    for (unsigned B = 0; B != G.NumNodes; ++B) {
+  BitSet Reachable = reachableFrom(G, G.entry());
+  for (unsigned A = 0; A != G.numNodes(); ++A)
+    for (unsigned B = 0; B != G.numNodes(); ++B) {
       if (!Reachable.test(A) || !Reachable.test(B))
         continue;
       EXPECT_EQ(D.dominates(A, B), bruteForceDominates(G, A, B))

@@ -47,6 +47,27 @@ B0:
   EXPECT_EQ(P.PeakBlock, 0u);
 }
 
+TEST(RegPressureTest, InstructionDefiningAndUsingOneRegister) {
+  // Sweeping backward, AI kills its def before its use revives it: above
+  // the AI r1 is live again (its old value feeds the AI) although the new
+  // value is dead, so r1, r2 and r3 are live together there and nowhere
+  // else.  Reviving first and killing second would report 2.
+  auto M = parseModuleOrDie(R"(
+func f {
+B0:
+  LI r1 = 1
+  LI r2 = 2
+  LI r3 = 3
+  AI r1 = r1, 1
+  A r4 = r2, r3
+  RET r4
+}
+)");
+  RegPressure P = computeRegPressure(*M->functions()[0]);
+  EXPECT_EQ(P.maxLive(RegClass::GPR), 3u);
+  EXPECT_EQ(P.PeakBlock, 0u);
+}
+
 TEST(RegPressureTest, CountsClassesSeparately) {
   auto M = parseModuleOrDie(R"(
 func f {
