@@ -63,12 +63,15 @@
 #include "sched/PreRenaming.h"
 #include "sched/ScheduleVerifier.h"
 #include "support/FaultInjection.h"
+#include "support/Format.h"
 #include "support/Hashing.h"
 #include "workloads/RandomProgram.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -118,6 +121,74 @@ PipelineOptions coldpathOpts(uint64_t Seed) {
   Opts.Opt.Level = (Seed % 3 == 0) ? 2 : 0;
   Opts.CollectDecisions = true;
   return Opts;
+}
+
+//===----------------------------------------------------------------------===
+// Golden schedules: every emitted schedule pinned to a committed hash
+//===----------------------------------------------------------------------===
+
+/// One line of the golden table: the corpus item and its configuration,
+/// hashKey128 of the printed module after scheduleModule, and the
+/// compile's rollback count.
+std::string goldenLine(const std::string &Item, const std::string &Source,
+                       SchedLevel Level, unsigned OptLevel, bool Superblocks) {
+  std::unique_ptr<Module> M = compileMiniCOrDie(Source);
+  PipelineOptions Opts;
+  Opts.Level = Level;
+  Opts.Opt.Level = OptLevel;
+  Opts.EnableSuperblocks = Superblocks;
+  PipelineStats Stats = scheduleModule(*M, MachineDescription::rs6k(), Opts);
+  Key128 K = hashKey128(moduleToString(*M));
+  return formatString(
+      "%s %s -O%u superblocks=%s %016llx%016llx %u", Item.c_str(),
+      Level == SchedLevel::Useful ? "useful" : "speculative", OptLevel,
+      Superblocks ? "on" : "off", static_cast<unsigned long long>(K.Hi),
+      static_cast<unsigned long long>(K.Lo),
+      Stats.RegionsRolledBack + Stats.TransformsRolledBack);
+}
+
+// generateRandomMiniC seeds 1-200 and the specLikeWorkloads() kernels, each
+// under {useful, speculative} x {-O0, -O2} x superblocks {off, on}, must
+// print exactly as tests/data/golden_schedules.txt records.  On a mismatch
+// the test names the first differing line and writes the whole actual
+// table to golden_schedules.txt beside the test binary; a change that
+// means to alter schedules regenerates the golden file by copying that
+// one over it.
+TEST(ColdpathGolden, SchedulesMatchCommittedHashes) {
+  std::vector<std::pair<std::string, std::string>> Corpus;
+  for (uint64_t Seed = 1; Seed <= 200; ++Seed)
+    Corpus.emplace_back("seed" + std::to_string(Seed),
+                        generateRandomMiniC(Seed));
+  for (const Workload &W : specLikeWorkloads())
+    Corpus.emplace_back(W.Name, W.Source);
+
+  std::vector<std::string> Actual;
+  for (const auto &[Item, Source] : Corpus)
+    for (SchedLevel Level : {SchedLevel::Useful, SchedLevel::Speculative})
+      for (unsigned OptLevel : {0u, 2u})
+        for (bool Superblocks : {false, true})
+          Actual.push_back(
+              goldenLine(Item, Source, Level, OptLevel, Superblocks));
+
+  std::vector<std::string> Expected;
+  std::ifstream In(GIS_TEST_DATA_DIR "/golden_schedules.txt");
+  for (std::string Line; std::getline(In, Line);)
+    Expected.push_back(Line);
+  if (Actual == Expected)
+    return;
+
+  const std::string OutPath = GIS_TEST_BINARY_DIR "/golden_schedules.txt";
+  std::ofstream Out(OutPath);
+  for (const std::string &Line : Actual)
+    Out << Line << '\n';
+  size_t K = 0;
+  while (K < Actual.size() && K < Expected.size() && Actual[K] == Expected[K])
+    ++K;
+  FAIL() << "golden schedules differ at line " << K + 1 << ":\n  expected: "
+         << (K < Expected.size() ? Expected[K] : "<end of file>")
+         << "\n  actual:   "
+         << (K < Actual.size() ? Actual[K] : "<end of table>")
+         << "\nthe whole actual table is in " << OutPath;
 }
 
 //===----------------------------------------------------------------------===
