@@ -1,15 +1,12 @@
 //===- bench/bench_coldpath.cpp - E13: cold-path scheduling throughput -----===//
 //
 // Cold-compile throughput of the scheduler itself, cache off: functions
-// per second over a multi-function random workload batch, across the
-// {incremental, full-recompute} x {-O0, -O2} x {useful, speculative}
-// matrix.  The incremental cold path (DESIGN.md section 14) emits
-// bit-identical schedules (tests/coldpath_test.cpp), so the speedup
-// column is a pure bookkeeping win.  The results merge into
-// BENCH_engine.json as the "coldpath" section, and the run *fails* when
-// the incremental speculative -O0 rate -- the configuration gisc runs by
-// default -- drops more than 10% below the value the previous run
-// recorded there.
+// per second over a multi-function random workload batch, one row per
+// {-O0, -O2} x {useful, speculative} configuration of the cold path
+// (DESIGN.md sections 14-15).  The results merge into BENCH_engine.json
+// as the "coldpath" section, and the run *fails* when the speculative -O0
+// rate -- the configuration gisc runs by default -- drops more than 10%
+// below the value the previous run recorded there.
 //
 //===----------------------------------------------------------------------===//
 
@@ -76,9 +73,7 @@ ColdRun measureCold(const std::vector<std::string> &Sources,
 struct MatrixPoint {
   unsigned OptLevel;
   const char *Level;
-  bool Incremental;
   double FuncsPerSec;
-  double Speedup; ///< vs the full-recompute twin of the same config
 };
 
 std::string jsonSection(const std::vector<MatrixPoint> &Points,
@@ -93,15 +88,14 @@ std::string jsonSection(const std::vector<MatrixPoint> &Points,
     const MatrixPoint &P = Points[K];
     std::snprintf(Line, sizeof(Line),
                   "      {\"opt\": %u, \"level\": \"%s\", "
-                  "\"incremental\": %s, \"funcs_per_sec\": %.1f, "
-                  "\"speedup\": %.2f}%s\n",
-                  P.OptLevel, P.Level, P.Incremental ? "true" : "false",
-                  P.FuncsPerSec, P.Speedup,
+                  "\"funcs_per_sec\": %.1f}%s\n",
+                  P.OptLevel, P.Level, P.FuncsPerSec,
                   K + 1 == Points.size() ? "" : ",");
     S += Line;
   }
   // Machinery totals of the gate configuration's batch (DESIGN.md
-  // section 15): how much work the round-two incremental pieces saved.
+  // section 15): how much work the cache, delta checkpoints and scoped
+  // verification saved.
   S += "    ],\n    \"gate_counters\": {\n";
   const struct {
     const char *Key;
@@ -138,53 +132,37 @@ int runE13() {
               "(cache off, %u modules, hardware threads: %u)\n",
               BatchModules, hardwareThreads());
   rule(72);
-  std::printf("%6s%14s%14s%14s%12s\n", "OPT", "LEVEL", "MODE", "FUNCS/SEC",
-              "SPEEDUP");
+  std::printf("%6s%14s%14s\n", "OPT", "LEVEL", "FUNCS/SEC");
   rule(72);
 
   std::vector<MatrixPoint> Points;
   unsigned Functions = 0;
-  double GateValue = 0; // incremental speculative -O0
+  double GateValue = 0; // speculative -O0
   obs::CounterSet GateCounters;
   for (unsigned OptLevel : {0u, 2u}) {
     for (const char *Level : {"useful", "speculative"}) {
-      double FullRate = 0;
-      for (bool Incremental : {false, true}) {
-        PipelineOptions Opts = std::string(Level) == "useful"
-                                   ? usefulOptions()
-                                   : speculativeOptions();
-        Opts.Opt.Level = OptLevel;
-        Opts.Incremental = Incremental;
-        ColdRun R = measureCold(Sources, Opts);
-        Functions = R.Functions;
-        double Rate = R.funcsPerSec();
-        if (!Incremental)
-          FullRate = Rate;
-        double Speedup = FullRate > 0 ? Rate / FullRate : 0.0;
-        Points.push_back({OptLevel, Level, Incremental, Rate, Speedup});
-        if (Incremental && OptLevel == 0 &&
-            std::string(Level) == "speculative") {
-          GateValue = Rate;
-          GateCounters = R.Counters;
-        }
-        std::printf("%6s%14s%14s%14.1f%11.2fx\n",
-                    OptLevel ? "-O2" : "-O0", Level,
-                    Incremental ? "incremental" : "full", Rate, Speedup);
+      const bool Spec = std::string(Level) == "speculative";
+      PipelineOptions Opts = Spec ? speculativeOptions() : usefulOptions();
+      Opts.Opt.Level = OptLevel;
+      ColdRun R = measureCold(Sources, Opts);
+      Functions = R.Functions;
+      double Rate = R.funcsPerSec();
+      Points.push_back({OptLevel, Level, Rate});
+      if (Spec && OptLevel == 0) {
+        GateValue = Rate;
+        GateCounters = R.Counters;
       }
+      std::printf("%6s%14s%14.1f\n", OptLevel ? "-O2" : "-O0", Level, Rate);
     }
   }
   rule(72);
-  std::printf("\"full\" is --no-incremental: per-pick recomputation of the "
-              "ready set and\nfull liveness re-solves (the reference mode "
-              "the 200-seed fuzz in\ntests/coldpath_test.cpp checks "
-              "bit-identity against).\n");
 
   const uint64_t Hits = GateCounters.get(obs::ColdDisambigCacheHits);
   const uint64_t Misses = GateCounters.get(obs::ColdDisambigCacheMisses);
   const uint64_t Scoped = GateCounters.get(obs::ColdVerifyBlocksScoped);
   const uint64_t Total = GateCounters.get(obs::ColdVerifyBlocksTotal);
-  std::printf("\nround-two machinery on the gate batch (speculative -O0, "
-              "incremental):\n"
+  std::printf("\ncold-path machinery on the gate batch (speculative "
+              "-O0):\n"
               "  disambig cache: %llu hits / %llu misses (%.0f%% hit rate)\n"
               "  delta checkpoints: %llu bytes recorded\n"
               "  scoped verification: %llu of %llu region blocks swept "
@@ -199,17 +177,16 @@ int runE13() {
               Total ? 100.0 * (Total - Scoped) / Total : 0.0);
 
   const char *Path = "BENCH_engine.json";
-  // The previously recorded gate value: the incremental speculative -O0
-  // funcs/s of the last run (0 when nothing is recorded yet).
+  // The previously recorded gate value: the speculative -O0 funcs/s of
+  // the last run (0 when nothing is recorded yet).
   double Previous = recordedNumber(Path, "coldpath", "gate_funcs_per_sec");
   mergeJsonSection(Path, "bench_coldpath", "coldpath",
                    jsonSection(Points, Functions, GateValue, GateCounters));
 
   if (Previous > 0 && GateValue < 0.9 * Previous) {
     std::fprintf(stderr,
-                 "bench_coldpath: REGRESSION -- incremental speculative -O0 "
-                 "cold rate %.1f funcs/s is more than 10%% below the "
-                 "recorded %.1f\n",
+                 "bench_coldpath: REGRESSION -- speculative -O0 cold rate "
+                 "%.1f funcs/s is more than 10%% below the recorded %.1f\n",
                  GateValue, Previous);
     return 1;
   }
@@ -220,18 +197,15 @@ int runE13() {
 }
 
 void BM_ColdSchedule(benchmark::State &State) {
-  bool Incremental = State.range(0) != 0;
   std::string Source = generateRandomMiniC(9001);
   PipelineOptions Opts = speculativeOptions();
-  Opts.Incremental = Incremental;
   for (auto _ : State) {
     auto M = compileMiniCOrDie(Source);
     PipelineStats Stats = scheduleModule(*M, MachineDescription::rs6k(), Opts);
     benchmark::DoNotOptimize(Stats.Global.UsefulMotions);
   }
-  State.SetLabel(Incremental ? "incremental" : "full");
 }
-BENCHMARK(BM_ColdSchedule)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ColdSchedule)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -136,7 +136,7 @@ void printTransactionTable() {
     Cs.push_back({"+ oracle (debug)", Oracle});
   }
 
-  std::printf("\nE7: transactional-layer compile-time overhead "
+  std::printf("\nE6c: transactional-layer compile-time overhead "
               "(scheduling-only, RS/6000)\n");
   rule(90);
   std::printf("%-22s", "CONFIG");
@@ -168,7 +168,7 @@ void printTransactionTable() {
 }
 
 // Compile-time cost of the observability subsystem (src/obs/), measured
-// like E7 as scheduling-only seconds.  The guarded number is the cost of
+// like E6c as scheduling-only seconds.  The guarded number is the cost of
 // the *default* configuration -- counters on, tracer off -- over a run
 // with all collection disabled: the issue budget is < 2%.  The result is
 // merged into BENCH_engine.json (key "observability") next to the engine
@@ -212,7 +212,7 @@ void printObservabilityTable() {
 
   Cs.push_back({"+ tracer on", speculativeOptions()});
 
-  std::printf("\nE8: observability compile-time overhead "
+  std::printf("\nE6d: observability compile-time overhead "
               "(scheduling-only, RS/6000)\n");
   rule(90);
   std::printf("%-22s", "CONFIG");
@@ -307,7 +307,7 @@ void printOptPassTable() {
   }
   rule(90);
   std::printf("per-pass wall-clock includes the transactional wrapper "
-              "(checkpoint + verify);\nsee E7 for the wrapper's own "
+              "(checkpoint + verify);\nsee E6c for the wrapper's own "
               "cost.\n");
 }
 

@@ -15,9 +15,6 @@
 //                                (one per line, '#' comments)
 //     --no-cache                 disable the content-addressed schedule
 //                                cache
-//     --no-incremental           recompute liveness/heuristics/ready sets
-//                                from scratch instead of incrementally;
-//                                output is bit-identical (DESIGN.md s.14)
 //     Passing several input files (or --jobs/--batch) selects the engine
 //     path: all files are front-ended, every function is scheduled on the
 //     worker pool, and outputs/stats are emitted in input order.  The
@@ -372,10 +369,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Cli) {
       Cli.EngineRequested = true;
     } else if (A == "--no-cache") {
       Cli.UseCache = false;
-    } else if (A == "--no-incremental") {
-      // Recompute-from-scratch slow path; output is bit-identical to the
-      // default incremental fast path (tests/coldpath_test.cpp).
-      Cli.Pipeline.Incremental = false;
     } else if (A == "--cache-dir") {
       const char *V = Next();
       if (!V)

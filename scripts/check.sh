@@ -5,9 +5,9 @@
 # the suites that compile on concurrent threads -- the batch engine, whose
 # workers schedule distinct functions in parallel, and the subsystems
 # those workers share -- under TSan (-DGIS_SANITIZE=thread; TSan and ASan
-# cannot share a build), then the cold-path equivalence suite (label
-# "perf-equiv") in a -DGIS_SLOWPATH_CHECK=ON build where the incremental
-# scheduler cross-checks every update against full recomputation, then
+# cannot share a build), then the cold-path suite (label "perf-equiv",
+# the golden schedule table included) in a -DGIS_SLOWPATH_CHECK=ON build
+# where the cold path cross-checks itself against full recomputation, then
 # two gisc processes sharing one cache directory, and finally the
 # benchmark's own self-test.  Run from anywhere; builds land in build/,
 # build-san/, build-tsan/, build-slowcheck/ and .bench_build/ next to the
@@ -57,12 +57,14 @@ build_tree "$ROOT/build-tsan" -DGIS_SANITIZE=thread
 ctest --test-dir "$ROOT/build-tsan" --output-on-failure -L 'parallel|obs|regalloc|persist|opt'
 
 echo "== slowpath-check build (GIS_SLOWPATH_CHECK=ON): perf-equiv suite =="
-# The incremental cold path re-derives every liveness set, heuristic
-# value and per-cycle ready list from scratch, cross-checks every
-# disambiguation-cache hit, and runs the block-scoped and the full
-# schedule verifier side by side on every region task, fatal-erroring on
-# any divergence (DESIGN.md sections 14-15); the equivalence suite then
-# checks the fast path pick by pick, not just end to end.
+# The cold path checks every per-cycle ready list and fast-forward of the
+# list scheduler against a full scan, every disambiguation-cache hit
+# against a fresh solve and every delta rollback against a full snapshot,
+# and runs the block-scoped and the full schedule verifier side by side
+# on every region task, fatal-erroring on any divergence (DESIGN.md
+# sections 14-15); the perf-equiv suite, whose golden table compiles
+# 1,632 programs, then checks the cold path pick by pick, not just end to
+# end.
 build_tree "$ROOT/build-slowcheck" -DGIS_SLOWPATH_CHECK=ON
 ctest --test-dir "$ROOT/build-slowcheck" --output-on-failure -L 'perf-equiv'
 

@@ -177,18 +177,6 @@ RegionLiveness RegionLiveness::build(const Function &F, const SchedRegion &R,
   return LS;
 }
 
-bool RegionLiveness::rebuildSlotSets(const Function &F, unsigned S) {
-  unsigned Words = UEVars.wordsPerRow();
-  uint64_t *NewUEVar = Scratch.data(), *NewKill = Scratch.data() + Words;
-  std::fill(Scratch.begin(), Scratch.end(), 0);
-  localSets(F, Blocks[S], ClassBase, Universe, NewUEVar, NewKill);
-  bool Changed = !std::equal(NewUEVar, NewUEVar + Words, UEVars.row(S)) ||
-                 !std::equal(NewKill, NewKill + Words, Kills.row(S));
-  std::copy(NewUEVar, NewUEVar + Words, UEVars.row(S));
-  std::copy(NewKill, NewKill + Words, Kills.row(S));
-  return Changed;
-}
-
 void RegionLiveness::recompute(const Function &F) {
   // Dense universe from the function's *current* counters so registers
   // created by renaming since build() are representable.
@@ -206,34 +194,18 @@ void RegionLiveness::recompute(const Function &F) {
       BoundaryBits.set(S, denseIndex(BoundaryRegs[K]));
   }
 
-  LiveIns.assign(N, U);
+  // Seed LiveIn with the upward-exposed uses (transfer()'s early-out), then
+  // solve backward; the frozen boundary plays the role of the
+  // out-of-region successors' live-in sets.
+  LiveIns = UEVars;
   LiveOuts.assign(N, U);
-  Scratch.assign(2 * static_cast<size_t>(UEVars.wordsPerRow()), 0);
-  solve(std::vector<uint8_t>(N, 1));
-}
-
-unsigned RegionLiveness::solve(const std::vector<uint8_t> &Affected) {
-  // Reset the affected slots to bottom and re-solve the restricted system
-  // with the other slots' live-in sets frozen (exact: every in-region
-  // successor of an unaffected slot is unaffected).  The frozen boundary
-  // plays the role of the out-of-region successors' live-in sets.
-  unsigned N = static_cast<unsigned>(Blocks.size());
   unsigned Words = UEVars.wordsPerRow();
-  unsigned Resolved = 0;
-  for (unsigned S = 0; S != N; ++S) {
-    if (!Affected[S])
-      continue;
-    ++Resolved;
-    std::copy(UEVars.row(S), UEVars.row(S) + Words, LiveIns.row(S));
-    LiveOuts.clearRow(S);
-  }
+  Scratch.assign(Words, 0);
   uint64_t *Out = Scratch.data();
   bool Changed = true;
   while (Changed) {
     Changed = false;
     for (unsigned K = N; K-- > 0;) {
-      if (!Affected[K])
-        continue;
       std::copy(BoundaryBits.row(K), BoundaryBits.row(K) + Words, Out);
       for (unsigned T : InRegion.succs(K))
         unionRow(Out, LiveIns.row(T), Words);
@@ -241,55 +213,4 @@ unsigned RegionLiveness::solve(const std::vector<uint8_t> &Affected) {
                           LiveIns.row(K), Words);
     }
   }
-  return Resolved;
-}
-
-RegionLiveness::UpdateResult
-RegionLiveness::recomputeBlocks(const Function &F,
-                                const std::vector<BlockId> &Changed) {
-  UpdateResult R;
-
-  // Universe growth (renaming since the last solve) shifts the dense
-  // per-class indexing; every cached row is then stale.  Full solve.
-  std::array<unsigned, 3> NewBase;
-  unsigned NewUniverse = denseBases(F, NewBase);
-  unsigned N = static_cast<unsigned>(Blocks.size());
-  if (NewBase != ClassBase || NewUniverse != Universe) {
-    recompute(F);
-    R.Full = true;
-    R.BlocksResolved = N;
-    return R;
-  }
-
-  // Re-derive the edited blocks' summaries (each block once); unchanged
-  // summaries leave the old solution a valid (least) fixpoint.
-  std::vector<unsigned> Work;
-  for (auto It = Changed.begin(); It != Changed.end(); ++It) {
-    if (std::find(Changed.begin(), It, *It) != It)
-      continue;
-    unsigned S = slotOf(*It);
-    if (rebuildSlotSets(F, S))
-      Work.push_back(S);
-  }
-  if (Work.empty())
-    return R;
-
-  // Affected slots: everything that reaches a dirty slot inside the
-  // region (backward walk over in-region predecessor edges; the frozen
-  // boundary never changes, so out-of-region paths contribute nothing).
-  std::vector<uint8_t> Affected(N, 0);
-  for (unsigned S : Work)
-    Affected[S] = 1;
-  while (!Work.empty()) {
-    unsigned S = Work.back();
-    Work.pop_back();
-    for (unsigned P : InRegion.preds(S))
-      if (!Affected[P]) {
-        Affected[P] = 1;
-        Work.push_back(P);
-      }
-  }
-
-  R.BlocksResolved = solve(Affected);
-  return R;
 }

@@ -17,11 +17,11 @@
 /// moved speculatively into a block if it writes a register that is live
 /// on exit from that block, so the live-on-exit sets are kept current
 /// after each speculative motion).  It solves the region's blocks only,
-/// with an exact delta update after each motion (DESIGN.md section 14).
-/// Both views use dense per-class register indexing throughout, and keep
-/// each per-block family of sets (UEVar, Kill, LiveIn, LiveOut, boundary)
-/// as one flat word array of rows; the fixpoints work a row at a time
-/// through one scratch row.
+/// and re-solves them whole after a motion or rename.  Both views use
+/// dense per-class register indexing throughout, and keep each per-block
+/// family of sets (UEVar, Kill, LiveIn, LiveOut, boundary) as one flat
+/// word array of rows; the fixpoints work a row at a time through one
+/// scratch row.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -108,27 +108,8 @@ private:
 /// answers exactly as one built at wave start would.
 /// `tests/region_wave_test.cpp` checks the equivalence against
 /// whole-function liveness over the random-program corpus.
-///
-/// Delta updates: the view caches each block's UEVar/Kill summary, so
-/// after a code motion -- which edits at most two blocks --
-/// recomputeBlocks() re-derives only those summaries.  If they are
-/// unchanged the old solution still satisfies every dataflow equation and
-/// nothing is done.  Otherwise the blocks whose sets can depend on a
-/// changed summary are exactly the region blocks that *reach* a changed
-/// block (liveness flows backward); those are reset to bottom and
-/// re-solved with the live-in sets of all other blocks frozen.  The
-/// restricted system's least fixpoint coincides with the full one's
-/// because every successor of an unaffected block is itself unaffected.
-/// Renaming can grow the register universe, shifting the dense indexing;
-/// that (rare) case falls back to a full recompute().
 class RegionLiveness {
 public:
-  /// What recomputeBlocks() ended up doing, for the obs coldpath counters.
-  struct UpdateResult {
-    bool Full = false;           ///< fell back to a full region solve
-    unsigned BlocksResolved = 0; ///< blocks re-solved by the delta path
-  };
-
   RegionLiveness() = default;
 
   /// Captures the boundary of \p R from \p WholeLV and solves the region
@@ -142,12 +123,6 @@ public:
   /// universe is re-derived from the function's current counters, so
   /// registers created since build() are covered.
   void recompute(const Function &F);
-
-  /// Exact delta update after motions/renames confined to the \p Changed
-  /// region blocks (the CFG must be unchanged since build()).  The result
-  /// is bit-identical to recompute(\p F).
-  UpdateResult recomputeBlocks(const Function &F,
-                               const std::vector<BlockId> &Changed);
 
   /// True if \p B is one of the region's real blocks (the only blocks this
   /// view can answer queries for).
@@ -165,29 +140,7 @@ public:
     return LiveIns.test(slotOf(B), denseIndex(R));
   }
 
-  /// True when both views hold identical solutions, for the
-  /// GIS_SLOWPATH_CHECK cross-check and the equivalence tests.
-  bool sameSetsAs(const RegionLiveness &RHS) const {
-    return ClassBase == RHS.ClassBase && Universe == RHS.Universe &&
-           LiveIns == RHS.LiveIns && LiveOuts == RHS.LiveOuts;
-  }
-
-  /// Deliberately corrupts the cached live-out set of region block \p B
-  /// (fault stage "liveness-delta"): the Section 5.3 guard then believes
-  /// nothing is live on exit, so an illegal speculative motion can slip
-  /// through -- which the semantic verifier / transaction rollback must
-  /// catch.
-  void corruptLiveOutForTest(BlockId B) { LiveOuts.clearRow(slotOf(B)); }
-
 private:
-  /// Rebuilds slot \p S's UEVar/Kill summary from the function's current
-  /// contents; returns true when either row changed.
-  bool rebuildSlotSets(const Function &F, unsigned S);
-
-  /// Re-solves the \p Affected slots (one flag per slot) from bottom, the
-  /// others held fixed; returns how many slots were re-solved.
-  unsigned solve(const std::vector<uint8_t> &Affected);
-
   unsigned denseIndex(Reg R) const {
     GIS_ASSERT(R.isValid(), "liveness query on invalid register");
     return ClassBase[static_cast<unsigned>(R.regClass())] + R.index();
@@ -199,9 +152,7 @@ private:
 
   std::vector<BlockId> Blocks; ///< region real blocks, layout order
   std::vector<int> SlotOf;     ///< BlockId -> slot, -1 outside
-  /// In-region CFG edges between slots (back edges included): successors
-  /// feed the fixpoint, predecessors the delta path's backward
-  /// affected-set walk.
+  /// In-region CFG edges between slots (back edges included).
   DiGraph InRegion;
   /// Per slot: union of the frozen live-in sets of out-of-region CFG
   /// successors (loop exits and collapsed child-loop entries), sorted;
@@ -214,11 +165,11 @@ private:
   unsigned Universe = 0;
   BitMatrix LiveIns;  ///< one row per slot
   BitMatrix LiveOuts; ///< one row per slot
-  BitMatrix UEVars;   ///< one row per slot, cached for delta updates
-  BitMatrix Kills;    ///< one row per slot, cached for delta updates
-  /// One row per slot: the boundary in the current dense indexing.
-  BitMatrix BoundaryBits;
-  /// Two rows of working space for solve() and rebuildSlotSets().
+  /// Working rows of recompute(), one per slot, kept so that a re-solve
+  /// reuses their storage: upward-exposed uses, kills, and the boundary in
+  /// the current dense indexing.
+  BitMatrix UEVars, Kills, BoundaryBits;
+  /// One row of working space for the fixpoint.
   std::vector<uint64_t> Scratch;
 };
 

@@ -85,10 +85,6 @@ uint64_t gis::fingerprintOptions(const PipelineOptions &Opts) {
   // the shared on-disk tier (asserted by tests/opt_test.cpp).
   for (opt::PassId P : opt::passPipeline())
     H.addBool(Opts.Opt.enabled(P));
-  // Incremental is deliberately NOT part of the fingerprint: the
-  // incremental cold path emits schedules bit-identical to the
-  // recompute-from-scratch one (see sched/ListScheduler.h), so entries are
-  // shared across --no-incremental.  Asserted by tests/coldpath_test.cpp.
   return H.hash();
 }
 

@@ -101,8 +101,8 @@ private:
 class DeltaCheckpoint {
 public:
   /// Captures shape and manifest of \p F.  With \p Armed false the
-  /// checkpoint is a no-op shell (notes ignored, no manifest): the
-  /// `--no-incremental` fallback runs under a FunctionSnapshot instead.
+  /// checkpoint is a no-op shell (notes ignored, no manifest), for a
+  /// pipeline run with transactions off, which never rolls back.
   explicit DeltaCheckpoint(const Function &F, bool Armed = true);
 
   /// Saves the current instruction list of block \p B (first touch only).

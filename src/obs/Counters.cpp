@@ -52,9 +52,8 @@ constexpr CounterInfo Infos[NumCounters] = {
     {"serve.timeouts", "daemon requests past deadline"},
     {"coldpath.arena_bytes", "bytes reserved by DDG arenas"},
     {"coldpath.ddg_nodes", "DDG nodes built"},
-    {"coldpath.liveness_delta", "blocks re-solved by incremental liveness"},
-    {"coldpath.liveness_full", "full liveness recomputations"},
-    {"coldpath.heur_block_recomputes", "per-block D/CP refreshes"},
+    {"coldpath.liveness_delta", "always 0 (no delta liveness)"},
+    {"coldpath.liveness_full", "region liveness re-solves"},
     {"coldpath.ready_fastforwards", "empty ready-list ranges skipped"},
     {"coldpath.disambig_cache_hits", "disambig cache hits"},
     {"coldpath.disambig_cache_misses", "disambig cache misses"},

@@ -7,7 +7,6 @@
 #include "sched/Heuristics.h"
 #include "sched/ListScheduler.h"
 #include "sched/Renaming.h"
-#include "support/FaultInjection.h"
 
 #include <algorithm>
 #include <optional>
@@ -67,47 +66,22 @@ GlobalSchedStats GlobalScheduler::scheduleRegion(Function &F,
   for (unsigned N = 0; N != DD.numNodes(); ++N)
     CurNode[N] = DD.ddgNode(N).RegionNode;
 
-  // Live-on-exit sets, maintained dynamically (Section 5.3): recomputed
-  // lazily after motions.  The view is region-restricted, its out-of-region
-  // boundary frozen from the wave-start liveness, so recomputation touches
-  // only the region's blocks and the task reads nothing outside its region
-  // (analysis/Liveness.h).
+  // Live-on-exit sets, maintained dynamically (Section 5.3): re-solved
+  // lazily after motions and renames.  The view is region-restricted, its
+  // out-of-region boundary frozen from the wave-start liveness, so a
+  // re-solve touches only the region's blocks and the task reads nothing
+  // outside its region (analysis/Liveness.h).
   std::optional<Liveness> EntryLV;
   if (!WaveLV)
     WaveLV = &EntryLV.emplace(Liveness::compute(F));
   RegionLiveness LV = RegionLiveness::build(F, R, *WaveLV);
-  // Dirty-set maintenance (DESIGN.md section 14): motions and renames
-  // record which blocks changed; freshening re-solves only the affected
-  // cone (or everything, after ForceFullLiveness -- the self-heal path of
-  // the liveness-delta fault and the --no-incremental slow path).
-  std::vector<BlockId> LivenessDirtyBlocks;
-  bool ForceFullLiveness = false;
-  auto MarkLivenessDirty = [&](BlockId B) {
-    LivenessDirtyBlocks.push_back(B);
-  };
+  bool LivenessStale = false;
   auto FreshenLiveness = [&]() {
-    if (LivenessDirtyBlocks.empty() && !ForceFullLiveness)
+    if (!LivenessStale)
       return;
-    if (!Opts.Incremental || ForceFullLiveness) {
-      LV.recompute(F);
-      BumpObs(obs::ColdLivenessFull);
-      ForceFullLiveness = false;
-    } else {
-      RegionLiveness::UpdateResult U =
-          LV.recomputeBlocks(F, LivenessDirtyBlocks);
-      if (U.Full)
-        BumpObs(obs::ColdLivenessFull);
-      else
-        BumpObs(obs::ColdLivenessDelta, U.BlocksResolved);
-#ifdef GIS_SLOWPATH_CHECK
-      RegionLiveness Fresh = LV;
-      Fresh.recompute(F);
-      GIS_ASSERT(LV.sameSetsAs(Fresh),
-                 "slowpath check: incremental region liveness diverged from "
-                 "a fresh recompute");
-#endif
-    }
-    LivenessDirtyBlocks.clear();
+    LV.recompute(F);
+    BumpObs(obs::ColdLivenessFull);
+    LivenessStale = false;
   };
   std::function<bool(BlockId, Reg)> IsLiveOut = [&](BlockId B, Reg Rg) {
     return LV.isLiveOut(B, Rg);
@@ -116,27 +90,10 @@ GlobalSchedStats GlobalScheduler::scheduleRegion(Function &F,
   unsigned SpecDepth =
       Opts.Level == SchedLevel::Speculative ? Opts.MaxSpecDepth : 0;
 
-  // Per-region-node membership (DDG nodes currently placed there, in
-  // ascending index order) and the set of nodes whose membership changed
-  // since the last heuristics refresh.  D/CP only read same-block
-  // successors, so refreshing exactly the dirty blocks reproduces a full
-  // computeHeuristics() bit for bit (sched/Heuristics.h).
-  std::vector<std::vector<unsigned>> MembersOf(R.numNodes());
-  for (unsigned N = 0; N != DD.numNodes(); ++N)
-    MembersOf[CurNode[N]].push_back(N);
-  std::vector<uint8_t> HeurDirtyFlag(R.numNodes(), 0);
-  std::vector<unsigned> HeurDirty;
-  bool HeurForceFull = false;
-  auto MarkHeurDirty = [&](unsigned RN) {
-    if (!HeurDirtyFlag[RN]) {
-      HeurDirtyFlag[RN] = 1;
-      HeurDirty.push_back(RN);
-    }
-  };
-
-  // Heuristics reflect the current placement; refreshed at each target
-  // block (the previous block's motions changed block contents).
+  // Heuristics reflect the current placement; recomputed at a target
+  // block when earlier blocks' motions changed block contents.
   Heuristics H = computeHeuristics(F, DD, MD, CurNode);
+  bool HeurStale = false;
 
   // Process the region's real blocks in topological order.
   for (unsigned A : R.topoOrder()) {
@@ -148,38 +105,9 @@ GlobalSchedStats GlobalScheduler::scheduleRegion(Function &F,
     obs::TraceSpan BlockSpan("block", "sched", "block",
                              static_cast<int64_t>(ABlock));
 
-    if (!Opts.Incremental || HeurForceFull) {
+    if (HeurStale) {
       H = computeHeuristics(F, DD, MD, CurNode);
-      for (unsigned RN : HeurDirty)
-        HeurDirtyFlag[RN] = 0;
-      HeurDirty.clear();
-      HeurForceFull = false;
-    } else {
-      std::sort(HeurDirty.begin(), HeurDirty.end());
-      for (unsigned RN : HeurDirty) {
-        recomputeHeuristicsForBlock(F, DD, MD, CurNode, MembersOf[RN], H);
-        HeurDirtyFlag[RN] = 0;
-        BumpObs(obs::ColdHeurBlockRecomputes);
-      }
-      HeurDirty.clear();
-#ifdef GIS_SLOWPATH_CHECK
-      {
-        Heuristics Ref = computeHeuristics(F, DD, MD, CurNode);
-        GIS_ASSERT(Ref.D == H.D && Ref.CP == H.CP,
-                   "slowpath check: incremental heuristics diverged from a "
-                   "full recompute");
-      }
-#endif
-    }
-    if (FaultInjector::instance().shouldFire("heur-delta")) {
-      // A buggy per-block refresh would leave wrong priorities behind.
-      // Zeroed D/CP perturb pick order only, so the resulting schedule is
-      // legal but different; the force-full flag is the next refresh's
-      // self-heal.  Fired after the slowpath cross-check so a CHECK build
-      // validates the real update, not the sabotage.
-      std::fill(H.D.begin(), H.D.end(), 0u);
-      std::fill(H.CP.begin(), H.CP.end(), 0u);
-      HeurForceFull = true;
+      HeurStale = false;
     }
 
     // Own instructions, in current program order.
@@ -241,17 +169,6 @@ GlobalSchedStats GlobalScheduler::scheduleRegion(Function &F,
         return false; // already failing: no further motion
       InstrId I = DD.ddgNode(Node).Instr;
       FreshenLiveness();
-      if (FaultInjector::instance().shouldFire("liveness-delta")) {
-        // A buggy delta update would leave a stale live-on-exit set
-        // behind.  Emptying A's set lets speculative defs that should be
-        // vetoed slip through; the force-full flag makes the next freshen
-        // self-heal, so the corruption window is exactly this guard
-        // decision and the semantic verifier/rollback must catch whatever
-        // escapes.  Fired after FreshenLiveness (and its slowpath
-        // cross-check), which validates the real update, not the sabotage.
-        LV.corruptLiveOutForTest(ABlock);
-        ForceFullLiveness = true;
-      }
       // Collect conflicting defs first; rename only if all are renameable.
       std::vector<Reg> Conflicts;
       for (Reg D : F.instr(I).defs())
@@ -281,9 +198,7 @@ GlobalSchedStats GlobalScheduler::scheduleRegion(Function &F,
         }
         ++Stats.Renames;
         BumpObs(obs::SpecRenames);
-        // Renaming rewrites defs/uses inside Home only (the def was not
-        // live out), so Home is the only block whose local sets changed.
-        MarkLivenessDirty(Home);
+        LivenessStale = true;
       }
       return true;
     };
@@ -310,15 +225,8 @@ GlobalSchedStats GlobalScheduler::scheduleRegion(Function &F,
       // installed after the engine finishes.
       F.block(ABlock).instrs().push_back(I);
       CurNode[Node] = A;
-      // Both endpoints changed contents (liveness) and membership (D/CP).
-      MarkLivenessDirty(Home);
-      MarkLivenessDirty(ABlock);
-      MarkHeurDirty(From);
-      MarkHeurDirty(A);
-      std::vector<unsigned> &FromM = MembersOf[From];
-      FromM.erase(std::lower_bound(FromM.begin(), FromM.end(), Node));
-      std::vector<unsigned> &ToM = MembersOf[A];
-      ToM.insert(std::lower_bound(ToM.begin(), ToM.end(), Node), Node);
+      LivenessStale = true;
+      HeurStale = true;
       if (UofA.count(From))
         ++Stats.UsefulMotions;
       else
@@ -332,7 +240,7 @@ GlobalSchedStats GlobalScheduler::scheduleRegion(Function &F,
     Obs.TargetBlock = ABlock;
     Obs.HomeBlock = [&](unsigned Node) { return R.node(CurNode[Node]).Block; };
 
-    ListScheduler Engine(F, DD, MD, H, Opts.Order, Opts.Incremental);
+    ListScheduler Engine(F, DD, MD, H, Opts.Order);
     EngineResult Sched =
         Engine.run(Own, External, Disposition, SpecCheck, OnSchedule, &Obs);
     if (!Sched.S.isOk())

@@ -56,15 +56,9 @@ struct GlobalSchedOptions {
   /// Optional execution profile: speculative candidates from hotter
   /// blocks win ties (paper Section 1).  Borrowed pointer; may be null.
   const ProfileData *Profile = nullptr;
-  /// Maintain liveness, heuristics and the engine's ready pool
-  /// incrementally across code motions (DESIGN.md section 14).  Emitted
-  /// schedules are bit-identical either way; false selects the
-  /// recompute-from-scratch slow path -- the --no-incremental escape hatch
-  /// and the oracle that GIS_SLOWPATH_CHECK builds compare against.
-  bool Incremental = true;
   /// Shared memo for the dependence builder's reachability closures and
   /// disambiguation facts (DESIGN.md section 15).  Borrowed; may be null
-  /// (every region then re-solves from scratch, the reference mode).
+  /// (every region then re-solves from scratch).
   DisambigCache *Cache = nullptr;
 };
 

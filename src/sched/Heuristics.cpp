@@ -40,32 +40,3 @@ Heuristics gis::computeHeuristics(const Function &F, const DataDeps &DD,
   }
   return H;
 }
-
-void gis::recomputeHeuristicsForBlock(
-    const Function &F, const DataDeps &DD, const MachineDescription &MD,
-    const std::vector<unsigned> &CurRegionNode,
-    const std::vector<unsigned> &MembersAscending, Heuristics &H) {
-  // Same reverse topological sweep as computeHeuristics, restricted to one
-  // block's members: intra-block successors have higher DDG indices, so
-  // walking the ascending member list backwards sees them updated first.
-  for (auto It = MembersAscending.rbegin(); It != MembersAscending.rend();
-       ++It) {
-    unsigned N = *It;
-    const DataDeps::Node &Node = DD.ddgNode(N);
-    unsigned ExecTime = 1;
-    if (!Node.isBarrier())
-      ExecTime = MD.execTime(F.instr(Node.Instr).opcode());
-
-    unsigned BestD = 0;
-    unsigned BestCP = 0;
-    for (unsigned EIdx : DD.succEdges(N)) {
-      const DepEdge &E = DD.edges()[EIdx];
-      if (CurRegionNode[E.To] != CurRegionNode[N])
-        continue;
-      BestD = std::max(BestD, H.D[E.To] + E.Delay);
-      BestCP = std::max(BestCP, H.CP[E.To] + E.Delay);
-    }
-    H.D[N] = BestD;
-    H.CP[N] = BestCP + ExecTime;
-  }
-}

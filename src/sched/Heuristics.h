@@ -46,21 +46,6 @@ Heuristics computeHeuristics(const Function &F, const DataDeps &DD,
                              const MachineDescription &MD,
                              const std::vector<unsigned> &CurRegionNode);
 
-/// Recomputes D and CP in place for the nodes of one block only.
-/// \p MembersAscending must list exactly the DDG nodes currently placed in
-/// one region node, in ascending index order (DDG indices are topological,
-/// so a reverse sweep sees every intra-block successor first).  Because
-/// both functions only read same-block successors, a block's values are
-/// self-contained: refreshing every block whose membership changed since
-/// the last computation yields values bit-identical to a full
-/// computeHeuristics() -- the incremental fast path's per-block update
-/// (DESIGN.md section 14).
-void recomputeHeuristicsForBlock(const Function &F, const DataDeps &DD,
-                                 const MachineDescription &MD,
-                                 const std::vector<unsigned> &CurRegionNode,
-                                 const std::vector<unsigned> &MembersAscending,
-                                 Heuristics &H);
-
 } // namespace gis
 
 #endif // GIS_SCHED_HEURISTICS_H

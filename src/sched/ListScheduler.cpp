@@ -240,23 +240,20 @@ EngineResult ListScheduler::run(
   uint64_t Cycle = 0;
   constexpr uint64_t CycleCap = 1'000'000;
 
-  // Incremental ready pool (DESIGN.md section 14).  A candidate enters the
-  // pool exactly once, when its candidate-predecessor count hits zero; at
-  // that point its ReadyTime is final, because only scheduled predecessors
-  // ever raise it.  Future holds pool entries whose ReadyTime is still in
-  // the future, keyed by it; Live holds the currently eligible ones.  The
+  // Ready pool (DESIGN.md section 14).  A candidate enters the pool
+  // exactly once, when its candidate-predecessor count hits zero; at that
+  // point its ReadyTime is final, because only scheduled predecessors ever
+  // raise it.  Future holds pool entries whose ReadyTime is still in the
+  // future, keyed by it; Ready holds the currently eligible ones.  The
   // target block's own terminator is held aside until it is the last own
-  // instruction, mirroring the full scan's positional gate.
+  // instruction, so it stays positionally last.
   //
   // The loop's containers are reserved once here, not per cycle: a
   // candidate enters each of them at most once per run (HeldTerm holds at
   // most the target block's terminator).
   std::vector<std::pair<uint64_t, unsigned>> FutureStore;
-  std::vector<unsigned> Live, HeldTerm, Ready;
-  if (Incremental) {
-    FutureStore.reserve(Cands.size());
-    Live.reserve(Cands.size());
-  }
+  std::vector<unsigned> Ready, HeldTerm;
+  FutureStore.reserve(Cands.size());
   Ready.reserve(Cands.size());
   Result.Order.reserve(Cands.size());
   Result.Cycles.reserve(Cands.size());
@@ -265,16 +262,16 @@ EngineResult ListScheduler::run(
                       std::greater<std::pair<uint64_t, unsigned>>>
       Future(std::greater<std::pair<uint64_t, unsigned>>(),
              std::move(FutureStore));
-  if (Incremental)
-    for (unsigned K = 0; K != Cands.size(); ++K) {
-      const CandState &C = Cands[K];
-      if (C.Dropped || C.PredsRemaining > 0)
-        continue;
-      if (C.Own && C.IsTerminator && OwnRemaining > 1)
-        HeldTerm.push_back(K);
-      else
-        Future.push({C.ReadyTime, K});
-    }
+  auto Arm = [&](unsigned K) {
+    const CandState &C = Cands[K];
+    if (C.Own && C.IsTerminator && OwnRemaining > 1)
+      HeldTerm.push_back(K);
+    else
+      Future.push({C.ReadyTime, K});
+  };
+  for (unsigned K = 0; K != Cands.size(); ++K)
+    if (!Cands[K].Dropped && Cands[K].PredsRemaining == 0)
+      Arm(K);
 
   auto OnScheduled = [&](CandState &C, uint64_t At) {
     C.Scheduled = true;
@@ -297,14 +294,21 @@ EngineResult ListScheduler::run(
       }
       --S.PredsRemaining;
       S.ReadyTime = std::max(S.ReadyTime, At + Exec + E.Delay);
-      if (Incremental && S.PredsRemaining == 0 && !S.Dropped) {
-        if (S.Own && S.IsTerminator && OwnRemaining > 1)
-          HeldTerm.push_back(SI);
-        else
-          Future.push({S.ReadyTime, SI});
-      }
+      if (S.PredsRemaining == 0 && !S.Dropped)
+        Arm(SI);
     }
   };
+
+#ifdef GIS_SLOWPATH_CHECK
+  // The reference the pool is checked against: a full scan of the
+  // candidate table for what is eligible this cycle.
+  auto EligibleNow = [&](const CandState &C) {
+    if (C.Scheduled || C.Dropped || C.PredsRemaining > 0 ||
+        C.ReadyTime > Cycle)
+      return false;
+    return !(C.Own && C.IsTerminator && OwnRemaining > 1);
+  };
+#endif
 
   while (OwnRemaining > 0) {
     if (Cycle >= CycleCap) {
@@ -318,70 +322,48 @@ EngineResult ListScheduler::run(
 
     // Ready list for this cycle, best-first.  The comparator is a strict
     // total order (rule 7 breaks every tie on the unique original order),
-    // so equal ready *sets* sort to equal sequences -- which is what makes
-    // the event-driven pool below bit-identical to the full scan.
-    Ready.clear();
-    auto EligibleNow = [&](const CandState &C) {
-      if (C.Scheduled || C.Dropped || C.PredsRemaining > 0 ||
-          C.ReadyTime > Cycle)
-        return false;
-      // The target block's terminator stays positionally last: gate it
-      // until it is the only own instruction left.
-      if (C.Own && C.IsTerminator && OwnRemaining > 1)
-        return false;
-      return true;
-    };
-    if (Incremental) {
-      while (!Future.empty() && Future.top().first <= Cycle) {
-        Live.push_back(Future.top().second);
-        Future.pop();
-      }
-      Live.erase(std::remove_if(Live.begin(), Live.end(),
-                                [&](unsigned K) {
-                                  return Cands[K].Scheduled ||
-                                         Cands[K].Dropped;
-                                }),
-                 Live.end());
-      if (Live.empty()) {
-        // Fast-forward: with nothing live, the full scan would emit no
-        // trace and pick nothing until the next ReadyTime threshold, so
-        // jumping straight there is observably identical.  With no future
-        // event either, jump to the cap to reproduce the slow path's
-        // divergence failure verbatim.
-        uint64_t Next = Future.empty() ? CycleCap : Future.top().first;
+    // so equal ready *sets* sort to equal sequences.
+    while (!Future.empty() && Future.top().first <= Cycle) {
+      Ready.push_back(Future.top().second);
+      Future.pop();
+    }
+    Ready.erase(std::remove_if(Ready.begin(), Ready.end(),
+                               [&](unsigned K) {
+                                 return Cands[K].Scheduled || Cands[K].Dropped;
+                               }),
+                Ready.end());
+    if (Ready.empty()) {
+      // Fast-forward: with nothing ready, no cycle picks anything or emits
+      // a trace until the next ReadyTime threshold, so jump straight
+      // there.  With no future event either, jump to the cap and fail
+      // with the divergence error above.
+      uint64_t Next = Future.empty() ? CycleCap : Future.top().first;
 #ifdef GIS_SLOWPATH_CHECK
-        for (const CandState &C : Cands)
-          GIS_ASSERT(!EligibleNow(C),
-                     "slowpath check: fast-forward past a live candidate");
-        uint64_t OracleNext = ~0ull;
-        for (const CandState &C : Cands) {
-          if (C.Scheduled || C.Dropped || C.PredsRemaining > 0 ||
-              (C.Own && C.IsTerminator && OwnRemaining > 1))
-            continue;
-          OracleNext = std::min(OracleNext, C.ReadyTime);
-        }
-        GIS_ASSERT(Future.empty() ? OracleNext == ~0ull
-                                  : OracleNext == Future.top().first,
-                   "slowpath check: fast-forward target mismatch");
-#endif
-        if (Obs && Obs->Counters)
-          Obs->Counters->bump(obs::ColdFastForwards);
-        Cycle = Next;
-        continue;
+      for (const CandState &C : Cands)
+        GIS_ASSERT(!EligibleNow(C),
+                   "slowpath check: fast-forward past a live candidate");
+      uint64_t OracleNext = ~0ull;
+      for (const CandState &C : Cands) {
+        if (C.Scheduled || C.Dropped || C.PredsRemaining > 0 ||
+            (C.Own && C.IsTerminator && OwnRemaining > 1))
+          continue;
+        OracleNext = std::min(OracleNext, C.ReadyTime);
       }
-      Ready = Live;
-    } else {
-      for (unsigned K = 0; K != Cands.size(); ++K)
-        if (EligibleNow(Cands[K]))
-          Ready.push_back(K);
+      GIS_ASSERT(Future.empty() ? OracleNext == ~0ull
+                                : OracleNext == Future.top().first,
+                 "slowpath check: fast-forward target mismatch");
+#endif
+      if (Obs && Obs->Counters)
+        Obs->Counters->bump(obs::ColdFastForwards);
+      Cycle = Next;
+      continue;
     }
     std::sort(Ready.begin(), Ready.end(), [&](unsigned A, unsigned B) {
       return Better(Cands[A], Cands[B]);
     });
 #ifdef GIS_SLOWPATH_CHECK
-    if (Incremental) {
-      // Cross-check every cycle's ready set against the full scan the
-      // slow path would have made.
+    {
+      // Cross-check every cycle's ready list against a full scan.
       std::vector<unsigned> Oracle;
       for (unsigned K = 0; K != Cands.size(); ++K)
         if (EligibleNow(Cands[K]))
@@ -390,14 +372,12 @@ EngineResult ListScheduler::run(
         return Better(Cands[A], Cands[B]);
       });
       GIS_ASSERT(Oracle == Ready,
-                 "slowpath check: incremental ready set diverged from the "
-                 "full scan");
+                 "slowpath check: ready pool diverged from the full scan");
     }
 #endif
-    if (!Ready.empty())
-      obs::Tracer::instance().instant("cycle", "cycle", "cycle",
-                                      static_cast<int64_t>(Cycle), "ready",
-                                      static_cast<int64_t>(Ready.size()));
+    obs::Tracer::instance().instant("cycle", "cycle", "cycle",
+                                    static_cast<int64_t>(Cycle), "ready",
+                                    static_cast<int64_t>(Ready.size()));
 
     for (size_t RI = 0; RI != Ready.size(); ++RI) {
       CandState &C = Cands[Ready[RI]];
@@ -427,7 +407,7 @@ EngineResult ListScheduler::run(
       if (Obs && (Obs->Counters || Obs->Decisions)) {
         // The pick is about to be issued from position RI of the sorted
         // ready list; everything still live after it is what it outranked.
-        // (Live entries *before* RI were stalled on a busy unit -- the
+        // (Ready entries *before* RI were stalled on a busy unit -- the
         // pick did not beat them by rule, so they neither make the pick
         // contested nor appear in its candidate list.)
         int Runner = -1;
@@ -484,9 +464,9 @@ EngineResult ListScheduler::run(
       if (C.Own) {
         if (--OwnRemaining == 0)
           break; // target block complete; externals stop here too
-        if (Incremental && OwnRemaining == 1) {
-          // The positional gate lifts next cycle, exactly when the full
-          // scan would first admit the terminator.
+        if (OwnRemaining == 1) {
+          // The positional gate lifts: the terminator may issue from the
+          // next cycle on.
           for (unsigned T : HeldTerm)
             Future.push({Cands[T].ReadyTime, T});
           HeldTerm.clear();

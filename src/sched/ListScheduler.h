@@ -103,17 +103,15 @@ class ListScheduler {
 public:
   /// The engine borrows all four references; they must outlive it.
   ///
-  /// \p Incremental selects the event-driven ready pool (DESIGN.md
-  /// section 14): successor-arming counters feed a ReadyTime-keyed event
-  /// queue instead of rescanning every candidate each cycle, and cycles
-  /// with an empty ready list are skipped in one jump.  Picks are
-  /// bit-identical either way; the full-scan path remains as the oracle
-  /// for GIS_SLOWPATH_CHECK builds and the --no-incremental escape hatch.
+  /// The ready list is an event-driven pool (DESIGN.md section 14):
+  /// successor-arming counters feed a ReadyTime-keyed event queue instead
+  /// of rescanning every candidate each cycle, and cycles with an empty
+  /// ready list are skipped in one jump.  GIS_SLOWPATH_CHECK builds check
+  /// every cycle's ready list and every jump against a full scan.
   ListScheduler(const Function &F, const DataDeps &DD,
                 const MachineDescription &MD, const Heuristics &H,
-                PriorityOrder Order = PriorityOrder::Paper,
-                bool Incremental = true)
-      : F(F), DD(DD), MD(MD), H(H), Order(Order), Incremental(Incremental) {}
+                PriorityOrder Order = PriorityOrder::Paper)
+      : F(F), DD(DD), MD(MD), H(H), Order(Order) {}
 
   /// Schedules a target block.
   ///
@@ -148,7 +146,6 @@ private:
   const MachineDescription &MD;
   const Heuristics &H;
   PriorityOrder Order;
-  bool Incremental;
 };
 
 } // namespace gis

@@ -20,14 +20,14 @@ namespace {
 /// instructions as the only candidates.
 void scheduleRegionBlocks(Function &F, const MachineDescription &MD,
                           const SchedRegion &R, LocalSchedStats &Stats,
-                          const obs::SchedSink &Sink, bool Incremental,
-                          DisambigCache *Cache, DeltaCheckpoint *Ckpt);
+                          const obs::SchedSink &Sink, DisambigCache *Cache,
+                          DeltaCheckpoint *Ckpt);
 
 } // namespace
 
 LocalSchedStats gis::scheduleLocal(Function &F, const MachineDescription &MD,
                                    const obs::SchedSink &Sink,
-                                   bool Incremental, DisambigCache *Cache,
+                                   DisambigCache *Cache,
                                    DeltaCheckpoint *Ckpt) {
   LocalSchedStats Stats;
   F.recomputeCFG();
@@ -44,7 +44,7 @@ LocalSchedStats gis::scheduleLocal(Function &F, const MachineDescription &MD,
   if (!LI.isReducible()) {
     for (BlockId B : F.layout())
       scheduleRegionBlocks(F, MD, SchedRegion::buildSingleBlock(F, B), Stats,
-                           Sink, Incremental, Cache, Ckpt);
+                           Sink, Cache, Ckpt);
     return Stats;
   }
 
@@ -58,7 +58,7 @@ LocalSchedStats gis::scheduleLocal(Function &F, const MachineDescription &MD,
 
   for (int RegionId : RegionIds) {
     SchedRegion R = SchedRegion::build(F, LI, RegionId);
-    scheduleRegionBlocks(F, MD, R, Stats, Sink, Incremental, Cache, Ckpt);
+    scheduleRegionBlocks(F, MD, R, Stats, Sink, Cache, Ckpt);
   }
   return Stats;
 }
@@ -67,15 +67,15 @@ namespace {
 
 void scheduleRegionBlocks(Function &F, const MachineDescription &MD,
                           const SchedRegion &R, LocalSchedStats &Stats,
-                          const obs::SchedSink &Sink, bool Incremental,
-                          DisambigCache *Cache, DeltaCheckpoint *Ckpt) {
+                          const obs::SchedSink &Sink, DisambigCache *Cache,
+                          DeltaCheckpoint *Ckpt) {
   DataDeps DD = DataDeps::compute(F, R, MD, Cache);
 
   std::vector<unsigned> CurNode(DD.numNodes());
   for (unsigned N = 0; N != DD.numNodes(); ++N)
     CurNode[N] = DD.ddgNode(N).RegionNode;
   Heuristics H = computeHeuristics(F, DD, MD, CurNode);
-  ListScheduler Engine(F, DD, MD, H, PriorityOrder::Paper, Incremental);
+  ListScheduler Engine(F, DD, MD, H);
 
   auto AllFixed = [](unsigned) { return PredDisposition::Fixed; };
   auto NoSpec = [](unsigned) { return true; };

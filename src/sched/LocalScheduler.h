@@ -39,17 +39,15 @@ struct LocalSchedStats {
 /// Reorders the instructions of every basic block of \p F for the machine
 /// \p MD, respecting all data dependences.  The CFG never changes.
 /// \p Sink optionally collects observability counters and decision records
-/// (src/obs/); local picks carry stage tag "local".  \p Incremental
-/// selects the engine's event-driven ready pool (bit-identical output;
-/// see sched/ListScheduler.h).  \p Cache (optional) shares the dependence
-/// builder's reachability/disambiguation inputs across this pass's
-/// regions -- the pass bumps the cache epoch on entry and patches
-/// positions after each intra-block reorder (DESIGN.md section 15).
+/// (src/obs/); local picks carry stage tag "local".  \p Cache (optional)
+/// shares the dependence builder's reachability/disambiguation inputs
+/// across this pass's regions -- the pass bumps the cache epoch on entry
+/// and patches positions after each intra-block reorder (DESIGN.md
+/// section 15).
 /// \p Ckpt (optional) receives a first-touch record of every block list
 /// this pass rewrites, for delta rollback.
 LocalSchedStats scheduleLocal(Function &F, const MachineDescription &MD,
                               const obs::SchedSink &Sink = {},
-                              bool Incremental = true,
                               DisambigCache *Cache = nullptr,
                               DeltaCheckpoint *Ckpt = nullptr);
 

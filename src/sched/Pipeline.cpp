@@ -51,10 +51,8 @@ struct TxContext {
   const MachineDescription &MD;
   const PipelineOptions &Opts;
   PipelineStats &Stats;
-  /// The run's shared disambiguation cache (DESIGN.md section 15);
-  /// null with incremental maintenance off (--no-incremental), which
-  /// keeps that mode a fully uncached reference.
-  DisambigCache *Cache = nullptr;
+  /// The run's shared disambiguation cache (DESIGN.md section 15).
+  DisambigCache &Cache;
 };
 
 /// Runs one whole-function transform as a transaction: snapshot,
@@ -131,14 +129,13 @@ bool runTransaction(TxContext &Ctx, const char *Stage, int LoopIdx,
 /// local scheduler): instead of a full FunctionSnapshot the transaction
 /// takes a DeltaCheckpoint and the body notes each block list / pool
 /// entry before first mutating it (sched/Transaction.h).  With
-/// incremental maintenance off -- or transactions off -- this delegates
-/// to runTransaction, so --no-incremental keeps the historical
-/// full-snapshot path bit for bit.
+/// transactions off this delegates to runTransaction, whose body runs bare
+/// under an unarmed checkpoint.
 bool runDeltaTransaction(
     TxContext &Ctx, const char *Stage, int LoopIdx,
     const std::function<Status(PipelineStats &, DeltaCheckpoint &)> &Body,
     bool RegionScoped) {
-  if (!Ctx.Opts.Incremental || !Ctx.Opts.EnableTransactions) {
+  if (!Ctx.Opts.EnableTransactions) {
     DeltaCheckpoint Ck(Ctx.F, /*Armed=*/false);
     return runTransaction(
         Ctx, Stage, LoopIdx,
@@ -222,11 +219,8 @@ std::vector<unsigned> loopHeights(const LoopInfo &LI) {
 /// \p WaveNo; \p WaveLV is the wave-start whole-function liveness.
 /// Rollback is guarded by a region snapshot, and semantic verification by
 /// the block-scoped verifier on the scheduler's own PDG, reading the
-/// pre-pass state from a capture (DESIGN.md section 15).  Modes that need
-/// the complete pre-pass function take one full copy: the differential
-/// oracle, and --no-incremental, whose full verifier keeps that mode a
-/// fully uncached reference.  GIS_SLOWPATH_CHECK builds run both verifiers
-/// and treat any divergence as fatal.
+/// pre-pass state from a capture (DESIGN.md section 15).  The differential
+/// oracle needs the complete pre-pass function and takes one full copy.
 void scheduleRegionTask(TxContext &Ctx, const GlobalSchedOptions &GOpts,
                         const SchedRegion &R, const Liveness &WaveLV,
                         unsigned WaveNo) {
@@ -238,20 +232,21 @@ void scheduleRegionTask(TxContext &Ctx, const GlobalSchedOptions &GOpts,
 
   const bool Transactional = Ctx.Opts.EnableTransactions;
   const bool Verify = Transactional && Ctx.Opts.VerifySemantic;
+  // GIS_SLOWPATH_CHECK builds also run the whole-function verifier, from a
+  // full pre-pass copy, and treat any divergence from the scoped verdict
+  // as fatal.
 #ifdef GIS_SLOWPATH_CHECK
-  const bool Scoped = Verify;
-  const bool Full = Verify;
+  const bool DualVerify = Verify;
 #else
-  const bool Scoped = Verify && Ctx.Opts.Incremental;
-  const bool Full = Verify && !Ctx.Opts.Incremental;
+  const bool DualVerify = false;
 #endif
   const bool Oracle =
       Transactional && Ctx.Opts.EnableOracle && Ctx.Opts.OracleModule;
   std::optional<Function> Before;
-  if (Full || Oracle)
+  if (DualVerify || Oracle)
     Before.emplace(Ctx.F);
   ScopedVerifyContext VCtx;
-  if (Scoped)
+  if (Verify)
     VCtx = ScopedVerifyContext::capture(Ctx.F, R);
   std::vector<BlockId> Blocks; // the region's real blocks
   for (const RegionNode &N : R.nodes())
@@ -271,7 +266,7 @@ void scheduleRegionTask(TxContext &Ctx, const GlobalSchedOptions &GOpts,
   Status S;
   PDG P;
   Delta.Global += GS.scheduleRegion(Ctx.F, R, Transactional ? &S : nullptr,
-                                    &WaveLV, Sink, Scoped ? &P : nullptr);
+                                    &WaveLV, Sink, Verify ? &P : nullptr);
   if (Transactional) {
     ++Ctx.Stats.TransactionsRun;
     if (!S.isOk())
@@ -287,32 +282,19 @@ void scheduleRegionTask(TxContext &Ctx, const GlobalSchedOptions &GOpts,
       }
     }
     if (S.isOk() && Verify) {
-      std::vector<std::string> Problems;
-      if (Full)
-        Problems = verifyRegionSchedule(*Before, Ctx.F, R, Ctx.MD,
-                                        Ctx.Opts.Incremental ? &P : nullptr);
-      if (Scoped) {
-        ScopedVerifyStats VS;
-        std::vector<std::string> ScopedProblems = verifyRegionScheduleScoped(
-            VCtx, *Snap, Ctx.F, R, Ctx.MD, P, &VS);
-#ifdef GIS_SLOWPATH_CHECK
-        // Dual-run: the block-scoped verifier must agree with the full
-        // sweep -- same verdict, byte-identical diagnostics.
-        if (ScopedProblems != Problems)
-          fatalError(__FILE__, __LINE__,
-                     "slow-path check: scoped schedule verifier diverges "
-                     "from the full sweep");
-#endif
-        // The scoped verdict stands only in incremental mode; the full
-        // sweep is --no-incremental's, even when both ran.
-        if (Ctx.Opts.Incremental) {
-          if (Ctx.Opts.CollectCounters) {
-            Delta.Counters.bump(obs::ColdVerifyBlocksScoped,
-                                VS.BlocksVerified);
-            Delta.Counters.bump(obs::ColdVerifyBlocksTotal, VS.BlocksTotal);
-          }
-          Problems = std::move(ScopedProblems);
-        }
+      ScopedVerifyStats VS;
+      std::vector<std::string> Problems =
+          verifyRegionScheduleScoped(VCtx, *Snap, Ctx.F, R, Ctx.MD, P, &VS);
+      // Dual-run: the block-scoped verifier must agree with the full
+      // sweep -- same verdict, byte-identical diagnostics.
+      if (DualVerify &&
+          Problems != verifyRegionSchedule(*Before, Ctx.F, R, Ctx.MD, &P))
+        fatalError(__FILE__, __LINE__,
+                   "slow-path check: scoped schedule verifier diverges "
+                   "from the full sweep");
+      if (Ctx.Opts.CollectCounters) {
+        Delta.Counters.bump(obs::ColdVerifyBlocksScoped, VS.BlocksVerified);
+        Delta.Counters.bump(obs::ColdVerifyBlocksTotal, VS.BlocksTotal);
       }
       if (!Problems.empty()) {
         S = Status::error(ErrorCode::VerifierSemantic, Problems.front());
@@ -390,8 +372,7 @@ void scheduleWave(TxContext &Ctx, std::vector<SchedRegion> Regions) {
   // Earlier transforms (unroll, rotate, prior waves' commits) moved code
   // since the cache last saw this function; start one facts epoch for the
   // whole wave, so every task reads the facts of the wave-start function.
-  if (Ctx.Cache)
-    Ctx.Cache->noteWaveStart(Ctx.F);
+  Ctx.Cache.noteWaveStart(Ctx.F);
 
   GlobalSchedOptions GOpts;
   GOpts.Level = Ctx.Opts.Level;
@@ -399,8 +380,7 @@ void scheduleWave(TxContext &Ctx, std::vector<SchedRegion> Regions) {
   GOpts.EnableRenaming = Ctx.Opts.EnableRenaming;
   GOpts.Order = Ctx.Opts.Order;
   GOpts.Profile = Ctx.Opts.Profile;
-  GOpts.Incremental = Ctx.Opts.Incremental;
-  GOpts.Cache = Ctx.Cache;
+  GOpts.Cache = &Ctx.Cache;
 
   for (const SchedRegion &R : Regions)
     scheduleRegionTask(Ctx, GOpts, R, WaveLV, WaveNo);
@@ -425,7 +405,7 @@ PipelineStats gis::scheduleRegionWave(Function &F, const MachineDescription &MD,
                                       std::vector<SchedRegion> Regions) {
   PipelineStats Stats;
   DisambigCache DCache;
-  TxContext Ctx{F, MD, Opts, Stats, Opts.Incremental ? &DCache : nullptr};
+  TxContext Ctx{F, MD, Opts, Stats, DCache};
   scheduleWave(Ctx, std::move(Regions));
   return Stats;
 }
@@ -435,9 +415,8 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
   PipelineStats Stats;
   // One disambiguation cache per pipeline run, shared by both global
   // passes, the local pass and every region task (DESIGN.md section 15).
-  // --no-incremental runs fully uncached.
   DisambigCache DCache;
-  TxContext Ctx{F, MD, Opts, Stats, Opts.Incremental ? &DCache : nullptr};
+  TxContext Ctx{F, MD, Opts, Stats, DCache};
   obs::Tracer &Tr = obs::Tracer::instance();
   obs::TraceSpan PipeSpan("pipeline", "pipeline", nullptr, 0, nullptr, 0,
                           Tr.enabled() ? std::string(F.name())
@@ -743,8 +722,8 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
             Sink.Counters = &Delta.Counters;
           if (Opts.CollectDecisions)
             Sink.Decisions = &Delta.Decisions;
-          Delta.Local = scheduleLocal(F, MD, Sink, Opts.Incremental,
-                                      Ctx.Cache, Ck.armed() ? &Ck : nullptr);
+          Delta.Local = scheduleLocal(F, MD, Sink, &DCache,
+                                      Ck.armed() ? &Ck : nullptr);
           return Status::ok();
         },
         /*RegionScoped=*/false);
@@ -798,8 +777,7 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
               Sink.Counters = &Delta.Counters;
             if (Opts.CollectDecisions)
               Sink.Decisions = &Delta.Decisions;
-            Delta.Local = scheduleLocal(F, MD, Sink, Opts.Incremental,
-                                        Ctx.Cache,
+            Delta.Local = scheduleLocal(F, MD, Sink, &DCache,
                                         Ck.armed() ? &Ck : nullptr);
             return Status::ok();
           },
@@ -817,7 +795,7 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
   // count); request totals are deterministic -- one facts and one
   // reachability request per region build -- so these are exact like the
   // rest of the registry.
-  if (Opts.CollectCounters && Ctx.Cache) {
+  if (Opts.CollectCounters) {
     Stats.Counters.bump(obs::ColdDisambigCacheHits, DCache.hits());
     Stats.Counters.bump(obs::ColdDisambigCacheMisses, DCache.misses());
   }

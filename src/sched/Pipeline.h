@@ -116,16 +116,6 @@ struct PipelineOptions {
   /// asserted by tests/superblock_test.cpp).
   unsigned TraceDupBudget = 64;
 
-  /// Incremental cold-path maintenance (DESIGN.md section 14): dirty-set
-  /// liveness deltas, per-block D/CP refreshes and the engine's
-  /// event-driven ready pool, instead of recomputing each from scratch.
-  /// Emitted schedules are bit-identical either way (asserted by
-  /// tests/coldpath_test.cpp and, pick by pick, by GIS_SLOWPATH_CHECK
-  /// builds), which is why the schedule cache leaves this field out of
-  /// its options fingerprint (engine/ScheduleCache.cpp).
-  /// gisc --no-incremental turns it off.
-  bool Incremental = true;
-
   //===--------------------------------------------------------------------===
   // Mid-end optimizer (src/opt/; gisc -O0/-O1/-O2)
   //===--------------------------------------------------------------------===

@@ -12,11 +12,16 @@
 /// verifier/rollback machinery can be tested end to end.
 ///
 /// Armed either programmatically (tests) or with the GIS_FAULT_INJECT
-/// environment variable, whose value is "<stage>" or "<stage>:<n>": the
-/// stage is one of the pipeline stage names ("prerename", "unroll",
-/// "rotate", "region", "local") and n is the 1-based
-/// occurrence of that stage to corrupt (default 1).  The fault fires once
-/// per arming.
+/// environment variable, whose value is "<stage>" or "<stage>:<n>": n is
+/// the 1-based occurrence of the stage to corrupt (default 1), and the
+/// fault fires once per arming.  The pipeline's transactions are stages
+/// of their own name -- "prerename", "unroll", "region", "rotate",
+/// "local", and, with register allocation on, "regalloc" and
+/// "postalloc" (the reschedule after allocation) -- and so is each
+/// optimizer pass: "opt-peephole", "opt-strength", "opt-gvn", "opt-dce"
+/// (opt/Pass.cpp).  Each corrupts the transform's output with
+/// corruptFunctionForTest below (a "region" fault with
+/// corruptRegionForTest).
 ///
 /// The persistent-cache I/O layer (persist/PersistIO.h) registers four
 /// more stages -- "persist-write", "persist-rename", "persist-read" and
@@ -24,15 +29,7 @@
 /// instead of IR corruption, so crash recovery of the disk cache is tested
 /// with the same deterministic fail-at-Nth machinery.
 ///
-/// The global scheduler's incremental fast path (DESIGN.md section 14)
-/// registers two more: "liveness-delta" empties the target block's
-/// live-on-exit set right after a freshen (stale-delta simulation; illegal
-/// speculation may slip past the Section 5.3 guard, and the verifier or
-/// rollback must catch it), and "heur-delta" zeroes the D/CP arrays after
-/// a refresh (priority-only corruption; the schedule may differ but stays
-/// legal).  Both set a force-full flag so the next update self-heals.
-///
-/// The round-two incremental machinery (DESIGN.md section 15) registers
+/// The cold path's caches and checkpoints (DESIGN.md section 15) register
 /// two more: "disambig-cache" flips one provablyDisjoint answer of the
 /// memory disambiguator (a poisoned cached alias fact; the fabricated
 /// independence edge can admit an illegal motion, which the verifier or

@@ -20,7 +20,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "frontend/CodeGen.h"
-#include "ir/Printer.h"
 #include "ir/Verifier.h"
 #include "obs/Counters.h"
 #include "obs/Decision.h"
@@ -105,63 +104,29 @@ TEST(ObsCounters, ScheduleReportCarriesCounters) {
                 R.Stats.Global.SpeculativeMotions);
 }
 
-// Cold-path instrumentation (DESIGN.md section 14): the coldpath.* group
-// must reflect the configured mode -- the delta counters only move when
-// the incremental path is on, the structural counters (arena bytes, DDG
-// nodes) describe the same graphs either way, and everything outside the
-// group is identical across modes because the emitted schedules are.
+// Cold-path instrumentation (DESIGN.md sections 14-15): every mechanism
+// of the default pipeline shows in the coldpath.* group -- the dependence
+// graphs built, the disambiguation cache, delta checkpoints and scoped
+// verification.  Region liveness has no delta update, so
+// coldpath.liveness_delta reads 0 while every re-solve after a motion
+// counts in coldpath.liveness_full.
 TEST(ObsCounters, ColdpathCountersTrackIncrementalMode) {
   for (uint64_t Seed : {3u, 11u, 27u}) {
-    std::string Source = generateRandomMiniC(Seed);
-    std::unique_ptr<Module> Inc = compileMiniCOrDie(Source);
-    std::unique_ptr<Module> Full = compileMiniCOrDie(Source);
-
-    PipelineOptions IOpts;
-    IOpts.Level = SchedLevel::Speculative;
-    PipelineOptions FOpts = IOpts;
-    FOpts.Incremental = false;
-
-    PipelineStats IS = scheduleModule(*Inc, MachineDescription::rs6k(), IOpts);
-    PipelineStats FS = scheduleModule(*Full, MachineDescription::rs6k(), FOpts);
+    std::unique_ptr<Module> M = compileMiniCOrDie(generateRandomMiniC(Seed));
+    PipelineOptions Opts;
+    Opts.Level = SchedLevel::Speculative;
+    PipelineStats S = scheduleModule(*M, MachineDescription::rs6k(), Opts);
     std::string Tag = "seed " + std::to_string(Seed);
 
-    // Both modes build the same dependence graphs.
-    EXPECT_GT(IS.Counters.get(obs::ColdDdgNodes), 0u) << Tag;
-    EXPECT_GT(IS.Counters.get(obs::ColdArenaBytes), 0u) << Tag;
-    EXPECT_EQ(IS.Counters.get(obs::ColdDdgNodes),
-              FS.Counters.get(obs::ColdDdgNodes))
-        << Tag;
-    EXPECT_EQ(IS.Counters.get(obs::ColdArenaBytes),
-              FS.Counters.get(obs::ColdArenaBytes))
-        << Tag;
-
-    // The delta machinery never engages with --no-incremental.
-    EXPECT_EQ(FS.Counters.get(obs::ColdLivenessDelta), 0u) << Tag;
-    EXPECT_EQ(FS.Counters.get(obs::ColdHeurBlockRecomputes), 0u) << Tag;
-    EXPECT_EQ(FS.Counters.get(obs::ColdFastForwards), 0u) << Tag;
-    // Neither do the caches, delta checkpoints or scoped verification.
-    EXPECT_EQ(FS.Counters.get(obs::ColdDisambigCacheHits), 0u) << Tag;
-    EXPECT_EQ(FS.Counters.get(obs::ColdDisambigCacheMisses), 0u) << Tag;
-    EXPECT_EQ(FS.Counters.get(obs::ColdCkptBytes), 0u) << Tag;
-    EXPECT_EQ(FS.Counters.get(obs::ColdVerifyBlocksScoped), 0u) << Tag;
-    EXPECT_EQ(FS.Counters.get(obs::ColdVerifyBlocksTotal), 0u) << Tag;
-    // ... and the incremental mode actually exercises them.
-    EXPECT_GT(IS.Counters.get(obs::ColdDisambigCacheHits), 0u) << Tag;
-    EXPECT_GT(IS.Counters.get(obs::ColdDisambigCacheMisses), 0u) << Tag;
-
-    // Outside the coldpath group the runs are indistinguishable.
-    obs::CounterSet A = IS.Counters, B = FS.Counters;
-    for (obs::CounterId Id :
-         {obs::ColdArenaBytes, obs::ColdDdgNodes, obs::ColdLivenessDelta,
-          obs::ColdLivenessFull, obs::ColdHeurBlockRecomputes,
-          obs::ColdFastForwards, obs::ColdDisambigCacheHits,
-          obs::ColdDisambigCacheMisses, obs::ColdCkptBytes,
-          obs::ColdVerifyBlocksScoped, obs::ColdVerifyBlocksTotal}) {
-      A.V[static_cast<unsigned>(Id)] = 0;
-      B.V[static_cast<unsigned>(Id)] = 0;
-    }
-    EXPECT_TRUE(A == B) << Tag;
-    EXPECT_EQ(moduleToString(*Inc), moduleToString(*Full)) << Tag;
+    EXPECT_GT(S.Counters.get(obs::ColdDdgNodes), 0u) << Tag;
+    EXPECT_GT(S.Counters.get(obs::ColdArenaBytes), 0u) << Tag;
+    EXPECT_GT(S.Counters.get(obs::ColdDisambigCacheHits), 0u) << Tag;
+    EXPECT_GT(S.Counters.get(obs::ColdDisambigCacheMisses), 0u) << Tag;
+    EXPECT_GT(S.Counters.get(obs::ColdCkptBytes), 0u) << Tag;
+    EXPECT_GT(S.Counters.get(obs::ColdVerifyBlocksScoped), 0u) << Tag;
+    EXPECT_GT(S.Counters.get(obs::ColdVerifyBlocksTotal), 0u) << Tag;
+    EXPECT_EQ(S.Counters.get(obs::ColdLivenessDelta), 0u) << Tag;
+    EXPECT_GT(S.Counters.get(obs::ColdLivenessFull), 0u) << Tag;
   }
 }
 

@@ -15,6 +15,7 @@
 #include "interp/Interpreter.h"
 #include "ir/Checkpoint.h"
 #include "ir/Parser.h"
+#include "ir/Printer.h"
 #include "ir/Verifier.h"
 #include "sched/Pipeline.h"
 #include "support/FaultInjection.h"
@@ -154,9 +155,15 @@ protected:
 // For each pipeline stage, scan seeds until the armed fault fires (the
 // stage must occur in at least one of the programs).  Every run -- faulted
 // or not -- must leave well-formed IR with unchanged behaviour, and a
-// fired fault must be caught by a verifier and rolled back.
+// fired fault must be caught by a verifier and rolled back.  The
+// register-allocation stages run only with allocation on, so they turn it
+// on; their fault hits the first function's allocation or post-allocation
+// reschedule, whose rollback must leave that function exactly as a run
+// without that step prints it: symbolic registers after "regalloc",
+// allocated but not rescheduled after "postalloc".
 TEST_P(FaultMatrixTest, CorruptionIsCaughtAndRolledBack) {
-  const char *Stage = GetParam();
+  const std::string Stage = GetParam();
+  const bool RegAlloc = Stage == "regalloc" || Stage == "postalloc";
   unsigned TotalFaults = 0;
   for (uint64_t Seed = 1; Seed <= 40 && TotalFaults == 0; ++Seed) {
     std::string Source = generateRandomMiniC(Seed);
@@ -167,6 +174,7 @@ TEST_P(FaultMatrixTest, CorruptionIsCaughtAndRolledBack) {
 
     PipelineOptions Opts;
     Opts.Level = SchedLevel::Speculative;
+    Opts.AllocateRegisters = RegAlloc;
     FaultInjector::instance().arm(Stage);
     PipelineStats Stats =
         scheduleModule(*Sched.M, MachineDescription::rs6k(), Opts);
@@ -182,6 +190,21 @@ TEST_P(FaultMatrixTest, CorruptionIsCaughtAndRolledBack) {
       EXPECT_FALSE(Stats.Diags.empty());
       TotalFaults += Stats.FaultsInjected;
     }
+    if (RegAlloc && Stats.FaultsInjected > 0) {
+      EXPECT_EQ(Stats.RegAllocFailures, Stage == "regalloc" ? 1u : 0u)
+          << diagDump(Stats);
+      CompileResult Ref = compileMiniC(Source);
+      ASSERT_TRUE(Ref.ok());
+      PipelineOptions RefOpts = Opts;
+      if (Stage == "regalloc")
+        RefOpts.AllocateRegisters = false;
+      else
+        RefOpts.RescheduleAfterAlloc = false;
+      scheduleModule(*Ref.M, MachineDescription::rs6k(), RefOpts);
+      EXPECT_EQ(functionToString(*Sched.M->functions().front()),
+                functionToString(*Ref.M->functions().front()))
+          << "stage " << Stage << " seed " << Seed;
+    }
     expectSameBehaviour(*Base.M, *Sched.M, Source);
   }
   // The stage must have been reachable somewhere in the seed range,
@@ -191,7 +214,8 @@ TEST_P(FaultMatrixTest, CorruptionIsCaughtAndRolledBack) {
 
 INSTANTIATE_TEST_SUITE_P(Stages, FaultMatrixTest,
                          ::testing::Values("prerename", "unroll", "region",
-                                           "rotate", "local"));
+                                           "rotate", "local", "regalloc",
+                                           "postalloc"));
 
 // A fault in a region-scheduling transaction specifically bumps the
 // region rollback counter.
