@@ -6,8 +6,9 @@
 # workers schedule distinct functions in parallel, and the subsystems
 # those workers share -- under TSan (-DGIS_SANITIZE=thread; TSan and ASan
 # cannot share a build), then the cold-path suite (label "perf-equiv",
-# the golden schedule table included) in a -DGIS_SLOWPATH_CHECK=ON build
-# where the cold path cross-checks itself against full recomputation, then
+# the golden schedule table included) and the per-stage fault matrices in
+# a -DGIS_SLOWPATH_CHECK=ON build where the cold path cross-checks itself
+# against full recomputation, then
 # two gisc processes sharing one cache directory, and finally the
 # benchmark's own self-test.  Run from anywhere; builds land in build/,
 # build-san/, build-tsan/, build-slowcheck/ and .bench_build/ next to the
@@ -56,17 +57,22 @@ build_tree "$ROOT/build-tsan" -DGIS_SANITIZE=thread
 # suites are single-threaded and run plain and under ASan above.
 ctest --test-dir "$ROOT/build-tsan" --output-on-failure -L 'parallel|obs|regalloc|persist|opt'
 
-echo "== slowpath-check build (GIS_SLOWPATH_CHECK=ON): perf-equiv suite =="
+echo "== slowpath-check build (GIS_SLOWPATH_CHECK=ON): perf-equiv suite + per-stage fault matrix =="
 # The cold path checks every per-cycle ready list and fast-forward of the
 # list scheduler against a full scan, every disambiguation-cache hit
-# against a fresh solve and every delta rollback against a full snapshot,
-# and runs the block-scoped and the full schedule verifier side by side
-# on every region task, fatal-erroring on any divergence (DESIGN.md
+# against a fresh solve, every delta rollback (CFG edges included)
+# against a full snapshot and every reused LoopInfo against a fresh
+# compute, and runs the block-scoped and the full schedule verifier side
+# by side on every region task, fatal-erroring on any divergence (DESIGN.md
 # sections 14-15); the perf-equiv suite, whose golden table compiles
 # 1,632 programs, then checks the cold path pick by pick, not just end to
-# end.
+# end.  The per-stage fault matrices (Stages/FaultMatrixTest) run without
+# the differential oracle, so their prerename, unroll, rotate, local and
+# postalloc faults roll back through delta checkpoints, each compared
+# with its full-snapshot shadow.
 build_tree "$ROOT/build-slowcheck" -DGIS_SLOWPATH_CHECK=ON
 ctest --test-dir "$ROOT/build-slowcheck" --output-on-failure -L 'perf-equiv'
+ctest --test-dir "$ROOT/build-slowcheck" --output-on-failure -R '^Stages/'
 
 echo "== cross-process cache-dir sharing (two gisc processes, one directory) =="
 # Beyond the in-process test, run two real gisc processes concurrently

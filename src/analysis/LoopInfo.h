@@ -34,6 +34,8 @@ struct Loop {
 
   bool contains(BlockId B) const { return Blocks.test(B); }
   unsigned numBlocks() const { return Blocks.count(); }
+
+  bool operator==(const Loop &) const = default;
 };
 
 /// Loop nesting forest of one function.
@@ -56,6 +58,11 @@ public:
   /// Loop indices ordered innermost-first (children before parents), the
   /// scheduling order of paper Section 5.1.
   std::vector<unsigned> innermostFirstOrder() const;
+
+  /// Same loops, nesting, innermost-loop map and reducibility (the
+  /// GIS_SLOWPATH_CHECK build compares every LoopInfo the pipeline reuses
+  /// with a fresh compute).
+  bool operator==(const LoopInfo &) const = default;
 
 private:
   std::vector<Loop> Loops;

@@ -10,13 +10,17 @@
 /// scheduling pipeline: every transform runs against a checkpoint, and a
 /// failed verification rolls the function back to it bit-for-bit.  A
 /// Function is a handful of dense vectors (instruction pool, blocks,
-/// layout, register counters), so a snapshot is one deep copy with no
-/// pointer fix-up.  RegionSnapshot narrows the transaction boundary to one
+/// layout, register counters), so a full snapshot is one deep copy with no
+/// pointer fix-up; the scheduling path takes one only where a reference
+/// needs the whole pre-pass function (the differential oracle, the
+/// GIS_SLOWPATH_CHECK shadows).  Everywhere else the checkpoints are
+/// first-touch: RegionSnapshot narrows the transaction boundary to one
 /// scheduling region so the regions of a wave can fail (and roll back) or
-/// commit without touching each other's blocks.  DeltaCheckpoint narrows
-/// it further to first-touch records of exactly the blocks/instructions a
-/// transform mutates, guarded by a manifest hash so a lost record is a
-/// detected failure, not a silent mis-rollback (DESIGN.md section 15).
+/// commit without touching each other's blocks, and DeltaCheckpoint keeps
+/// records of exactly the blocks/instructions a whole-function transform
+/// mutates.  Both are guarded by a manifest fingerprint, so a lost record
+/// is a detected failure, not a silent mis-rollback (DESIGN.md
+/// section 15).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,25 +55,48 @@ private:
   Function Saved;
 };
 
-/// A snapshot of one scheduling region's slice of a Function: the
-/// instruction lists of the region's blocks, the pool entries of the
-/// instructions those lists reference, and the register counters.  This is
-/// the region-local transaction boundary of the region waves
-/// (sched/Pipeline.cpp): a failed region rolls back only its own blocks,
-/// leaving sibling regions' committed schedules untouched, where the
-/// whole-function FunctionSnapshot would discard them.
+/// A first-touch snapshot of one scheduling region's slice of a Function:
+/// the instruction lists of the region's blocks, the register counters, and
+/// a manifest fingerprint of those lists plus the pool entries they
+/// reference.  No pool entry is copied up front: the only pass that
+/// rewrites region pool entries, renaming inside the global scheduler,
+/// notes each entry before its first rewrite.  This is the region-local
+/// transaction boundary of the region waves (sched/Pipeline.cpp): a failed
+/// region rolls back only its own blocks, leaving sibling regions'
+/// committed schedules untouched, where the whole-function
+/// FunctionSnapshot would discard them.  The same snapshot is the scoped
+/// verifier's "before" side (sched/ScheduleVerifier.h), so a missed note
+/// is a verifier failure and a fail-stop rollback, never a silent compare
+/// of the post-pass state with itself.
 class RegionSnapshot {
 public:
-  /// Captures the contents of \p Blocks in \p F.  Region scheduling never
-  /// moves instructions across the region boundary, so these lists (plus
-  /// the registers counters for renaming) are exactly the state a region
-  /// transaction can change.
+  /// Captures the lists of \p Blocks in \p F and fingerprints them with
+  /// their instructions' pool entries.  Region scheduling never moves
+  /// instructions across the region boundary, so these lists, the noted
+  /// entries and the register counters (for renaming) are exactly the
+  /// state a region transaction can change.
   RegionSnapshot(const Function &F, std::vector<BlockId> Blocks);
 
+  /// Saves the current pool entry of instruction \p I (first touch only).
+  /// \p I must be one of the captured region instructions.
+  void noteInstr(InstrId I);
+
   /// Rolls the captured blocks of \p F back to the snapshot, including the
-  /// register counters.  \p F must not have been mutated outside the
-  /// captured region since the snapshot was taken.
+  /// noted pool entries and the register counters, then checks the
+  /// manifest; a mismatch (a rewrite nobody noted) is a fatal error.
+  /// \p F must not have been mutated outside the captured region since
+  /// the snapshot was taken.
   void restore(Function &F) const;
+
+  /// True when the snapshot's view of the pre-pass region -- the captured
+  /// lists, the noted pool entries, every other entry read from \p F --
+  /// fingerprints to the construction-time manifest.
+  bool viewMatchesManifest(const Function &F) const;
+
+  /// Drops one note whose saved entry still differs from \p F, keeping
+  /// its first-touch flag set so the loss is not silently repaired.
+  /// Returns false when every note is redundant.  Test-only.
+  bool dropOneNoteForTest(const Function &F);
 
   const std::vector<BlockId> &blocks() const { return Blocks; }
   /// Per captured block (parallel to blocks()): its instruction list.
@@ -77,27 +104,40 @@ public:
   const std::vector<std::vector<InstrId>> &blockInstrs() const {
     return BlockInstrs;
   }
-  /// Pool entries of every instruction referenced by the captured lists.
+  /// Pre-pass pool entries of the noted (rewritten) instructions.
   const std::vector<std::pair<InstrId, Instruction>> &instrs() const {
     return Instrs;
   }
 
 private:
+  /// Fingerprint of the view viewMatchesManifest describes.
+  uint64_t viewFingerprint(const Function &F) const;
+
   std::vector<BlockId> Blocks;
   std::vector<std::vector<InstrId>> BlockInstrs;
   std::vector<std::pair<InstrId, Instruction>> Instrs;
+  /// Per pool entry, allocated on the first note: 0 when not noted, else
+  /// its position in Instrs plus one (LostNote once dropped by a test).
+  std::vector<uint32_t> NoteSlot;
+  static constexpr uint32_t LostNote = ~0u;
+  const Function *Src = nullptr;
+  uint64_t Manifest = 0;
   std::array<unsigned, 3> RegCounts = {0, 0, 0};
 };
 
 /// A first-touch delta checkpoint of one Function: instead of copying the
 /// whole function up front (FunctionSnapshot), the transform notes each
 /// block list / pool entry *before* first mutating it, and rollback
-/// re-applies exactly those records.  Construction takes an O(n)
-/// allocation-free manifest hash of the full function; restore recomputes
-/// it and reports a mismatch, so a transform that mutated state it never
-/// noted (a lost delta) is detected fail-stop instead of silently
-/// rolling back to a wrong state.  The "ckpt-delta" fault-injection stage
-/// drops a record deliberately to prove that containment path fires.
+/// re-applies exactly those records.  A CFG transform (unroll, rotate,
+/// tail duplication) also notes the layout and the original-order numbers
+/// once, since it inserts blocks and renumbers the whole function; the
+/// blocks and pool entries it appends need no record, because rollback
+/// truncates them.  Construction takes an O(n) allocation-free manifest
+/// fingerprint of the full function; restore recomputes it and reports a
+/// mismatch, so a transform that mutated state it never noted (a lost
+/// delta) is detected fail-stop instead of silently rolling back to a
+/// wrong state.  The "ckpt-delta" fault-injection stage drops a record
+/// deliberately to prove that containment path fires.
 class DeltaCheckpoint {
 public:
   /// Captures shape and manifest of \p F.  With \p Armed false the
@@ -105,18 +145,23 @@ public:
   /// pipeline run with transactions off, which never rolls back.
   explicit DeltaCheckpoint(const Function &F, bool Armed = true);
 
-  /// Saves the current instruction list of block \p B (first touch only).
+  /// Saves the current instruction list of block \p B (first touch only;
+  /// blocks appended since construction need none).
   void noteBlock(BlockId B);
-  /// Saves the current pool entry of instruction \p I (first touch only).
+  /// Saves the current pool entry of instruction \p I (first touch only;
+  /// entries appended since construction need none).
   void noteInstr(InstrId I);
   /// Saves every block list (used before whole-function test corruption,
   /// which rewrites lists only).
   void noteAllBlocks();
+  /// Saves the layout and every instruction's original-order number, as
+  /// one flat array (first call only).  A CFG transform calls it before
+  /// it first creates a block.
+  void noteLayout();
 
-  bool armed() const { return Armed; }
   /// True when any delta record has been saved.
   bool hasRecords() const {
-    return !SavedBlocks.empty() || !SavedInstrs.empty();
+    return !SavedBlocks.empty() || !SavedInstrs.empty() || LayoutNoted;
   }
   /// Drops one record whose saved content still differs from the current
   /// function state -- i.e. a record rollback genuinely needs -- keeping
@@ -124,10 +169,12 @@ public:
   /// Returns false when every record is redundant.  Test-only.
   bool dropOneRecordForTest();
 
-  /// Rolls \p F back by re-applying the saved records and register
-  /// counters, then recomputes the manifest.  Returns false when the
-  /// restored bytes do not match the construction-time manifest (a delta
-  /// record was lost); the caller must treat that as fatal.
+  /// Rolls \p F back: truncates the blocks and pool entries appended since
+  /// construction, re-applies the saved records and register counters,
+  /// recomputes the manifest and, when it matches, rebuilds the cached CFG
+  /// edges.  Returns false when the restored state does not match the
+  /// construction-time manifest (a delta record was lost); the caller
+  /// must treat that as fatal.
   bool restore(Function &F) const;
 
   /// Approximate bytes of state the delta records hold, for the
@@ -144,9 +191,14 @@ private:
   unsigned NumBlocks = 0;
   unsigned NumInstrs = 0;
   std::array<unsigned, 3> RegCounts = {0, 0, 0};
+  /// First-touch flags, allocated on the first note of their kind.
   std::vector<uint8_t> BlockNoted, InstrNoted;
   std::vector<std::pair<BlockId, std::vector<InstrId>>> SavedBlocks;
   std::vector<std::pair<InstrId, Instruction>> SavedInstrs;
+  /// noteLayout's record: the layout, then NumInstrs original orders.
+  /// LayoutNoted stays set when the record is dropped for a test.
+  std::vector<uint32_t> SavedLayout;
+  bool LayoutNoted = false;
 };
 
 /// Field-by-field equality of two functions: same name, parameters,
@@ -155,6 +207,11 @@ private:
 /// callees, original order).  This is the "bit-identical" contract that
 /// rollback restores.
 bool functionsIdentical(const Function &A, const Function &B);
+
+/// True when every block of \p A has the cached CFG edges of the same
+/// block of \p B.  functionsIdentical leaves these derived lists out; a
+/// full snapshot copies them, a delta rollback rebuilds them.
+bool cfgEdgesIdentical(const Function &A, const Function &B);
 
 } // namespace gis
 

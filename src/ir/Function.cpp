@@ -22,6 +22,13 @@ BlockId Function::createBlockAfter(BlockId After, std::string Label) {
   return Id;
 }
 
+void Function::truncateForRollback(unsigned NumBlocks, unsigned NumInstrs) {
+  GIS_ASSERT(NumBlocks <= Blocks.size() && NumInstrs <= Pool.size(),
+             "rollback cannot grow a function");
+  Blocks.erase(Blocks.begin() + NumBlocks, Blocks.end());
+  Pool.erase(Pool.begin() + NumInstrs, Pool.end());
+}
+
 BlockId Function::layoutSuccessor(BlockId Id) const {
   for (size_t I = 0, E = Layout.size(); I != E; ++I)
     if (Layout[I] == Id)

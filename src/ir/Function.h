@@ -82,6 +82,13 @@ public:
     RegCounters[static_cast<unsigned>(Class)] = Count;
   }
 
+  /// Drops every block and pool entry appended since the function had
+  /// \p NumBlocks blocks and \p NumInstrs instructions (checkpoint support:
+  /// DeltaCheckpoint::restore discards what a rolled-back CFG transform
+  /// appended, then puts back the layout, block lists and pool entries the
+  /// transform rewrote, after which nothing references the dropped ids).
+  void truncateForRollback(unsigned NumBlocks, unsigned NumInstrs);
+
   //===--------------------------------------------------------------------===
   // Blocks and layout
   //===--------------------------------------------------------------------===

@@ -3,6 +3,7 @@
 #include "sched/GlobalScheduler.h"
 
 #include "analysis/Liveness.h"
+#include "ir/Checkpoint.h"
 #include "obs/Trace.h"
 #include "sched/Heuristics.h"
 #include "sched/ListScheduler.h"
@@ -19,7 +20,8 @@ GlobalSchedStats GlobalScheduler::scheduleRegion(Function &F,
                                                  Status *Err,
                                                  const Liveness *WaveLV,
                                                  const obs::SchedSink &Sink,
-                                                 PDG *OutPDG) {
+                                                 PDG *OutPDG,
+                                                 RegionSnapshot *Snap) {
   GlobalSchedStats Stats;
   if (Err)
     *Err = Status::ok();
@@ -190,6 +192,11 @@ GlobalSchedStats GlobalScheduler::scheduleRegion(Function &F,
           BumpObs(obs::SpecVetoLiveOut);
           return false;
         }
+      // A rename rewrites pool entries of the home block only (the def
+      // and its block-local uses); save them before the first one.
+      if (Snap)
+        for (InstrId Entry : F.block(Home).instrs())
+          Snap->noteInstr(Entry);
       for (Reg D : Conflicts) {
         if (!renameLocalDef(F, Home, I, D, IsLiveOut)) {
           ++Stats.VetoedSpeculations;

@@ -34,6 +34,7 @@ namespace gis {
 
 class DisambigCache;
 class Liveness;
+class RegionSnapshot;
 
 /// Scheduling level (paper Section 5.1 "two levels of scheduling").
 enum class SchedLevel : uint8_t {
@@ -115,11 +116,17 @@ public:
   /// \p F *before* any motion) is exported -- a cheap three-shared-ptr
   /// copy -- so the transactional layer can hand it to the schedule
   /// verifier instead of paying a second build.
+  ///
+  /// \p Snap (optional) is the region transaction's first-touch snapshot,
+  /// taken on \p F just before this call: the pass notes every pool entry
+  /// of a block before renaming rewrites it, so the snapshot can roll the
+  /// pass back and serve as the scoped verifier's "before" side.
   GlobalSchedStats scheduleRegion(Function &F, const SchedRegion &R,
                                   Status *Err = nullptr,
                                   const Liveness *WaveLV = nullptr,
                                   const obs::SchedSink &Sink = {},
-                                  PDG *OutPDG = nullptr);
+                                  PDG *OutPDG = nullptr,
+                                  RegionSnapshot *Snap = nullptr);
 
 private:
   MachineDescription MD;

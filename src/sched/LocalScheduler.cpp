@@ -26,6 +26,7 @@ void scheduleRegionBlocks(Function &F, const MachineDescription &MD,
 } // namespace
 
 LocalSchedStats gis::scheduleLocal(Function &F, const MachineDescription &MD,
+                                   const LoopInfo &LI,
                                    const obs::SchedSink &Sink,
                                    DisambigCache *Cache,
                                    DeltaCheckpoint *Ckpt) {
@@ -36,7 +37,6 @@ LocalSchedStats gis::scheduleLocal(Function &F, const MachineDescription &MD,
   // intra-block reorders patch positions in place below.
   if (Cache)
     Cache->noteFunctionChanged();
-  LoopInfo LI = LoopInfo::compute(F);
 
   // Regions proper require reducible control flow; otherwise fall back to
   // degenerate one-block regions (the scheduling result is identical: the

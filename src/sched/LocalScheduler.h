@@ -25,6 +25,7 @@ namespace gis {
 
 class DeltaCheckpoint;
 class DisambigCache;
+class LoopInfo;
 
 /// Statistics of a local scheduling pass.
 struct LocalSchedStats {
@@ -38,6 +39,9 @@ struct LocalSchedStats {
 
 /// Reorders the instructions of every basic block of \p F for the machine
 /// \p MD, respecting all data dependences.  The CFG never changes.
+/// \p LI is the loop forest of \p F's current CFG, which the pass walks
+/// region by region (the pipeline passes the one it keeps current across
+/// CFG transforms; other callers pass LoopInfo::compute(F)).
 /// \p Sink optionally collects observability counters and decision records
 /// (src/obs/); local picks carry stage tag "local".  \p Cache (optional)
 /// shares the dependence builder's reachability/disambiguation inputs
@@ -47,6 +51,7 @@ struct LocalSchedStats {
 /// \p Ckpt (optional) receives a first-touch record of every block list
 /// this pass rewrites, for delta rollback.
 LocalSchedStats scheduleLocal(Function &F, const MachineDescription &MD,
+                              const LoopInfo &LI,
                               const obs::SchedSink &Sink = {},
                               DisambigCache *Cache = nullptr,
                               DeltaCheckpoint *Ckpt = nullptr);

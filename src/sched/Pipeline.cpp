@@ -55,49 +55,29 @@ struct TxContext {
   DisambigCache &Cache;
 };
 
-/// Runs one whole-function transform as a transaction: snapshot,
-/// transform, verify, commit or roll back.  Region scheduling does not
-/// come through here -- it uses the region-local transaction boundary of
-/// scheduleRegionTask below, which rolls back a single region instead of
-/// the whole function.
-///
-/// \param Stage    stable stage name ("prerename", "unroll", "rotate",
-///                 "local", ...); also the fault injection trigger point
-///                 (GIS_FAULT_INJECT).
-/// \param LoopIdx  region loop index for diagnostics (-1: whole function).
-/// \param Body     the transform.  Records its statistics into the passed
-///                 delta (merged into Ctx.Stats only on commit) and
-///                 reports recoverable failures through its return Status.
-/// \param RegionScoped controls which rollback counter a failure bumps.
-///
-/// Returns true when the transaction committed.  With transactions
-/// disabled the body runs bare: no snapshot, no verification, and a failure
-/// Status aborts (the historical fail-fast contract).
-bool runTransaction(TxContext &Ctx, const char *Stage, int LoopIdx,
-                    const std::function<Status(PipelineStats &)> &Body,
-                    bool RegionScoped) {
-  obs::TraceSpan StageSpan(Stage, "stage", "loop",
-                           static_cast<int64_t>(LoopIdx));
+/// The guard configuration of the run's whole-function transactions.
+TransactionConfig txConfig(const PipelineOptions &Opts) {
+  TransactionConfig Cfg;
+  Cfg.Enabled = Opts.EnableTransactions;
+  Cfg.VerifyStructural = Opts.VerifyStructural;
+  Cfg.EnableOracle = Opts.EnableOracle;
+  Cfg.OracleModule = Opts.OracleModule;
+  Cfg.OracleMaxSteps = Opts.OracleMaxSteps;
+  return Cfg;
+}
+
+/// Folds one whole-function transaction's outcome into the run's
+/// statistics: the body's statistics \p Delta on commit, a rollback record
+/// and its diagnostic otherwise.  \p RegionScoped selects the rollback
+/// counter.  Returns true when the transaction committed.
+bool recordOutcome(TxContext &Ctx, const TransactionResult &R,
+                   PipelineStats &Delta, const char *Stage, int LoopIdx,
+                   bool RegionScoped) {
   if (!Ctx.Opts.EnableTransactions) {
-    TransactionConfig Cfg;
-    Cfg.Enabled = false;
-    PipelineStats Delta;
-    runFunctionTransaction(Ctx.F, Stage, Cfg,
-                           [&] { return Body(Delta); });
-    Ctx.Stats += Delta;
+    Ctx.Stats += Delta; // ran bare; a failure already aborted
     return true;
   }
-
   ++Ctx.Stats.TransactionsRun;
-  TransactionConfig Cfg;
-  Cfg.VerifyStructural = Ctx.Opts.VerifyStructural;
-  Cfg.EnableOracle = Ctx.Opts.EnableOracle;
-  Cfg.OracleModule = Ctx.Opts.OracleModule;
-  Cfg.OracleMaxSteps = Ctx.Opts.OracleMaxSteps;
-
-  PipelineStats Delta;
-  TransactionResult R =
-      runFunctionTransaction(Ctx.F, Stage, Cfg, [&] { return Body(Delta); });
   if (R.EngineFailure)
     ++Ctx.Stats.EngineFailures;
   if (R.FaultInjected)
@@ -124,63 +104,71 @@ bool runTransaction(TxContext &Ctx, const char *Stage, int LoopIdx,
   return false;
 }
 
-/// Delta variant of runTransaction for whole-function transforms whose
-/// touched state is a small fraction of the function (pre-renaming, the
-/// local scheduler): instead of a full FunctionSnapshot the transaction
-/// takes a DeltaCheckpoint and the body notes each block list / pool
-/// entry before first mutating it (sched/Transaction.h).  With
-/// transactions off this delegates to runTransaction, whose body runs bare
-/// under an unarmed checkpoint.
+/// Runs one whole-function transform as a transaction: checkpoint,
+/// transform, verify, commit or roll back.  Region scheduling does not
+/// come through here -- it uses the region-local transaction boundary of
+/// scheduleRegionTask below, which rolls back a single region instead of
+/// the whole function.
+///
+/// The checkpoint is first-touch (ir/Checkpoint.h): the body notes each
+/// block list, pool entry and -- for a CFG transform -- the layout before
+/// first mutating it, and rollback truncates what the body appended and
+/// re-applies the records (sched/Transaction.h).  With transactions off
+/// the body runs bare under an unarmed checkpoint.
+///
+/// \param Stage    stable stage name ("prerename", "unroll", "rotate",
+///                 "local", ...); also the fault injection trigger point
+///                 (GIS_FAULT_INJECT).
+/// \param LoopIdx  region loop index for diagnostics (-1: whole function).
+/// \param Body     the transform.  Records its statistics into the passed
+///                 delta (merged into Ctx.Stats only on commit) and
+///                 reports recoverable failures through its return Status.
+/// \param RegionScoped controls which rollback counter a failure bumps.
+///
+/// Returns true when the transaction committed.
 bool runDeltaTransaction(
     TxContext &Ctx, const char *Stage, int LoopIdx,
     const std::function<Status(PipelineStats &, DeltaCheckpoint &)> &Body,
     bool RegionScoped) {
-  if (!Ctx.Opts.EnableTransactions) {
-    DeltaCheckpoint Ck(Ctx.F, /*Armed=*/false);
-    return runTransaction(
-        Ctx, Stage, LoopIdx,
-        [&](PipelineStats &Delta) { return Body(Delta, Ck); }, RegionScoped);
-  }
-
   obs::TraceSpan StageSpan(Stage, "stage", "loop",
                            static_cast<int64_t>(LoopIdx));
-  ++Ctx.Stats.TransactionsRun;
-  TransactionConfig Cfg;
-  Cfg.VerifyStructural = Ctx.Opts.VerifyStructural;
-  Cfg.EnableOracle = Ctx.Opts.EnableOracle;
-  Cfg.OracleModule = Ctx.Opts.OracleModule;
-  Cfg.OracleMaxSteps = Ctx.Opts.OracleMaxSteps;
-
+  const TransactionConfig Cfg = txConfig(Ctx.Opts);
   PipelineStats Delta;
-  DeltaCheckpoint Ck(Ctx.F, /*Armed=*/true);
+  DeltaCheckpoint Ck(Ctx.F, Cfg.Enabled);
   TransactionResult R = runFunctionTransactionDelta(
       Ctx.F, Stage, Cfg, Ck, [&] { return Body(Delta, Ck); });
-  if (Ctx.Opts.CollectCounters)
+  if (Cfg.Enabled && Ctx.Opts.CollectCounters)
     Ctx.Stats.Counters.bump(obs::ColdCkptBytes, Ck.bytesSaved());
-  if (R.EngineFailure)
-    ++Ctx.Stats.EngineFailures;
-  if (R.FaultInjected)
-    ++Ctx.Stats.FaultsInjected;
-  if (R.VerifierFailure)
-    ++Ctx.Stats.VerifierFailures;
-  if (R.OracleMismatch)
-    ++Ctx.Stats.OracleMismatches;
+  return recordOutcome(Ctx, R, Delta, Stage, LoopIdx, RegionScoped);
+}
 
-  if (R.Committed) {
-    Ctx.Stats += Delta;
-    return true;
-  }
+/// Runs register allocation as a transaction over a full FunctionSnapshot:
+/// the allocator rewrites every register operand and inserts spill code,
+/// so first-touch records would copy the whole function anyway.
+bool runRegAllocTransaction(TxContext &Ctx,
+                            const std::function<Status(PipelineStats &)> &Body) {
+  obs::TraceSpan StageSpan("regalloc", "stage", "loop", -1);
+  PipelineStats Delta;
+  TransactionResult R = runFunctionTransaction(
+      Ctx.F, "regalloc", txConfig(Ctx.Opts), [&] { return Body(Delta); });
+  return recordOutcome(Ctx, R, Delta, "regalloc", -1, /*RegionScoped=*/false);
+}
 
-  if (RegionScoped)
-    ++Ctx.Stats.RegionsRolledBack;
-  else
-    ++Ctx.Stats.TransformsRolledBack;
-  if (Ctx.Opts.CollectCounters)
-    Ctx.Stats.Counters.bump(obs::Rollbacks);
-  obs::Tracer::instance().instant("rollback", "tx", "loop",
-                                  static_cast<int64_t>(LoopIdx));
-  reportDiagnostic(Ctx.Stats.Diags, R.S, Ctx.F.name(), Stage, LoopIdx);
-  return false;
+/// The pipeline computes LoopInfo once per CFG change -- at entry and
+/// after each committed unroll, rotation or tail duplication -- and reuses
+/// it in between: region and local scheduling never edit the CFG.
+/// GIS_SLOWPATH_CHECK builds compare every reuse with a fresh compute and
+/// treat a difference as fatal.
+void checkReusedLoopInfo(const Function &F, const LoopInfo &LI) {
+#ifdef GIS_SLOWPATH_CHECK
+  if (!(LoopInfo::compute(F) == LI))
+    fatalError(__FILE__, __LINE__,
+               "slow-path check: reused LoopInfo diverges from a fresh "
+               "compute");
+#else
+  (void)F;
+  (void)LI;
+#endif
 }
 
 //===----------------------------------------------------------------------===
@@ -217,9 +205,10 @@ std::vector<unsigned> loopHeights(const LoopInfo &LI) {
 
 /// Schedules region \p R in place as one region-local transaction of wave
 /// \p WaveNo; \p WaveLV is the wave-start whole-function liveness.
-/// Rollback is guarded by a region snapshot, and semantic verification by
-/// the block-scoped verifier on the scheduler's own PDG, reading the
-/// pre-pass state from a capture (DESIGN.md section 15).  The differential
+/// Rollback is guarded by a first-touch region snapshot that the scheduler
+/// notes its renames into, and semantic verification by the block-scoped
+/// verifier on the scheduler's own PDG, reading the pre-pass state from
+/// that snapshot and a capture (DESIGN.md section 15).  The differential
 /// oracle needs the complete pre-pass function and takes one full copy.
 void scheduleRegionTask(TxContext &Ctx, const GlobalSchedOptions &GOpts,
                         const SchedRegion &R, const Liveness &WaveLV,
@@ -266,7 +255,8 @@ void scheduleRegionTask(TxContext &Ctx, const GlobalSchedOptions &GOpts,
   Status S;
   PDG P;
   Delta.Global += GS.scheduleRegion(Ctx.F, R, Transactional ? &S : nullptr,
-                                    &WaveLV, Sink, Verify ? &P : nullptr);
+                                    &WaveLV, Sink, Verify ? &P : nullptr,
+                                    Snap ? &*Snap : nullptr);
   if (Transactional) {
     ++Ctx.Stats.TransactionsRun;
     if (!S.isOk())
@@ -322,8 +312,8 @@ void scheduleRegionTask(TxContext &Ctx, const GlobalSchedOptions &GOpts,
   Ctx.Stats.RegionTimes.push_back({LoopIdx, WaveNo, Seconds});
 
   if (!S.isOk()) {
-    // Region-local rollback: restore the region's block lists, pool
-    // entries and the register counters.  The task's counters and
+    // Region-local rollback: restore the region's block lists, noted pool
+    // entries and the register counters (fail-stop on a lost note).  The task's counters and
     // decisions are dropped with it: observability reports committed work
     // only.
     Snap->restore(Ctx.F);
@@ -429,14 +419,8 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
   // report folds into this run's statistics so rollbacks, faults and
   // diagnostics surface through the one channel.
   if (Opts.Opt.anyEnabled()) {
-    TransactionConfig TxCfg;
-    TxCfg.Enabled = Opts.EnableTransactions;
-    TxCfg.VerifyStructural = Opts.VerifyStructural;
-    TxCfg.EnableOracle = Opts.EnableOracle;
-    TxCfg.OracleModule = Opts.OracleModule;
-    TxCfg.OracleMaxSteps = Opts.OracleMaxSteps;
     opt::OptRunReport R = opt::runOptPasses(
-        F, MD, Opts.Opt, TxCfg,
+        F, MD, Opts.Opt, txConfig(Opts),
         Opts.CollectCounters ? &Stats.Counters : nullptr);
     Stats.Opt += R.Opt;
     Stats.TransactionsRun += R.TransactionsRun;
@@ -450,12 +434,16 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
 
   F.renumberOriginalOrder();
 
+  // The loop forest, recomputed only when a CFG transform commits (see
+  // checkReusedLoopInfo).
   LoopInfo LI = LoopInfo::compute(F);
   bool GlobalEnabled = Opts.Level != SchedLevel::None;
   if (!LI.isReducible()) {
     ++Stats.FunctionsSkippedIrreducible;
     GlobalEnabled = false;
   }
+  // Set when a tail duplication committed after LI was last computed.
+  bool LoopInfoStale = false;
 
   // Step 0: the Section 4.2 preprocessing -- rename block-local values so
   // register reuse does not manufacture anti/output dependences.  In the
@@ -466,8 +454,7 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
     runDeltaTransaction(
         Ctx, "prerename", -1,
         [&](PipelineStats &Delta, DeltaCheckpoint &Ck) {
-          Delta.PreRenamedDefs =
-              preRenameLocals(F, Ck.armed() ? &Ck : nullptr).RenamedDefs;
+          Delta.PreRenamedDefs = preRenameLocals(F, &Ck).RenamedDefs;
           return Status::ok();
         },
         /*RegionScoped=*/false);
@@ -481,7 +468,7 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
       std::vector<BlockId> UnrolledHeaders;
       while (Progress) {
         Progress = false;
-        LI = LoopInfo::compute(F);
+        checkReusedLoopInfo(F, LI);
         for (unsigned L = 0; L != LI.numLoops(); ++L) {
           if (!isInnerLoop(LI, L) ||
               LI.loop(L).numBlocks() > Opts.UnrollMaxBlocks)
@@ -494,20 +481,21 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
           if (!canUnrollOnce(F, LI, L))
             continue; // shape unsupported; no transaction needed
           bool Changed = false;
-          bool Committed = runTransaction(
+          bool Committed = runDeltaTransaction(
               Ctx, "unroll", static_cast<int>(L),
-              [&](PipelineStats &Delta) {
+              [&](PipelineStats &Delta, DeltaCheckpoint &Ck) {
                 Status S;
                 Changed = unrollLoopOnce(
-                    F, LI, L, Opts.EnableTransactions ? &S : nullptr);
+                    F, LI, L, Opts.EnableTransactions ? &S : nullptr, &Ck);
                 if (Changed)
                   ++Delta.LoopsUnrolled;
                 return S;
               },
               /*RegionScoped=*/false);
           if (Committed && Changed) {
+            LI = LoopInfo::compute(F); // the CFG changed; restart the scan
             Progress = true;
-            break; // LoopInfo is stale; restart
+            break;
           }
         }
       }
@@ -516,7 +504,7 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
     // Step 2: first global scheduling pass over the inner regions.  Inner
     // loops are leaves of the loop forest, hence pairwise disjoint: one
     // wave.
-    LI = LoopInfo::compute(F);
+    checkReusedLoopInfo(F, LI);
     {
       obs::TraceSpan Pass1Span("pass1", "stage");
       std::vector<int> Inner;
@@ -534,7 +522,7 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
       std::vector<BlockId> RotatedHeaders;
       while (Progress) {
         Progress = false;
-        LI = LoopInfo::compute(F);
+        checkReusedLoopInfo(F, LI);
         for (unsigned L = 0; L != LI.numLoops(); ++L) {
           if (!isInnerLoop(LI, L) ||
               LI.loop(L).numBlocks() > Opts.RotateMaxBlocks)
@@ -548,12 +536,12 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
             continue;
           }
           bool Changed = false;
-          bool Committed = runTransaction(
+          bool Committed = runDeltaTransaction(
               Ctx, "rotate", static_cast<int>(L),
-              [&](PipelineStats &Delta) {
+              [&](PipelineStats &Delta, DeltaCheckpoint &Ck) {
                 Status S;
-                Changed = rotateLoop(F, LI, L,
-                                     Opts.EnableTransactions ? &S : nullptr);
+                Changed = rotateLoop(
+                    F, LI, L, Opts.EnableTransactions ? &S : nullptr, &Ck);
                 if (Changed)
                   ++Delta.LoopsRotated;
                 return S;
@@ -579,7 +567,7 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
     // pairwise disjoint (independent), while a parent region reads its
     // children's blocks through its summary nodes and so runs only after
     // their wave committed.
-    LI = LoopInfo::compute(F);
+    checkReusedLoopInfo(F, LI);
     {
       obs::TraceSpan Pass2Span("pass2", "stage");
       std::vector<unsigned> Heights = loopHeights(LI);
@@ -618,14 +606,14 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
     // a separate "tail-dup" transaction -- a rollback drops that one
     // trace and its budget spend, never the whole phase.
     if (Opts.EnableSuperblocks) {
-      LI = LoopInfo::compute(F);
+      checkReusedLoopInfo(F, LI);
       TraceFormationOptions TOpts;
       TOpts.MaxBlocks = std::min(Opts.TraceMaxBlocks, Opts.RegionBlockLimit);
       TOpts.Profile = Opts.Profile;
       std::vector<SuperblockTrace> Traces;
-      bool Formed = runTransaction(
+      bool Formed = runDeltaTransaction(
           Ctx, "trace-form", -1,
-          [&](PipelineStats &Delta) {
+          [&](PipelineStats &Delta, DeltaCheckpoint &) {
             Traces = formTraces(F, LI, TOpts);
             for (const SuperblockTrace &T : Traces) {
               ++Delta.TracesFormed;
@@ -658,14 +646,14 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
           continue;
         // The transform mutates the trace and the budget; operate on
         // copies and write back only on commit, so a rollback restores
-        // both (the snapshot restores only the function).
+        // both (the checkpoint restores only the function).
         SuperblockTrace Tmp = T;
         unsigned Bud = BudgetLeft;
         TailDuplicationStats DS;
-        bool Committed = runTransaction(
+        bool Committed = runDeltaTransaction(
             Ctx, "tail-dup", -1,
-            [&](PipelineStats &Delta) {
-              DS = duplicateTails(F, Tmp, Bud);
+            [&](PipelineStats &Delta, DeltaCheckpoint &Ck) {
+              DS = duplicateTails(F, Tmp, Bud, &Ck);
               Delta.TailDupInstrs += DS.ClonedInstrs;
               Delta.TailDupBlocks += DS.ClonedBlocks + DS.TrampolineBlocks;
               Delta.TracesTruncated += DS.TracesTruncated;
@@ -684,6 +672,7 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
         if (Committed) {
           T = std::move(Tmp);
           BudgetLeft = Bud;
+          LoopInfoStale |= DS.Changed;
         } else {
           T.Blocks.clear(); // function rolled back; the trace goes with it
         }
@@ -713,20 +702,26 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
 
   // Step 5: the basic-block scheduler with its (per the paper, more
   // detailed) machine model runs over every block.
-  if (Opts.RunLocalScheduler)
+  auto RunLocal = [&](const char *Stage) {
+    checkReusedLoopInfo(F, LI);
     runDeltaTransaction(
-        Ctx, "local", -1,
+        Ctx, Stage, -1,
         [&](PipelineStats &Delta, DeltaCheckpoint &Ck) {
           obs::SchedSink Sink;
           if (Opts.CollectCounters)
             Sink.Counters = &Delta.Counters;
           if (Opts.CollectDecisions)
             Sink.Decisions = &Delta.Decisions;
-          Delta.Local = scheduleLocal(F, MD, Sink, &DCache,
-                                      Ck.armed() ? &Ck : nullptr);
+          Delta.Local = scheduleLocal(F, MD, LI, Sink, &DCache, &Ck);
           return Status::ok();
         },
         /*RegionScoped=*/false);
+  };
+  if (Opts.RunLocalScheduler) {
+    if (LoopInfoStale)
+      LI = LoopInfo::compute(F); // tail duplication edited the CFG
+    RunLocal("local");
+  }
 
   // Peak pressure of the scheduled, still-symbolic code: the quantity the
   // finite register files must absorb (and what --stats reports even when
@@ -742,26 +737,25 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
   // scheduler runs once more so the spill code's anti/output dependences
   // are woven into the issue slots -- the XL "twice-scheduled" flow the
   // paper describes.  A failed allocation rolls back to symbolic registers
-  // and the pipeline's ordinary output stands.
+  // and the pipeline's ordinary output stands.  Allocation inserts spill
+  // code into existing blocks only, so the local pass's LoopInfo stays
+  // valid for the second run.
   if (Opts.AllocateRegisters) {
-    bool Committed = runTransaction(
-        Ctx, "regalloc", -1,
-        [&](PipelineStats &Delta) {
-          RegAllocStats RA;
-          Status S = allocateRegisters(F, MD, RA);
-          if (!S.isOk())
-            return S;
-          Delta.RegAlloc += RA;
-          if (Opts.CollectCounters) {
-            Delta.Counters.bump(obs::RegAllocIntervals, RA.IntervalsBuilt);
-            Delta.Counters.bump(obs::RegAllocSpilledIntervals,
-                                RA.IntervalsSpilled);
-            Delta.Counters.bump(obs::RegAllocSpillStores, RA.SpillStores);
-            Delta.Counters.bump(obs::RegAllocSpillReloads, RA.SpillReloads);
-          }
-          return S;
-        },
-        /*RegionScoped=*/false);
+    bool Committed = runRegAllocTransaction(Ctx, [&](PipelineStats &Delta) {
+      RegAllocStats RA;
+      Status S = allocateRegisters(F, MD, RA);
+      if (!S.isOk())
+        return S;
+      Delta.RegAlloc += RA;
+      if (Opts.CollectCounters) {
+        Delta.Counters.bump(obs::RegAllocIntervals, RA.IntervalsBuilt);
+        Delta.Counters.bump(obs::RegAllocSpilledIntervals,
+                            RA.IntervalsSpilled);
+        Delta.Counters.bump(obs::RegAllocSpillStores, RA.SpillStores);
+        Delta.Counters.bump(obs::RegAllocSpillReloads, RA.SpillReloads);
+      }
+      return S;
+    });
     if (!Committed) {
       ++Stats.RegAllocFailures;
       if (Opts.CollectCounters)
@@ -769,19 +763,7 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
     }
     if (Committed && Opts.RescheduleAfterAlloc && Opts.RunLocalScheduler) {
       F.renumberOriginalOrder();
-      runDeltaTransaction(
-          Ctx, "postalloc", -1,
-          [&](PipelineStats &Delta, DeltaCheckpoint &Ck) {
-            obs::SchedSink Sink;
-            if (Opts.CollectCounters)
-              Sink.Counters = &Delta.Counters;
-            if (Opts.CollectDecisions)
-              Sink.Decisions = &Delta.Decisions;
-            Delta.Local = scheduleLocal(F, MD, Sink, &DCache,
-                                        Ck.armed() ? &Ck : nullptr);
-            return Status::ok();
-          },
-          /*RegionScoped=*/false);
+      RunLocal("postalloc");
     }
   }
 

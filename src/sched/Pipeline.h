@@ -131,8 +131,9 @@ struct PipelineOptions {
   // Transactional execution (failure model & recovery; see DESIGN.md)
   //===--------------------------------------------------------------------===
 
-  /// Run every transform as a transaction: snapshot the function, run the
-  /// transform, verify, and roll back to the snapshot on any failure.
+  /// Run every transform as a transaction: checkpoint the function (first
+  /// touch, ir/Checkpoint.h), run the transform, verify, and roll back to
+  /// the checkpoint on any failure.
   /// When false the pipeline keeps the historical fail-fast contract
   /// (internal invariant failures abort the process).
   bool EnableTransactions = true;

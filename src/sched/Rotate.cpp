@@ -2,6 +2,7 @@
 
 #include "sched/Rotate.h"
 
+#include "ir/Checkpoint.h"
 #include "sched/LoopShape.h"
 #include "support/Assert.h"
 
@@ -98,7 +99,7 @@ bool gis::canRotateLoop(const Function &F, const LoopInfo &LI,
 }
 
 bool gis::rotateLoop(Function &F, const LoopInfo &LI, unsigned LoopIdx,
-                     Status *Err) {
+                     Status *Err, DeltaCheckpoint *Ckpt) {
   if (Err)
     *Err = Status::ok();
   if (!canRotateLoop(F, LI, LoopIdx))
@@ -117,6 +118,8 @@ bool gis::rotateLoop(Function &F, const LoopInfo &LI, unsigned LoopIdx,
   BlockId Last = Blocks.back();
 
   // Create the header copy behind the loop.
+  if (Ckpt)
+    Ckpt->noteLayout();
   BlockId Copy = F.createBlockAfter(Last, F.block(L.Header).label() + ".rot");
   for (InstrId I : F.block(L.Header).instrs()) {
     InstrId Cloned = F.cloneInstr(I);
@@ -155,6 +158,8 @@ bool gis::rotateLoop(Function &F, const LoopInfo &LI, unsigned LoopIdx,
     Instruction &T = F.instr(Term);
     if (!T.isBranch() || T.target() != L.Header)
       return Fail("latch must branch to the header");
+    if (Ckpt)
+      Ckpt->noteInstr(Term);
     if (Latch == Last &&
         (T.opcode() == Opcode::BT || T.opcode() == Opcode::BF)) {
       BlockId Exit = F.layoutSuccessor(Copy);

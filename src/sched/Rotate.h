@@ -25,6 +25,8 @@
 
 namespace gis {
 
+class DeltaCheckpoint;
+
 /// True if loop \p LoopIdx can be rotated by rotateLoop: contiguous in
 /// layout with the header first, every back edge is an explicit branch,
 /// and the header has at most one in-loop successor (otherwise the rotated
@@ -39,9 +41,11 @@ bool canRotateLoop(const Function &F, const LoopInfo &LI, unsigned LoopIdx);
 /// With \p Err non-null, a mid-flight invariant failure is reported
 /// through it and the function may be left partially transformed -- the
 /// caller owns a checkpoint and must roll back.  With \p Err null such
-/// failures abort.
+/// failures abort.  \p Ckpt (optional) receives first-touch records of
+/// the layout, the original-order numbers and every latch terminator the
+/// transform rewrites, for delta rollback; the appended copy needs none.
 bool rotateLoop(Function &F, const LoopInfo &LI, unsigned LoopIdx,
-                Status *Err = nullptr);
+                Status *Err = nullptr, DeltaCheckpoint *Ckpt = nullptr);
 
 } // namespace gis
 

@@ -108,11 +108,7 @@ std::vector<Placement> placementsOf(const Function &F, const SchedRegion &R) {
 /// Content hash of one block's instruction list (the scoped verifier's
 /// out-of-region change detector).
 uint64_t hashInstrList(const std::vector<InstrId> &List) {
-  HashBuilder H;
-  H.addU64(List.size());
-  for (InstrId I : List)
-    H.addU32(I);
-  return H.hash();
+  return Fingerprint().addU32s(List.data(), List.size()).hash();
 }
 
 /// The rule checks shared by both verifier entry points, from the
@@ -360,6 +356,16 @@ std::vector<std::string> gis::verifyRegionScheduleScoped(
     return Problems;
   }
 
+  // The before side below is the snapshot's view: its lists, its noted
+  // pool entries, every other entry read from After.  It must fingerprint
+  // to the capture manifest, or a rewrite went unnoted and the checks
+  // would compare After with itself.
+  if (!BeforeRegion.viewMatchesManifest(After)) {
+    Problem("pre-pass view of the region does not match its snapshot "
+            "manifest (a rewrite was not noted)");
+    return Problems;
+  }
+
   // Out-of-region sweep against the captured fingerprints (the full
   // verifier compares the lists themselves; a 64-bit content hash stands
   // in for the untouched copy we no longer keep).
@@ -370,10 +376,11 @@ std::vector<std::string> gis::verifyRegionScheduleScoped(
                            After.block(B).label().c_str()));
 
   // The before side of the region, overlaid from the rollback snapshot:
-  // per-block pre-pass lists, per-instruction pre-pass pool entries
-  // (renaming rewrites operands of region instructions only -- a local
-  // def's uses are block-local by construction -- so out-of-region pool
-  // entries are identical on both sides; DESIGN.md section 15).
+  // per-block pre-pass lists, and the pre-pass pool entries the scheduler
+  // noted before renaming rewrote them (renaming rewrites operands of
+  // region instructions only -- a local def's uses are block-local by
+  // construction -- so every other pool entry is identical on both sides;
+  // DESIGN.md section 15).
   std::vector<const std::vector<InstrId> *> BeforeLists(After.numBlocks(),
                                                         nullptr);
   const std::vector<BlockId> &SnapBlocks = BeforeRegion.blocks();

@@ -104,9 +104,14 @@ struct ScopedVerifyStats {
 
 /// Block-scoped variant of verifyRegionSchedule (DESIGN.md section 15):
 /// verifies the same legality rules from a pre-pass capture
-/// (\p Ctx + \p BeforeRegion, the region snapshot the transaction took
-/// for rollback) instead of a full Before function, reusing the
-/// scheduler's own PDG \p P, and skips the work only provably-untouched
+/// (\p Ctx + \p BeforeRegion, the first-touch region snapshot the
+/// transaction took for rollback and the scheduler noted its renames
+/// into) instead of a full Before function, reusing the scheduler's own
+/// PDG \p P.  It first checks that the snapshot's view of the region --
+/// the captured lists, the noted pool entries, every other entry read
+/// from \p After -- fingerprints to the snapshot's manifest; a mismatch
+/// (an unnoted rewrite) is reported as a problem, never silently compared.
+/// It then skips the work only provably-untouched
 /// blocks imply: dependence edges whose endpoints' home blocks kept their
 /// exact pre-pass lists, and the liveness re-solves (the Section 5.3
 /// rule is decided by same-read witnesses alone -- a shared witness *is*

@@ -125,7 +125,8 @@ gis::runFunctionTransactionDelta(Function &F, const char *Stage,
                "delta checkpoint integrity check failed: rollback lost a "
                "record (manifest mismatch)");
 #ifdef GIS_SLOWPATH_CHECK
-  if (!functionsIdentical(F, RefSnap.function()))
+  if (!functionsIdentical(F, RefSnap.function()) ||
+      !cfgEdgesIdentical(F, RefSnap.function()))
     fatalError(__FILE__, __LINE__,
                "slow-path check: delta rollback diverges from the full "
                "snapshot");

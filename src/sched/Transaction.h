@@ -80,16 +80,17 @@ class DeltaCheckpoint;
 
 /// Delta variant of runFunctionTransaction: instead of snapshotting the
 /// whole function, the caller constructs \p Ck against \p F immediately
-/// before this call and the body notes each block/instruction before
-/// first mutating it; rollback re-applies only those records, checked
-/// against the construction-time manifest hash (a lost record is a fatal
+/// before this call and the body notes each block/instruction (and, for a
+/// CFG transform, the layout) before first mutating it; rollback drops
+/// what the body appended and re-applies only those records, checked
+/// against the construction-time manifest (a lost record is a fatal
 /// error, never a silent mis-rollback).  Two deliberate fallbacks keep
 /// semantics identical to the full-snapshot path: an enabled oracle needs
 /// the complete pre-body function, so the transaction delegates to
 /// runFunctionTransaction; and under -DGIS_SLOWPATH_CHECK a full snapshot
-/// is taken anyway and every rollback is cross-checked bit-for-bit
-/// against it.  The "ckpt-delta" fault stage drops one needed record
-/// after the body to prove the manifest containment fires.
+/// is taken anyway and every rollback is cross-checked bit-for-bit, CFG
+/// edges included, against it.  The "ckpt-delta" fault stage drops one
+/// needed record after the body to prove the manifest containment fires.
 TransactionResult
 runFunctionTransactionDelta(Function &F, const char *Stage,
                             const TransactionConfig &Cfg, DeltaCheckpoint &Ck,

@@ -2,6 +2,7 @@
 
 #include "sched/Unroll.h"
 
+#include "ir/Checkpoint.h"
 #include "sched/LoopShape.h"
 #include "support/Assert.h"
 
@@ -37,7 +38,7 @@ bool gis::canUnrollOnce(const Function &F, const LoopInfo &LI,
 }
 
 bool gis::unrollLoopOnce(Function &F, const LoopInfo &LI, unsigned LoopIdx,
-                         Status *Err) {
+                         Status *Err, DeltaCheckpoint *Ckpt) {
   if (Err)
     *Err = Status::ok();
   if (!canUnrollOnce(F, LI, LoopIdx))
@@ -55,6 +56,8 @@ bool gis::unrollLoopOnce(Function &F, const LoopInfo &LI, unsigned LoopIdx,
   BlockId Last = Blocks.back();
 
   // Create the copies, in order, right behind the loop.
+  if (Ckpt)
+    Ckpt->noteLayout();
   std::map<BlockId, BlockId> CopyOf;
   BlockId InsertAfter = Last;
   for (BlockId B : Blocks) {
@@ -89,6 +92,8 @@ bool gis::unrollLoopOnce(Function &F, const LoopInfo &LI, unsigned LoopIdx,
     Instruction &T = F.instr(Term);
     if (!T.isBranch() || T.target() != L.Header)
       return Fail("latch terminator must branch to the header");
+    if (Ckpt)
+      Ckpt->noteInstr(Term);
     if (Latch == Last && (T.opcode() == Opcode::BT || T.opcode() == Opcode::BF)) {
       // The copies sit on this block's fall-through path now.  Invert the
       // branch so the exit keeps its explicit target and the loop-again

@@ -23,6 +23,8 @@
 
 namespace gis {
 
+class DeltaCheckpoint;
+
 /// True if loop \p LoopIdx of \p LI is unrollable by unrollLoopOnce:
 /// its blocks are contiguous in layout with the header first, and the
 /// last block's terminator is a branch to the header (the common shape of
@@ -39,9 +41,11 @@ bool canUnrollOnce(const Function &F, const LoopInfo &LI, unsigned LoopIdx);
 /// With \p Err non-null, a mid-flight invariant failure is reported
 /// through it and the function may be left partially transformed -- the
 /// caller owns a checkpoint and must roll back.  With \p Err null such
-/// failures abort.
+/// failures abort.  \p Ckpt (optional) receives first-touch records of
+/// the layout, the original-order numbers and every latch terminator the
+/// transform rewrites, for delta rollback; the appended copies need none.
 bool unrollLoopOnce(Function &F, const LoopInfo &LI, unsigned LoopIdx,
-                    Status *Err = nullptr);
+                    Status *Err = nullptr, DeltaCheckpoint *Ckpt = nullptr);
 
 } // namespace gis
 

@@ -16,12 +16,16 @@
 /// from the cache -- merely improbable; 128 bits makes it negligible for
 /// any realistic cache population.
 ///
+/// Fingerprint, at the end, is the cheap in-process counterpart for
+/// integrity hashes that never leave the process.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GIS_SUPPORT_HASHING_H
 #define GIS_SUPPORT_HASHING_H
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <string_view>
 
@@ -97,6 +101,61 @@ inline Key128 hashKey128(std::string_view Bytes) {
   Hi.addBytes(Bytes.data(), Bytes.size());
   return Key128{Lo.hash(), Hi.hash()};
 }
+
+/// An in-process integrity fingerprint fed one 64-bit word at a time: the
+/// checkpoint and region-snapshot manifests (ir/Checkpoint.h) and the
+/// scoped verifier's out-of-region list hashes.  Each step (xor, odd
+/// multiply, xor-shift) is a bijection of the state for a fixed word, so
+/// two equally long streams that differ in exactly one word never collide.
+/// Strings are read as host words, so a fingerprint is a value of this
+/// process only: never persist or exchange one -- content keys that leave
+/// the process use HashBuilder.
+class Fingerprint {
+public:
+  Fingerprint &add(uint64_t W) {
+    State = (State ^ W) * 0x9e3779b97f4a7c15ULL;
+    State ^= State >> 32;
+    return *this;
+  }
+
+  /// Two 32-bit values in one word.
+  Fingerprint &add(uint32_t Lo, uint32_t Hi) {
+    return add(static_cast<uint64_t>(Hi) << 32 | Lo);
+  }
+
+  /// Length-prefixed, two values per word.
+  Fingerprint &addU32s(const uint32_t *P, size_t N) {
+    add(N);
+    size_t K = 0;
+    for (; K + 1 < N; K += 2)
+      add(P[K], P[K + 1]);
+    if (K != N)
+      add(P[K], 0u);
+    return *this;
+  }
+
+  /// Length-prefixed, eight bytes per word.
+  Fingerprint &addString(std::string_view S) {
+    add(S.size());
+    size_t K = 0;
+    for (; K + 8 <= S.size(); K += 8) {
+      uint64_t W;
+      std::memcpy(&W, S.data() + K, 8);
+      add(W);
+    }
+    if (K != S.size()) {
+      uint64_t W = 0;
+      std::memcpy(&W, S.data() + K, S.size() - K);
+      add(W);
+    }
+    return *this;
+  }
+
+  uint64_t hash() const { return State; }
+
+private:
+  uint64_t State = 0xcbf29ce484222325ULL;
+};
 
 } // namespace gis
 

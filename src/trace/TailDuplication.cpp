@@ -2,6 +2,7 @@
 
 #include "trace/TailDuplication.h"
 
+#include "ir/Checkpoint.h"
 #include "support/Assert.h"
 #include "support/FaultInjection.h"
 #include "trace/TraceFormation.h"
@@ -27,7 +28,8 @@ BlockId fallthroughOf(const Function &F, BlockId B) {
 } // namespace
 
 TailDuplicationStats gis::duplicateTails(Function &F, SuperblockTrace &Trace,
-                                         unsigned &BudgetLeft) {
+                                         unsigned &BudgetLeft,
+                                         DeltaCheckpoint *Ckpt) {
   TailDuplicationStats Stats;
   F.recomputeCFG();
   int IPos = findFirstSideEntrance(F, Trace.Blocks);
@@ -76,6 +78,8 @@ TailDuplicationStats gis::duplicateTails(Function &F, SuperblockTrace &Trace,
 
   // Clone the tail blocks contiguously at the end of the layout, so the
   // chain's consecutive fall-throughs are preserved clone-to-clone.
+  if (Ckpt)
+    Ckpt->noteLayout();
   std::vector<BlockId> Clone(N, InvalidId);
   for (unsigned J = I; J < N; ++J) {
     BlockId C = F.createBlock(F.block(Trace.Blocks[J]).label() + ".dup");
@@ -158,8 +162,11 @@ TailDuplicationStats gis::duplicateTails(Function &F, SuperblockTrace &Trace,
     for (BlockId P : SidePreds[J]) {
       InstrId T = F.terminatorOf(P);
       if (T != InvalidId && F.instr(T).isBranch() &&
-          F.instr(T).target() == Trace.Blocks[J])
+          F.instr(T).target() == Trace.Blocks[J]) {
+        if (Ckpt)
+          Ckpt->noteInstr(T);
         F.instr(T).setTarget(Clone[J]);
+      }
       bool CanFall = T == InvalidId || F.instr(T).opcode() == Opcode::BT ||
                      F.instr(T).opcode() == Opcode::BF;
       if (CanFall && F.layoutSuccessor(P) == Trace.Blocks[J]) {

@@ -33,6 +33,8 @@
 
 namespace gis {
 
+class DeltaCheckpoint;
+
 struct TailDuplicationStats {
   unsigned ClonedInstrs = 0;     ///< instructions copied into clone blocks
   unsigned ClonedBlocks = 0;     ///< clone blocks created
@@ -50,9 +52,13 @@ struct TailDuplicationStats {
 /// function's CFG before deciding and after mutating, so stale
 /// SuperblockTrace::SideEntrances data (e.g. entrances added by an earlier
 /// trace's duplication) is handled; a no-op on already single-entry
-/// traces.
+/// traces.  \p Ckpt (optional) receives first-touch records of the
+/// layout, the original-order numbers and every side predecessor's
+/// terminator the transform retargets, for delta rollback; the appended
+/// clones and trampolines need none.
 TailDuplicationStats duplicateTails(Function &F, SuperblockTrace &Trace,
-                                    unsigned &BudgetLeft);
+                                    unsigned &BudgetLeft,
+                                    DeltaCheckpoint *Ckpt = nullptr);
 
 } // namespace gis
 

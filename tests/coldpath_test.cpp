@@ -15,15 +15,18 @@
 //  - another pins the block-scoped schedule verifier to the whole-function
 //    sweep, verdict and diagnostics alike (including seeded-illegal
 //    schedules);
-//  - delta-checkpoint rollback is checked byte for byte against the
-//    pre-transaction state and against a full-snapshot rollback, and the
+//  - delta-checkpoint rollback -- the CFG transforms' included -- is
+//    checked byte for byte against the pre-transaction state and against
+//    a full-snapshot rollback, region-snapshot rollback against the
+//    pre-pass function, a lost record or note must be fail-stop, and the
 //    "disambig-cache" / "ckpt-delta" fault stages must be contained.
 //
 // Under -DGIS_SLOWPATH_CHECK=ON the pipeline additionally cross-checks
 // every per-cycle ready list and fast-forward of the list scheduler
 // against a full scan, every disambiguation-cache hit against a fresh
-// solve, every scoped verdict against the full verifier and every delta
-// rollback against a full snapshot, fatal-erroring on divergence;
+// solve, every scoped verdict against the full verifier, every delta
+// rollback against a full snapshot and every reused LoopInfo against a
+// fresh compute, fatal-erroring on divergence;
 // scripts/check.sh builds this configuration for the "perf-equiv" label,
 // so the golden table then also runs with every cross-check on.
 //
@@ -48,10 +51,14 @@
 #include "sched/LocalScheduler.h"
 #include "sched/Pipeline.h"
 #include "sched/PreRenaming.h"
+#include "sched/Rotate.h"
 #include "sched/ScheduleVerifier.h"
+#include "sched/Unroll.h"
 #include "support/FaultInjection.h"
 #include "support/Format.h"
 #include "support/Hashing.h"
+#include "trace/TailDuplication.h"
+#include "trace/TraceFormation.h"
 #include "workloads/RandomProgram.h"
 #include "workloads/Workloads.h"
 
@@ -512,7 +519,8 @@ TEST(ColdpathDisambig, CachedAnswersMatchFreshSolveOver200Seeds) {
 
 // Runs the real global scheduler region by region and verifies every pass
 // twice -- full sweep from a deep Before copy, scoped sweep from the
-// capture + region snapshot the pipeline keeps -- and demands identical
+// capture + region snapshot the pipeline keeps, which the scheduler notes
+// its renames into exactly as in the pipeline -- and demands identical
 // problem lists.  Every third seed additionally corrupts the scheduled
 // region so the reject path (including diagnostic text) is compared, not
 // just clean accepts.
@@ -546,7 +554,7 @@ TEST(ColdpathScopedVerify, VerdictsMatchFullVerifierOver200Seeds) {
         GlobalScheduler GS(MD, GOpts);
         Status S;
         PDG P;
-        GS.scheduleRegion(F, R, &S, nullptr, {}, &P);
+        GS.scheduleRegion(F, R, &S, nullptr, {}, &P, &Snap);
         if (!S.isOk()) {
           F = Before;
           continue;
@@ -576,11 +584,18 @@ TEST(ColdpathScopedVerify, VerdictsMatchFullVerifierOver200Seeds) {
 // Delta checkpoints: rollback restores the pre-transaction bytes
 //===----------------------------------------------------------------------===
 
-// Direct unit property: run the two delta-checkpointed serial transforms
-// (pre-renaming, local scheduling) under one DeltaCheckpoint, roll back,
-// and compare against a deep pre-transaction copy -- field identity,
-// printer text and content hash.
+// Direct unit property: run every delta-checkpointed serial transform --
+// pre-renaming, local scheduling, and the three CFG transforms (unroll,
+// rotate, tail duplication), which append blocks and pool entries and
+// renumber the function -- under one DeltaCheckpoint, roll back, and
+// compare against a deep pre-transaction copy: field identity, CFG edges,
+// printer text and content hash.  The pipeline's "tail-dup" fault drops a
+// clone that only the differential oracle catches, and an oracle run takes
+// the full-snapshot path, so this is tail duplication's delta-rollback
+// coverage.
 TEST(ColdpathCheckpoint, DeltaRestoreIsByteIdenticalToPreTransaction) {
+  const MachineDescription MD = MachineDescription::rs6k();
+  unsigned Unrolled = 0, Rotated = 0, TailDuplicated = 0;
   for (uint64_t Seed : {2u, 5u, 9u, 14u}) {
     std::unique_ptr<Module> M = compileMiniCOrDie(generateRandomMiniC(Seed));
     for (const std::unique_ptr<Function> &FP : M->functions()) {
@@ -588,20 +603,99 @@ TEST(ColdpathCheckpoint, DeltaRestoreIsByteIdenticalToPreTransaction) {
       F.recomputeCFG();
       const Function Ref = F;
       const std::string RefText = functionToString(F);
+      const std::string Tag = "seed " + std::to_string(Seed) + " " + F.name();
 
       DeltaCheckpoint Ck(F);
       preRenameLocals(F, &Ck);
-      scheduleLocal(F, MachineDescription::rs6k(), {}, /*Cache=*/nullptr, &Ck);
-      ASSERT_TRUE(Ck.restore(F)) << "seed " << Seed << " " << F.name();
+      scheduleLocal(F, MD, LoopInfo::compute(F), {}, /*Cache=*/nullptr, &Ck);
+      LoopInfo LI = LoopInfo::compute(F);
+      for (unsigned L = 0; L != LI.numLoops(); ++L)
+        if (canUnrollOnce(F, LI, L)) {
+          ASSERT_TRUE(unrollLoopOnce(F, LI, L, nullptr, &Ck)) << Tag;
+          ++Unrolled;
+          break;
+        }
+      LI = LoopInfo::compute(F);
+      for (unsigned L = 0; L != LI.numLoops(); ++L)
+        if (canRotateLoop(F, LI, L)) {
+          ASSERT_TRUE(rotateLoop(F, LI, L, nullptr, &Ck)) << Tag;
+          ++Rotated;
+          break;
+        }
+      LI = LoopInfo::compute(F);
+      unsigned Budget = 1000;
+      for (SuperblockTrace &T : formTraces(F, LI, TraceFormationOptions()))
+        TailDuplicated += duplicateTails(F, T, Budget, &Ck).Changed;
+      ASSERT_TRUE(Ck.restore(F)) << Tag;
 
-      EXPECT_TRUE(functionsIdentical(F, Ref))
-          << "seed " << Seed << " " << F.name();
+      EXPECT_TRUE(functionsIdentical(F, Ref)) << Tag;
+      EXPECT_TRUE(cfgEdgesIdentical(F, Ref)) << Tag;
       const std::string Text = functionToString(F);
-      EXPECT_EQ(Text, RefText) << "seed " << Seed << " " << F.name();
-      EXPECT_TRUE(hashKey128(Text) == hashKey128(RefText))
-          << "seed " << Seed << " " << F.name();
+      EXPECT_EQ(Text, RefText) << Tag;
+      EXPECT_TRUE(hashKey128(Text) == hashKey128(RefText)) << Tag;
     }
   }
+  // Each CFG transform must have grown some function, or its rollback was
+  // never exercised.
+  EXPECT_GE(Unrolled, 1u);
+  EXPECT_GE(Rotated, 1u);
+  EXPECT_GE(TailDuplicated, 1u);
+}
+
+//===----------------------------------------------------------------------===
+// First-touch region snapshots: rollback restores the pre-pass bytes
+//===----------------------------------------------------------------------===
+
+/// The region-snapshot corpus: the paper's Figure 2 module, whose
+/// speculative schedule renames a condition register (the paper's
+/// Figure 6), then generateRandomMiniC seeds 1-40, which on their own
+/// rename in none of their 615 regions.
+std::vector<std::unique_ptr<Module>> regionSnapshotCorpus() {
+  std::vector<std::unique_ptr<Module>> Corpus;
+  Corpus.push_back(minmaxFigure2Module());
+  for (uint64_t Seed = 1; Seed <= 40; ++Seed)
+    Corpus.push_back(compileMiniCOrDie(generateRandomMiniC(Seed)));
+  return Corpus;
+}
+
+// Schedules every region of the corpus speculatively under a first-touch
+// RegionSnapshot, restores it, and demands the pre-pass function back,
+// field for field.  Renaming is the one rewrite of pool entries a region
+// pass makes, so at least one region must have renamed, or the notes the
+// scheduler takes were never exercised.
+TEST(ColdpathRegionSnapshot, RestoreAfterSpeculativeScheduleIsIdentical) {
+  const MachineDescription MD = MachineDescription::rs6k();
+  GlobalSchedOptions GOpts;
+  GOpts.Level = SchedLevel::Speculative;
+  unsigned Regions = 0, Renamed = 0, ModuleNo = 0;
+  for (const std::unique_ptr<Module> &M : regionSnapshotCorpus()) {
+    ++ModuleNo;
+    for (const std::unique_ptr<Function> &FP : M->functions()) {
+      Function &F = *FP;
+      F.recomputeCFG();
+      F.renumberOriginalOrder();
+      LoopInfo LI = LoopInfo::compute(F);
+      if (!LI.isReducible())
+        continue;
+      for (int Id : allRegionIds(LI)) {
+        const std::string Tag = "module " + std::to_string(ModuleNo) + " " +
+                                F.name() + " region " + std::to_string(Id);
+        SchedRegion R = SchedRegion::build(F, LI, Id);
+        const Function Before = F;
+        RegionSnapshot Snap(F, regionRealBlocks(R));
+        Status S;
+        GlobalSchedStats GS = GlobalScheduler(MD, GOpts).scheduleRegion(
+            F, R, &S, nullptr, {}, nullptr, &Snap);
+        ++Regions;
+        Renamed += GS.Renames != 0;
+        EXPECT_TRUE(Snap.viewMatchesManifest(F)) << Tag;
+        Snap.restore(F);
+        ASSERT_TRUE(functionsIdentical(F, Before)) << Tag;
+      }
+    }
+  }
+  EXPECT_GE(Regions, 40u);
+  EXPECT_GE(Renamed, 1u) << "no region renamed: the notes went untested";
 }
 
 class ColdpathFaultTest : public ::testing::Test {
@@ -609,52 +703,63 @@ protected:
   void TearDown() override { FaultInjector::instance().disarm(); }
 };
 
-// End to end through the pipeline: force the delta-checkpointed "local"
-// transaction to roll back in a default run, and the same transaction to
-// roll back from a full snapshot in a reference run with the differential
-// oracle on (an oracle-checked transaction needs the whole pre-body
-// function, so runFunctionTransactionDelta delegates to the full-snapshot
-// path; sched/Transaction.h).  The seeds are oracle-clean
-// (TransactionalOracleTest), so the oracle changes nothing else.  The full
-// snapshot restores the pre-transaction bytes by construction, so
-// byte-identical outputs prove the delta rollback does too -- under
-// exactly the region waves the checkpoint shares the pipeline with.
+// End to end through the pipeline: force a delta-checkpointed transaction
+// to roll back in a default run, and the same transaction to roll back
+// from a full snapshot in a reference run with the differential oracle on
+// (an oracle-checked transaction needs the whole pre-body function, so
+// runFunctionTransactionDelta delegates to the full-snapshot path;
+// sched/Transaction.h).  The stages cover the local pass and the CFG
+// transforms whose rollback must also drop appended blocks: the first
+// unroll, the first rotation, and -- with superblocks on -- trace
+// formation.  The seeds are oracle-clean (TransactionalOracleTest), so the
+// oracle changes nothing else.  The full snapshot restores the
+// pre-transaction bytes by construction, so byte-identical outputs prove
+// the delta rollback does too -- under exactly the region waves the
+// checkpoint shares the pipeline with.
 TEST_F(ColdpathFaultTest, DeltaRollbackMatchesSnapshotRollbackAcrossJobs) {
-  for (uint64_t Seed : {1u, 4u, 9u, 16u}) {
-    std::string Source = generateRandomMiniC(Seed);
-    std::unique_ptr<Module> Delta = compileMiniCOrDie(Source);
-    std::unique_ptr<Module> Snap = compileMiniCOrDie(Source);
+  struct Case {
+    const char *Fault;
+    bool Superblocks;
+  };
+  for (const Case &C : {Case{"local:1", false}, Case{"unroll:1", false},
+                        Case{"rotate:1", false}, Case{"trace-form:1", true}}) {
+    for (uint64_t Seed : {1u, 4u, 9u, 16u}) {
+      std::string Source = generateRandomMiniC(Seed);
+      std::unique_ptr<Module> Delta = compileMiniCOrDie(Source);
+      std::unique_ptr<Module> Snap = compileMiniCOrDie(Source);
 
-    PipelineOptions DOpts;
-    DOpts.Level = SchedLevel::Speculative;
-    PipelineOptions SOpts = DOpts;
-    SOpts.EnableOracle = true;
-    SOpts.OracleMaxSteps = 200'000;
+      PipelineOptions DOpts;
+      DOpts.Level = SchedLevel::Speculative;
+      DOpts.EnableSuperblocks = C.Superblocks;
+      PipelineOptions SOpts = DOpts;
+      SOpts.EnableOracle = true;
+      SOpts.OracleMaxSteps = 200'000;
 
-    // The local pass runs once per function, after every region wave, so
-    // the first "local" occurrence is the same transaction in both runs.
-    FaultInjector::instance().arm("local:1");
-    PipelineStats DS =
-        scheduleModule(*Delta, MachineDescription::rs6k(), DOpts);
-    unsigned FiredDelta = FaultInjector::instance().firedCount();
-    FaultInjector::instance().arm("local:1");
-    PipelineStats SS =
-        scheduleModule(*Snap, MachineDescription::rs6k(), SOpts);
-    unsigned FiredSnap = FaultInjector::instance().firedCount();
-    FaultInjector::instance().disarm();
+      // Every stage here runs in a fixed order per function, so the first
+      // occurrence is the same transaction in both runs.
+      FaultInjector::instance().arm(C.Fault);
+      PipelineStats DS =
+          scheduleModule(*Delta, MachineDescription::rs6k(), DOpts);
+      unsigned FiredDelta = FaultInjector::instance().firedCount();
+      FaultInjector::instance().arm(C.Fault);
+      PipelineStats SS =
+          scheduleModule(*Snap, MachineDescription::rs6k(), SOpts);
+      unsigned FiredSnap = FaultInjector::instance().firedCount();
+      FaultInjector::instance().disarm();
 
-    std::string Tag = "seed " + std::to_string(Seed);
-    EXPECT_EQ(FiredDelta, FiredSnap) << Tag;
-    EXPECT_EQ(DS.FaultsInjected, SS.FaultsInjected) << Tag;
-    if (DS.FaultsInjected) {
-      EXPECT_GE(DS.TransformsRolledBack, 1u) << Tag;
-      EXPECT_GE(SS.TransformsRolledBack, 1u) << Tag;
+      std::string Tag = std::string(C.Fault) + " seed " + std::to_string(Seed);
+      EXPECT_EQ(FiredDelta, FiredSnap) << Tag;
+      EXPECT_EQ(DS.FaultsInjected, SS.FaultsInjected) << Tag;
+      if (DS.FaultsInjected) {
+        EXPECT_GE(DS.TransformsRolledBack, 1u) << Tag;
+        EXPECT_GE(SS.TransformsRolledBack, 1u) << Tag;
+      }
+      ASSERT_TRUE(verifyModule(*Delta).empty()) << Tag;
+      std::string A = moduleToString(*Delta), B = moduleToString(*Snap);
+      ASSERT_EQ(A, B) << Tag;
+      ASSERT_TRUE(hashKey128(A) == hashKey128(B)) << Tag;
+      EXPECT_GE(FiredDelta, 1u) << Tag << ": fault never fired";
     }
-    ASSERT_TRUE(verifyModule(*Delta).empty()) << Tag;
-    std::string A = moduleToString(*Delta), B = moduleToString(*Snap);
-    ASSERT_EQ(A, B) << Tag;
-    ASSERT_TRUE(hashKey128(A) == hashKey128(B)) << Tag;
-    EXPECT_GE(FiredDelta, 1u) << Tag << ": local fault never fired";
   }
 }
 
@@ -694,6 +799,51 @@ TEST_F(ColdpathFaultTest, DisambigCacheCorruptionNeverEscapes) {
     EXPECT_EQ(A.ReturnValue, B.ReturnValue) << "seed " << Seed;
   }
   EXPECT_GE(Fired, 1u) << "disambig-cache fault never fired";
+}
+
+// The region snapshot's counterpart of the lost record below: schedule a
+// region that renames under a first-touch RegionSnapshot, then drop a note
+// the rollback needs.  The scoped verifier must reject the pass (its
+// before-view no longer fingerprints to the manifest, so it cannot
+// compare the post-pass state with itself), and the rollback must abort
+// rather than continue from a half-restored region.
+TEST_F(ColdpathFaultTest, RegionSnapshotLostNoteIsFailStop) {
+  const MachineDescription MD = MachineDescription::rs6k();
+  GlobalSchedOptions GOpts;
+  GOpts.Level = SchedLevel::Speculative;
+  for (const std::unique_ptr<Module> &M : regionSnapshotCorpus()) {
+    for (const std::unique_ptr<Function> &FP : M->functions()) {
+      Function &F = *FP;
+      F.recomputeCFG();
+      F.renumberOriginalOrder();
+      LoopInfo LI = LoopInfo::compute(F);
+      if (!LI.isReducible())
+        continue;
+      for (int Id : allRegionIds(LI)) {
+        SchedRegion R = SchedRegion::build(F, LI, Id);
+        const Function Before = F;
+        ScopedVerifyContext VCtx = ScopedVerifyContext::capture(F, R);
+        RegionSnapshot Snap(F, regionRealBlocks(R));
+        Status S;
+        PDG P;
+        GlobalScheduler(MD, GOpts).scheduleRegion(F, R, &S, nullptr, {}, &P,
+                                                  &Snap);
+        if (!S.isOk() || !Snap.dropOneNoteForTest(F)) {
+          F = Before;
+          continue;
+        }
+        std::vector<std::string> Problems =
+            verifyRegionScheduleScoped(VCtx, Snap, F, R, MD, P);
+        ASSERT_FALSE(Problems.empty());
+        EXPECT_NE(Problems.front().find("manifest"), std::string::npos)
+            << Problems.front();
+        EXPECT_DEATH(Snap.restore(F),
+                     "region snapshot integrity check failed");
+        return;
+      }
+    }
+  }
+  FAIL() << "no region renamed, so no note could be lost";
 }
 
 // "ckpt-delta" drops a record rollback genuinely needs and then forces
