@@ -12,9 +12,11 @@
 #include "frontend/CodeGen.h"
 #include "interp/Interpreter.h"
 #include "ir/Checkpoint.h"
+#include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "machine/Timing.h"
 #include "support/FaultInjection.h"
+#include "support/Format.h"
 #include "support/Hashing.h"
 #include "support/ThreadPool.h"
 #include "workloads/RandomProgram.h"
@@ -132,6 +134,43 @@ TEST(ScheduleCacheTest, KeyTracksFunctionContent) {
   auto M2 =
       compileMiniCOrDie("int main() { int a = 2; print(a); return a; }");
   EXPECT_NE(K1, scheduleCacheKey(*M2->functions()[0], MFp, OFp));
+}
+
+// The key is a hash of the printed function plus both fingerprints, and
+// the disk tier files entries under it: a byte change in the printer or in
+// either fingerprint silently orphans every deployed cache entry.  These
+// values pin all three for a fixed function under rs6k() and the default
+// options.
+TEST(ScheduleCacheTest, KeyBytesArePinned) {
+  auto M = parseModuleOrDie(R"(
+func pinned(r1, r2) {
+entry:
+  LI r3 = 0
+  LI r4 = -5
+loop:
+  L r5 = mem[r1 + 8]            ; load
+  A r3 = r3, r5
+  ST mem[r1 - 4] = r3
+  AI r1 = r1, 4
+  C cr0 = r1, r2
+  BT loop, cr0, lt
+exit:
+  CALL r6 = helper(r3, r4)
+  RET r6
+}
+)");
+  const Function &F = *M->functions()[0];
+  uint64_t MFp = fingerprintMachine(MachineDescription::rs6k());
+  uint64_t OFp = fingerprintOptions(PipelineOptions{});
+  EXPECT_EQ(formatString("%016llx", static_cast<unsigned long long>(MFp)),
+            "bcbfb6a683096a44");
+  EXPECT_EQ(formatString("%016llx", static_cast<unsigned long long>(OFp)),
+            "1e385877b8d296d8");
+  Key128 K = scheduleCacheKey(F, MFp, OFp);
+  EXPECT_EQ(formatString("%016llx%016llx",
+                         static_cast<unsigned long long>(K.Hi),
+                         static_cast<unsigned long long>(K.Lo)),
+            "1b43da0654e546f157920a3536c0f57f");
 }
 
 TEST(ScheduleCacheTest, LookupServesIdenticalFunction) {

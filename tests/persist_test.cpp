@@ -12,6 +12,7 @@
 
 #include "engine/CompileEngine.h"
 #include "frontend/CodeGen.h"
+#include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "persist/DiskCache.h"
 #include "persist/PersistIO.h"
@@ -397,6 +398,58 @@ TEST(DiskCacheTest, EntrySerializationRoundTrips) {
   EXPECT_EQ(Back.LoopsRotated, 1u);
   EXPECT_EQ(Back.PressurePeak[0], 11u);
   EXPECT_EQ(Back.Counters.get(obs::MotionUseful), 7u);
+}
+
+// Format version 1 byte for byte: header lines, the printed function,
+// the sparse stats block (scalars in their fixed order, then the nonzero
+// counters) and the payload checksum.  Entries written by any build of
+// this version must keep deserializing, so the bytes may not drift.
+TEST(DiskCacheTest, EntryBytesArePinned) {
+  auto M = parseModuleOrDie("func pinned(r1) {\n"
+                            "B0:\n"
+                            "  L r2 = mem[r1 - 8]            ; load\n"
+                            "  AI r3 = r2, 1\n"
+                            "  RET r3\n"
+                            "}\n");
+  const Function &F = *M->functions()[0];
+  PipelineStats Stats;
+  Stats.Global.RegionsScheduled = 2;
+  Stats.LoopsRotated = 1;
+  Stats.PressurePeak[2] = 4;
+  Stats.TransactionsRun = 9;
+  Stats.Counters.bump(obs::MotionUseful, 3);
+  Key128 Key;
+  Key.Hi = 0xfedcba9876543210ULL;
+  Key.Lo = 0x0123456789abcdefULL;
+  std::string Bytes = DiskScheduleCache::serializeEntry(Key, F, Stats);
+  EXPECT_EQ(Bytes, "GIS-SCHED-CACHE 1\n"
+                   "key fedcba98765432100123456789abcdef\n"
+                   "ir 94\n"
+                   "stats 105\n"
+                   "sum 0ae6dd0770aa390a1539c16b3c664250\n"
+                   "\n"
+                   "func pinned(r1) {\n"
+                   "B0:\n"
+                   "  L r2 = mem[r1 - 8]                  ; load\n"
+                   "  AI r3 = r2, 1\n"
+                   "  RET r3\n"
+                   "}\n"
+                   "global.regions_scheduled=2\n"
+                   "loops_rotated=1\n"
+                   "pressure_peak_cr=4\n"
+                   "transactions_run=9\n"
+                   "counter.motion.useful=3\n");
+
+  Function G("other");
+  PipelineStats Back;
+  ASSERT_TRUE(DiskScheduleCache::deserializeEntry(Bytes, Key, G, Back)
+                  .isOk());
+  EXPECT_EQ(functionToString(G), functionToString(F));
+  EXPECT_EQ(Back.Global.RegionsScheduled, 2u);
+  EXPECT_EQ(Back.LoopsRotated, 1u);
+  EXPECT_EQ(Back.PressurePeak[2], 4u);
+  EXPECT_EQ(Back.TransactionsRun, 9u);
+  EXPECT_EQ(Back.Counters.get(obs::MotionUseful), 3u);
 }
 
 TEST(DiskCacheTest, EntriesWithDiagnosticsAreNeverPersisted) {
