@@ -5,6 +5,7 @@
 #include "support/Assert.h"
 
 #include <cctype>
+#include <cstdint>
 #include <map>
 
 using namespace gis;
@@ -87,7 +88,10 @@ LexResult gis::lexMiniC(std::string_view Source) {
       int64_t V = 0;
       while (Pos < Source.size() &&
              std::isdigit(static_cast<unsigned char>(Source[Pos]))) {
-        V = V * 10 + (Source[Pos] - '0');
+        int64_t Digit = Source[Pos] - '0';
+        if (V > (INT64_MAX - Digit) / 10)
+          return Fail("integer out of range");
+        V = V * 10 + Digit;
         ++Pos;
       }
       T.Kind = TokKind::Number;

@@ -7,6 +7,25 @@
 
 using namespace gis;
 
+namespace {
+
+// Fixed-point arithmetic wraps in two's complement (the semantics the
+// peephole folder mirrors); computing it in uint64_t keeps it defined.
+int64_t wrapAdd(int64_t A, int64_t B) {
+  return static_cast<int64_t>(static_cast<uint64_t>(A) +
+                              static_cast<uint64_t>(B));
+}
+int64_t wrapSub(int64_t A, int64_t B) {
+  return static_cast<int64_t>(static_cast<uint64_t>(A) -
+                              static_cast<uint64_t>(B));
+}
+int64_t wrapMul(int64_t A, int64_t B) {
+  return static_cast<int64_t>(static_cast<uint64_t>(A) *
+                              static_cast<uint64_t>(B));
+}
+
+} // namespace
+
 ExecResult Interpreter::run(const Function &F, uint64_t MaxSteps) {
   ExecResult Result;
   Trace.clear();
@@ -95,16 +114,16 @@ void Interpreter::execFrame(const Function &F, IntFrame &IntRegs,
       SetReg(I.defs()[0], GetReg(I.uses()[0]));
       break;
     case Opcode::AI:
-      SetReg(I.defs()[0], GetReg(I.uses()[0]) + I.imm());
+      SetReg(I.defs()[0], wrapAdd(GetReg(I.uses()[0]), I.imm()));
       break;
     case Opcode::A:
-      SetReg(I.defs()[0], GetReg(I.uses()[0]) + GetReg(I.uses()[1]));
+      SetReg(I.defs()[0], wrapAdd(GetReg(I.uses()[0]), GetReg(I.uses()[1])));
       break;
     case Opcode::S:
-      SetReg(I.defs()[0], GetReg(I.uses()[0]) - GetReg(I.uses()[1]));
+      SetReg(I.defs()[0], wrapSub(GetReg(I.uses()[0]), GetReg(I.uses()[1])));
       break;
     case Opcode::MUL:
-      SetReg(I.defs()[0], GetReg(I.uses()[0]) * GetReg(I.uses()[1]));
+      SetReg(I.defs()[0], wrapMul(GetReg(I.uses()[0]), GetReg(I.uses()[1])));
       break;
     case Opcode::DIV: {
       int64_t D = GetReg(I.uses()[1]);
@@ -112,7 +131,9 @@ void Interpreter::execFrame(const Function &F, IntFrame &IntRegs,
         Trap("division by zero");
         return;
       }
-      SetReg(I.defs()[0], GetReg(I.uses()[0]) / D);
+      // INT64_MIN / -1 wraps to INT64_MIN instead of overflowing.
+      SetReg(I.defs()[0], D == -1 ? wrapSub(0, GetReg(I.uses()[0]))
+                                  : GetReg(I.uses()[0]) / D);
       break;
     }
     case Opcode::REM: {
@@ -121,7 +142,7 @@ void Interpreter::execFrame(const Function &F, IntFrame &IntRegs,
         Trap("remainder by zero");
         return;
       }
-      SetReg(I.defs()[0], GetReg(I.uses()[0]) % D);
+      SetReg(I.defs()[0], D == -1 ? 0 : GetReg(I.uses()[0]) % D);
       break;
     }
     case Opcode::AND:
@@ -142,33 +163,35 @@ void Interpreter::execFrame(const Function &F, IntFrame &IntRegs,
       SetReg(I.defs()[0], GetReg(I.uses()[0]) >> (I.imm() & 63));
       break;
     case Opcode::NEG:
-      SetReg(I.defs()[0], -GetReg(I.uses()[0]));
+      SetReg(I.defs()[0], wrapSub(0, GetReg(I.uses()[0])));
       break;
     case Opcode::L:
-      SetReg(I.defs()[0], loadWord(GetReg(I.memBase()) + I.imm()));
+      SetReg(I.defs()[0], loadWord(wrapAdd(GetReg(I.memBase()), I.imm())));
       break;
     case Opcode::LU: {
       Reg Base = I.memBase();
-      int64_t Addr = GetReg(Base) + I.imm();
+      int64_t Addr = wrapAdd(GetReg(Base), I.imm());
       SetReg(I.defs()[0], loadWord(Addr));
-      SetReg(Base, GetReg(Base) + I.imm());
+      SetReg(Base, wrapAdd(GetReg(Base), I.imm()));
       break;
     }
     case Opcode::ST:
-      storeWord(GetReg(I.memBase()) + I.imm(), GetReg(I.uses()[0]));
+      storeWord(wrapAdd(GetReg(I.memBase()), I.imm()), GetReg(I.uses()[0]));
       break;
     case Opcode::STU: {
       Reg Base = I.memBase();
-      storeWord(GetReg(Base) + I.imm(), GetReg(I.uses()[0]));
-      SetReg(Base, GetReg(Base) + I.imm());
+      int64_t Addr = wrapAdd(GetReg(Base), I.imm());
+      storeWord(Addr, GetReg(I.uses()[0]));
+      SetReg(Base, Addr);
       break;
     }
     case Opcode::LF:
       SetF(I.defs()[0],
-           static_cast<double>(loadWord(GetReg(I.memBase()) + I.imm())));
+           static_cast<double>(
+               loadWord(wrapAdd(GetReg(I.memBase()), I.imm()))));
       break;
     case Opcode::STF:
-      storeWord(GetReg(I.memBase()) + I.imm(),
+      storeWord(wrapAdd(GetReg(I.memBase()), I.imm()),
                 static_cast<int64_t>(GetF(I.uses()[0])));
       break;
     case Opcode::FA:

@@ -143,6 +143,10 @@ public:
   /// Appends \p I to block \p B; returns its id.
   InstrId appendInstr(BlockId B, Instruction I);
 
+  /// Reserves pool room for \p N instructions (the parser's hint from the
+  /// function's line count).
+  void reserveInstrs(size_t N) { Pool.reserve(N); }
+
   /// Clones instruction \p Id into a fresh pool slot (not inserted into any
   /// block); used by loop unrolling and rotation.
   InstrId cloneInstr(InstrId Id);

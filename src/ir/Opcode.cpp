@@ -22,7 +22,7 @@ constexpr OpcodeInfo makeInfo(std::string_view Name, OpClass Class,
 
 // Indexed by Opcode.  Kept in the exact order of the enum; checked by the
 // unit tests against opcodeName round-trips.
-const std::array<OpcodeInfo, NumOpcodes> InfoTable = {{
+constexpr std::array<OpcodeInfo, NumOpcodes> InfoTable = {{
     makeInfo("LI", OpClass::FixedArith),
     makeInfo("LR", OpClass::FixedArith),
     makeInfo("AI", OpClass::FixedArith),
@@ -106,9 +106,44 @@ const OpcodeInfo &gis::opcodeInfo(Opcode Op) {
 
 std::string_view gis::opcodeName(Opcode Op) { return opcodeInfo(Op).Name; }
 
-std::optional<Opcode> gis::parseOpcode(std::string_view Name) {
+namespace {
+
+/// Mnemonics are at most 7 characters, so a name and its length pack into
+/// one word; parseOpcode compares words instead of strings.
+constexpr size_t MaxMnemonicSize = 7;
+
+constexpr uint64_t packMnemonic(std::string_view Name) {
+  uint64_t W = uint64_t(Name.size()) << 56;
+  for (size_t K = 0; K != Name.size(); ++K)
+    W |= uint64_t(static_cast<unsigned char>(Name[K])) << (8 * K);
+  return W;
+}
+
+constexpr std::array<uint64_t, NumOpcodes> packNames() {
+  std::array<uint64_t, NumOpcodes> P{};
   for (unsigned I = 0; I != NumOpcodes; ++I)
-    if (InfoTable[I].Name == Name)
+    P[I] = packMnemonic(InfoTable[I].Name);
+  return P;
+}
+
+constexpr bool namesFitAWord() {
+  for (const OpcodeInfo &Info : InfoTable)
+    if (Info.Name.size() > MaxMnemonicSize)
+      return false;
+  return true;
+}
+static_assert(namesFitAWord(), "a mnemonic is too long to pack");
+
+constexpr std::array<uint64_t, NumOpcodes> PackedNames = packNames();
+
+} // namespace
+
+std::optional<Opcode> gis::parseOpcode(std::string_view Name) {
+  if (Name.size() > MaxMnemonicSize)
+    return std::nullopt;
+  uint64_t W = packMnemonic(Name);
+  for (unsigned I = 0; I != NumOpcodes; ++I)
+    if (PackedNames[I] == W)
       return static_cast<Opcode>(I);
   return std::nullopt;
 }

@@ -4,26 +4,34 @@
 
 #include "ir/Verifier.h"
 #include "support/Assert.h"
-#include "support/Format.h"
 #include "support/StringUtils.h"
 
-#include <cctype>
+#include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
-#include <map>
+#include <cstdlib>
 #include <optional>
+#include <unordered_map>
 
 using namespace gis;
 
 namespace {
 
-/// Simple cursor over one instruction line.
+constexpr const char *IntegerRange = "integer out of range";
+constexpr const char *RegisterRange = "register index out of range";
+
+/// Outcome of scanning a number or a register name.
+enum class Scan { Ok, Malformed, OutOfRange };
+
+/// Simple cursor over one instruction line.  Identifiers and the rest of
+/// the line are views into the module text.
 class LineCursor {
 public:
   explicit LineCursor(std::string_view Text) : Text(Text) {}
 
   void skipSpace() {
-    while (Pos < Text.size() &&
-           std::isspace(static_cast<unsigned char>(Text[Pos])))
+    while (Pos < Text.size() && isAsciiSpace(Text[Pos]))
       ++Pos;
   }
 
@@ -45,8 +53,7 @@ public:
     skipSpace();
     if (Text.substr(Pos, Word.size()) == Word) {
       size_t After = Pos + Word.size();
-      if (After == Text.size() ||
-          !std::isalnum(static_cast<unsigned char>(Text[After]))) {
+      if (After == Text.size() || !isAsciiAlnum(Text[After])) {
         Pos = After;
         return true;
       }
@@ -54,40 +61,45 @@ public:
     return false;
   }
 
-  /// Identifier: [A-Za-z_.][A-Za-z0-9_.]*
-  std::optional<std::string> ident() {
+  /// Identifier: [A-Za-z0-9_.]+; empty if there is none.
+  std::string_view ident() {
     skipSpace();
     size_t Start = Pos;
-    auto IsIdentChar = [](char C) {
-      return std::isalnum(static_cast<unsigned char>(C)) || C == '_' ||
-             C == '.';
-    };
-    while (Pos < Text.size() && IsIdentChar(Text[Pos]))
+    while (Pos < Text.size() &&
+           (isAsciiAlnum(Text[Pos]) || Text[Pos] == '_' || Text[Pos] == '.'))
       ++Pos;
-    if (Pos == Start)
-      return std::nullopt;
-    return std::string(Text.substr(Start, Pos - Start));
+    return Text.substr(Start, Pos - Start);
   }
 
-  std::optional<int64_t> integer() {
+  /// An optionally signed decimal integer that must fit int64_t.  With
+  /// \p Negate the value read is negated first (the displacement after
+  /// "mem[rB -"), so a magnitude of 2^63 reads as INT64_MIN.
+  Scan integer(int64_t &Out, bool Negate = false) {
     skipSpace();
     size_t Start = Pos;
+    bool Negative = Negate;
     if (Pos < Text.size() && (Text[Pos] == '-' || Text[Pos] == '+'))
-      ++Pos;
+      Negative ^= Text[Pos++] == '-';
     size_t DigitsStart = Pos;
-    while (Pos < Text.size() &&
-           std::isdigit(static_cast<unsigned char>(Text[Pos])))
+    while (Pos < Text.size() && isAsciiDigit(Text[Pos]))
       ++Pos;
     if (Pos == DigitsStart) {
       Pos = Start;
-      return std::nullopt;
+      return Scan::Malformed;
     }
-    return std::stoll(std::string(Text.substr(Start, Pos - Start)));
+    uint64_t Magnitude = 0;
+    auto [End, Ec] = std::from_chars(Text.data() + DigitsStart,
+                                     Text.data() + Pos, Magnitude);
+    const uint64_t Limit = uint64_t(INT64_MAX) + (Negative ? 1 : 0);
+    if (Ec != std::errc() || Magnitude > Limit)
+      return Scan::OutOfRange;
+    Out = static_cast<int64_t>(Negative ? 0 - Magnitude : Magnitude);
+    return Scan::Ok;
   }
 
-  std::string rest() {
+  std::string_view rest() {
     skipSpace();
-    return std::string(Text.substr(Pos));
+    return Text.substr(Pos);
   }
 
 private:
@@ -95,213 +107,232 @@ private:
   size_t Pos = 0;
 };
 
-std::optional<Reg> parseReg(const std::string &Name) {
-  auto Num = [](std::string_view S) -> std::optional<uint32_t> {
-    if (S.empty())
-      return std::nullopt;
-    uint32_t V = 0;
-    for (char C : S) {
-      if (!std::isdigit(static_cast<unsigned char>(C)))
-        return std::nullopt;
-      V = V * 10 + static_cast<uint32_t>(C - '0');
-    }
-    return V;
-  };
-  std::string_view S(Name);
-  if (startsWith(S, "cr")) {
-    if (auto N = Num(S.substr(2)))
-      return Reg::cr(*N);
-    return std::nullopt;
+/// r<N>, f<N> or cr<N>, with N at most Reg::MaxIndex.
+Scan scanReg(std::string_view Name, Reg &Out) {
+  RegClass Class;
+  std::string_view Digits;
+  if (Name.starts_with("cr")) {
+    Class = RegClass::CR;
+    Digits = Name.substr(2);
+  } else if (Name.size() >= 2 && (Name[0] == 'r' || Name[0] == 'f')) {
+    Class = Name[0] == 'r' ? RegClass::GPR : RegClass::FPR;
+    Digits = Name.substr(1);
+  } else {
+    return Scan::Malformed;
   }
-  if (S.size() >= 2 && S[0] == 'r') {
-    if (auto N = Num(S.substr(1)))
-      return Reg::gpr(*N);
-    return std::nullopt;
-  }
-  if (S.size() >= 2 && S[0] == 'f') {
-    if (auto N = Num(S.substr(1)))
-      return Reg::fpr(*N);
-    return std::nullopt;
-  }
-  return std::nullopt;
+  if (Digits.empty() ||
+      !std::all_of(Digits.begin(), Digits.end(), isAsciiDigit))
+    return Scan::Malformed;
+  uint64_t Index = 0;
+  auto [End, Ec] =
+      std::from_chars(Digits.data(), Digits.data() + Digits.size(), Index);
+  if (Ec != std::errc() || Index > Reg::MaxIndex)
+    return Scan::OutOfRange;
+  Out = Reg::make(Class, static_cast<uint32_t>(Index));
+  return Scan::Ok;
 }
 
-/// Parser over the whole module text.
+/// Parser over the whole module text.  Lines are walked in place; the label
+/// table and pending branches hold views into the text, and a std::string
+/// is built only where the IR stores one.
 class ModuleParser {
 public:
   explicit ModuleParser(std::string_view Text) : Text(Text) {}
 
   ParseResult run() {
-    auto M = std::make_unique<Module>();
-    std::vector<std::string_view> Lines = split(Text, '\n', true);
-
-    Function *CurFunc = nullptr;
-    // Per-function label bookkeeping for forward branch references.
-    std::map<std::string, BlockId> Labels;
-    struct PendingBranch {
-      InstrId Instr;
-      std::string Label;
-      int Line;
-    };
-    std::vector<PendingBranch> Pending;
-    BlockId CurBlock = InvalidId;
-
-    auto FinishFunction = [&]() -> bool {
-      for (const PendingBranch &P : Pending) {
-        auto It = Labels.find(P.Label);
-        if (It == Labels.end()) {
-          Err = "unknown branch target '" + P.Label + "'";
-          ErrLine = P.Line;
-          return false;
-        }
-        CurFunc->instr(P.Instr).setTarget(It->second);
-      }
-      Pending.clear();
-      Labels.clear();
-      CurFunc->recomputeCFG();
-      CurFunc->renumberOriginalOrder();
-      CurFunc = nullptr;
-      CurBlock = InvalidId;
-      return true;
-    };
-
-    for (size_t LineNo = 0; LineNo != Lines.size(); ++LineNo) {
-      CurLine = static_cast<int>(LineNo) + 1;
-      std::string_view Raw = Lines[LineNo];
-      // Strip comment.
-      std::string Comment;
-      if (size_t Semi = Raw.find(';'); Semi != std::string_view::npos) {
-        Comment = std::string(trim(Raw.substr(Semi + 1)));
-        Raw = Raw.substr(0, Semi);
-      }
-      std::string_view Line = trim(Raw);
-      if (Line.empty())
-        continue;
-
-      if (startsWith(Line, "global ")) {
-        if (CurFunc)
-          return fail("'global' inside a function");
-        LineCursor C(Line.substr(7));
-        auto Name = C.ident();
-        if (!Name || !C.consume('['))
-          return fail("malformed global declaration");
-        auto Size = C.integer();
-        if (!Size || !C.consume(']'))
-          return fail("malformed global size");
-        M->allocateGlobal(*Name, *Size);
-        continue;
-      }
-
-      if (startsWith(Line, "func ")) {
-        if (CurFunc)
-          return fail("nested 'func'");
-        LineCursor C(Line.substr(5));
-        auto Name = C.ident();
-        if (!Name)
-          return fail("malformed function header (expected 'func NAME {')");
-        CurFunc = &M->createFunction(*Name);
-        // Optional parameter register list: func f(r0, r1) {
-        if (C.consume('(')) {
-          if (!C.consume(')')) {
-            while (true) {
-              auto RegName = C.ident();
-              std::optional<Reg> R;
-              if (RegName)
-                R = parseReg(*RegName);
-              if (!R)
-                return fail("malformed parameter register");
-              CurFunc->addParam(*R);
-              if (C.consume(')'))
-                break;
-              if (!C.consume(','))
-                return fail("expected ',' or ')' in parameter list");
-            }
-          }
-        }
-        if (!C.consume('{'))
-          return fail("malformed function header (expected '{')");
-        continue;
-      }
-
-      if (Line == "}") {
-        if (!CurFunc)
-          return fail("unmatched '}'");
-        if (!FinishFunction())
-          return ParseResult{nullptr, Err, ErrLine};
-        continue;
-      }
-
-      if (!CurFunc)
-        return fail("instruction outside a function");
-
-      // Block label?
-      if (endsWith(Line, ":")) {
-        std::string Label(trim(Line.substr(0, Line.size() - 1)));
-        if (Labels.count(Label))
-          return fail("duplicate block label '" + Label + "'");
-        CurBlock = CurFunc->createBlock(Label);
-        Labels.emplace(Label, CurBlock);
-        continue;
-      }
-
-      if (CurBlock == InvalidId)
-        return fail("instruction before the first block label");
-
-      std::string BranchLabel;
-      InstrId Id;
-      if (!parseInstr(*CurFunc, CurBlock, Line, Comment, BranchLabel, Id)) {
-        if (Err.empty()) {
-          // Punctuation-level failures (a missing '=' or ',') fall through
-          // here without a specific message.
-          Err = "malformed instruction '" + std::string(Line) + "'";
-          ErrLine = CurLine;
-        }
-        return ParseResult{nullptr, Err, ErrLine};
-      }
-      if (!BranchLabel.empty())
-        Pending.push_back(PendingBranch{Id, BranchLabel, CurLine});
+    M = std::make_unique<Module>();
+    // Every '\n' ends a line, and the text after the last one is a line
+    // too (possibly empty), so a missing '}' is reported one line past the
+    // final newline.
+    for (size_t Pos = 0;; ++CurLine) {
+      size_t NL = Text.find('\n', Pos);
+      size_t End = NL == std::string_view::npos ? Text.size() : NL;
+      if (!parseLine(Text.substr(Pos, End - Pos), End))
+        return ParseResult{nullptr, std::move(Err), ErrLine};
+      if (NL == std::string_view::npos)
+        break;
+      Pos = NL + 1;
     }
-
-    if (CurFunc)
-      return fail("missing '}' at end of input");
-
+    if (CurFunc) {
+      fail("missing '}' at end of input");
+      return ParseResult{nullptr, std::move(Err), ErrLine};
+    }
     return ParseResult{std::move(M), "", 0};
   }
 
 private:
-  ParseResult fail(const std::string &Msg) {
-    return ParseResult{nullptr, Msg, CurLine};
-  }
+  struct PendingBranch {
+    InstrId Instr;
+    std::string_view Label;
+    int Line;
+  };
 
-  bool instrError(const std::string &Msg) {
-    Err = Msg;
-    ErrLine = CurLine;
+  /// Records \p Msg at \p Line and returns false.  A range error is final:
+  /// the generic "malformed ..." message of an enclosing form does not
+  /// replace it.
+  bool failAt(std::string Msg, int Line) {
+    if (!RangeError) {
+      Err = std::move(Msg);
+      ErrLine = Line;
+    }
     return false;
   }
 
+  bool fail(std::string Msg) { return failAt(std::move(Msg), CurLine); }
+
+  bool rangeError(const char *Msg) {
+    fail(Msg);
+    RangeError = true;
+    return false;
+  }
+
+  /// Parses the line [.., \p LineEnd) of the text.
+  bool parseLine(std::string_view Raw, size_t LineEnd) {
+    std::string_view Comment;
+    if (size_t Semi = Raw.find(';'); Semi != std::string_view::npos) {
+      Comment = trim(Raw.substr(Semi + 1));
+      Raw = Raw.substr(0, Semi);
+    }
+    std::string_view Line = trim(Raw);
+    if (Line.empty())
+      return true;
+
+    if (Line.starts_with("global "))
+      return parseGlobal(Line.substr(7));
+    if (Line.starts_with("func "))
+      return parseFunctionHeader(Line.substr(5), LineEnd);
+    if (Line == "}") {
+      if (!CurFunc)
+        return fail("unmatched '}'");
+      return finishFunction();
+    }
+    if (!CurFunc)
+      return fail("instruction outside a function");
+
+    // Block label?
+    if (Line.back() == ':') {
+      std::string_view Label = trim(Line.substr(0, Line.size() - 1));
+      auto [It, Inserted] = Labels.try_emplace(Label, InvalidId);
+      if (!Inserted)
+        return fail("duplicate block label '" + std::string(Label) + "'");
+      It->second = CurBlock = CurFunc->createBlock(std::string(Label));
+      return true;
+    }
+
+    if (CurBlock == InvalidId)
+      return fail("instruction before the first block label");
+    if (parseInstr(Line, Comment))
+      return true;
+    // Punctuation-level failures (a missing '=' or ',') fall through here
+    // without a specific message.
+    if (Err.empty())
+      fail("malformed instruction '" + std::string(Line) + "'");
+    return false;
+  }
+
+  bool parseGlobal(std::string_view Rest) {
+    if (CurFunc)
+      return fail("'global' inside a function");
+    LineCursor C(Rest);
+    std::string_view Name = C.ident();
+    if (Name.empty() || !C.consume('['))
+      return fail("malformed global declaration");
+    int64_t Size = 0;
+    Scan S = C.integer(Size);
+    if (S == Scan::OutOfRange)
+      return rangeError(IntegerRange);
+    if (S != Scan::Ok || !C.consume(']'))
+      return fail("malformed global size");
+    M->allocateGlobal(std::string(Name), Size);
+    return true;
+  }
+
+  bool parseFunctionHeader(std::string_view Rest, size_t LineEnd) {
+    if (CurFunc)
+      return fail("nested 'func'");
+    LineCursor C(Rest);
+    std::string_view Name = C.ident();
+    if (Name.empty())
+      return fail("malformed function header (expected 'func NAME {')");
+    CurFunc = &M->createFunction(std::string(Name));
+    // The body's lines bound its instruction count; the printer closes a
+    // function with "}" at the start of a line.
+    size_t Close = Text.find("\n}", LineEnd);
+    auto BodyEnd = Text.begin() + (Close == std::string_view::npos
+                                       ? Text.size()
+                                       : Close);
+    CurFunc->reserveInstrs(
+        static_cast<size_t>(std::count(Text.begin() + LineEnd, BodyEnd, '\n')));
+    // Optional parameter register list: func f(r0, r1) {
+    if (C.consume('(') && !C.consume(')')) {
+      while (true) {
+        Reg R;
+        std::string_view RegName = C.ident();
+        Scan S = RegName.empty() ? Scan::Malformed : scanReg(RegName, R);
+        if (S == Scan::OutOfRange)
+          return rangeError(RegisterRange);
+        if (S != Scan::Ok)
+          return fail("malformed parameter register");
+        CurFunc->addParam(R);
+        if (C.consume(')'))
+          break;
+        if (!C.consume(','))
+          return fail("expected ',' or ')' in parameter list");
+      }
+    }
+    if (!C.consume('{'))
+      return fail("malformed function header (expected '{')");
+    return true;
+  }
+
+  bool finishFunction() {
+    for (const PendingBranch &P : Pending) {
+      auto It = Labels.find(P.Label);
+      if (It == Labels.end())
+        return failAt("unknown branch target '" + std::string(P.Label) + "'",
+                      P.Line);
+      CurFunc->instr(P.Instr).setTarget(It->second);
+    }
+    Pending.clear();
+    Labels.clear();
+    CurFunc->recomputeCFG();
+    CurFunc->renumberOriginalOrder();
+    CurFunc = nullptr;
+    CurBlock = InvalidId;
+    return true;
+  }
+
   bool expectReg(LineCursor &C, Reg &Out) {
-    auto Name = C.ident();
-    if (!Name)
-      return instrError("expected register");
-    auto R = parseReg(*Name);
-    if (!R)
-      return instrError("malformed register '" + *Name + "'");
-    Out = *R;
-    return true;
+    std::string_view Name = C.ident();
+    if (Name.empty())
+      return fail("expected register");
+    switch (scanReg(Name, Out)) {
+    case Scan::Ok:
+      return true;
+    case Scan::OutOfRange:
+      return rangeError(RegisterRange);
+    case Scan::Malformed:
+      break;
+    }
+    return fail("malformed register '" + std::string(Name) + "'");
   }
 
-  bool expectInt(LineCursor &C, int64_t &Out) {
-    auto V = C.integer();
-    if (!V)
-      return instrError("expected integer");
-    Out = *V;
-    return true;
+  bool expectInt(LineCursor &C, int64_t &Out, bool Negate = false) {
+    switch (C.integer(Out, Negate)) {
+    case Scan::Ok:
+      return true;
+    case Scan::OutOfRange:
+      return rangeError(IntegerRange);
+    case Scan::Malformed:
+      break;
+    }
+    return fail("expected integer");
   }
 
-  /// mem[rB + d] — leaves base and displacement in Out parameters.
+  /// mem[rB + d] -- leaves base and displacement in Out parameters.
   bool expectMemRef(LineCursor &C, Reg &Base, int64_t &Disp) {
     if (!C.consumeWord("mem") || !C.consume('['))
-      return instrError("expected 'mem['");
+      return fail("expected 'mem['");
     if (!expectReg(C, Base))
       return false;
     Disp = 0;
@@ -309,56 +340,55 @@ private:
       if (!expectInt(C, Disp))
         return false;
     } else if (C.consume('-')) {
-      if (!expectInt(C, Disp))
+      if (!expectInt(C, Disp, /*Negate=*/true))
         return false;
-      Disp = -Disp;
     }
     if (!C.consume(']'))
-      return instrError("expected ']'");
+      return fail("expected ']'");
     return true;
   }
 
-  /// slot[N] — a spill-slot reference (regalloc spill code).
+  /// slot[N] -- a spill-slot reference (regalloc spill code).
   bool expectSlotRef(LineCursor &C, int64_t &Slot) {
     if (!C.consumeWord("slot") || !C.consume('['))
-      return instrError("expected 'slot['");
+      return fail("expected 'slot['");
     if (!expectInt(C, Slot))
       return false;
     if (!C.consume(']'))
-      return instrError("expected ']'");
+      return fail("expected ']'");
     return true;
   }
 
-  bool parseInstr(Function &F, BlockId B, std::string_view Line,
-                  std::string Comment, std::string &BranchLabel,
-                  InstrId &OutId) {
+  bool parseInstr(std::string_view Line, std::string_view Comment) {
     LineCursor C(Line);
-    auto Mnemonic = C.ident();
-    if (!Mnemonic)
-      return instrError("expected instruction mnemonic");
+    std::string_view Mnemonic = C.ident();
+    if (Mnemonic.empty())
+      return fail("expected instruction mnemonic");
 
     // Optional paper-style instruction tag: "I7: LR r30 = r12".
     if (C.consume(':')) {
-      std::string Tag = *Mnemonic;
+      std::string_view Tag = Mnemonic;
       Mnemonic = C.ident();
-      if (!Mnemonic)
-        return instrError("expected mnemonic after tag '" + Tag + ":'");
+      if (Mnemonic.empty())
+        return fail("expected mnemonic after tag '" + std::string(Tag) +
+                    ":'");
       if (Comment.empty())
         Comment = Tag;
     }
 
-    auto Op = parseOpcode(*Mnemonic);
+    auto Op = parseOpcode(Mnemonic);
     if (!Op)
-      return instrError("unknown mnemonic '" + *Mnemonic + "'");
+      return fail("unknown mnemonic '" + std::string(Mnemonic) + "'");
 
     Instruction I(*Op);
     Reg R1, R2, R3;
     int64_t Imm = 0;
+    std::string_view BranchLabel;
 
     switch (*Op) {
     case Opcode::LI:
       if (!expectReg(C, R1) || !C.consume('=') || !expectInt(C, Imm))
-        return instrError("malformed LI (LI rD = imm)");
+        return fail("malformed LI (LI rD = imm)");
       I.defs() = {R1};
       I.setImm(Imm);
       break;
@@ -427,7 +457,7 @@ private:
       if (!expectMemRef(C, R3, Imm))
         return false;
       if (R2 != R3)
-        return instrError("LU must update its base register");
+        return fail("LU must update its base register");
       I.defs() = {R1, R2};
       I.uses() = {R3};
       I.setImm(Imm);
@@ -442,50 +472,47 @@ private:
       if (*Op == Opcode::STU)
         I.defs() = {R1};
       break;
-    case Opcode::B: {
-      auto Label = C.ident();
-      if (!Label)
-        return instrError("expected branch target label");
-      BranchLabel = *Label;
+    case Opcode::B:
+      BranchLabel = C.ident();
+      if (BranchLabel.empty())
+        return fail("expected branch target label");
       break;
-    }
     case Opcode::BT:
     case Opcode::BF: {
-      auto Label = C.ident();
-      if (!Label || !C.consume(',') || !expectReg(C, R1) || !C.consume(','))
-        return instrError("malformed branch (Bx LABEL, crS, cond)");
-      auto CondName = C.ident();
-      if (!CondName)
-        return instrError("expected condition bit");
-      auto Bit = parseCondBit(*CondName);
+      BranchLabel = C.ident();
+      if (BranchLabel.empty() || !C.consume(',') || !expectReg(C, R1) ||
+          !C.consume(','))
+        return fail("malformed branch (Bx LABEL, crS, cond)");
+      std::string_view CondName = C.ident();
+      if (CondName.empty())
+        return fail("expected condition bit");
+      auto Bit = parseCondBit(CondName);
       if (!Bit)
-        return instrError("unknown condition bit '" + *CondName + "'");
-      BranchLabel = *Label;
+        return fail("unknown condition bit '" + std::string(CondName) + "'");
       I.uses() = {R1};
       I.setCond(*Bit);
       break;
     }
     case Opcode::CALL: {
       // CALL name(args) | CALL rD = name(args)
-      auto First = C.ident();
-      if (!First)
-        return instrError("malformed CALL");
-      std::string Name;
+      std::string_view Callee = C.ident();
+      if (Callee.empty())
+        return fail("malformed CALL");
       if (C.consume('=')) {
-        auto Rd = parseReg(*First);
-        if (!Rd)
-          return instrError("malformed CALL result register");
-        I.defs() = {*Rd};
-        auto Callee = C.ident();
-        if (!Callee)
-          return instrError("expected callee name");
-        Name = *Callee;
-      } else {
-        Name = *First;
+        Reg Rd;
+        Scan S = scanReg(Callee, Rd);
+        if (S == Scan::OutOfRange)
+          return rangeError(RegisterRange);
+        if (S != Scan::Ok)
+          return fail("malformed CALL result register");
+        I.defs() = {Rd};
+        Callee = C.ident();
+        if (Callee.empty())
+          return fail("expected callee name");
       }
-      I.setCallee(Name);
+      I.setCallee(std::string(Callee));
       if (!C.consume('('))
-        return instrError("expected '(' after callee name");
+        return fail("expected '(' after callee name");
       if (!C.consume(')')) {
         while (true) {
           Reg Arg;
@@ -495,7 +522,7 @@ private:
           if (C.consume(')'))
             break;
           if (!C.consume(','))
-            return instrError("expected ',' or ')' in CALL arguments");
+            return fail("expected ',' or ')' in CALL arguments");
         }
       }
       break;
@@ -510,14 +537,14 @@ private:
     case Opcode::SPILL:
     case Opcode::SPILLF:
       if (!expectSlotRef(C, Imm) || !C.consume('=') || !expectReg(C, R1))
-        return instrError("malformed spill (SPILL slot[N] = rS)");
+        return fail("malformed spill (SPILL slot[N] = rS)");
       I.uses() = {R1};
       I.setImm(Imm);
       break;
     case Opcode::RELOAD:
     case Opcode::RELOADF:
       if (!expectReg(C, R1) || !C.consume('=') || !expectSlotRef(C, Imm))
-        return instrError("malformed reload (RELOAD rD = slot[N])");
+        return fail("malformed reload (RELOAD rD = slot[N])");
       I.defs() = {R1};
       I.setImm(Imm);
       break;
@@ -526,17 +553,26 @@ private:
     }
 
     if (!C.atEnd())
-      return instrError("trailing characters: '" + C.rest() + "'");
+      return fail("trailing characters: '" + std::string(C.rest()) + "'");
 
-    I.setComment(std::move(Comment));
-    OutId = F.appendInstr(B, std::move(I));
+    I.setComment(std::string(Comment));
+    InstrId Id = CurFunc->appendInstr(CurBlock, std::move(I));
+    if (!BranchLabel.empty())
+      Pending.push_back(PendingBranch{Id, BranchLabel, CurLine});
     return true;
   }
 
   std::string_view Text;
-  int CurLine = 0;
+  std::unique_ptr<Module> M;
+  Function *CurFunc = nullptr;
+  BlockId CurBlock = InvalidId;
+  /// Per-function label bookkeeping for forward branch references.
+  std::unordered_map<std::string_view, BlockId> Labels;
+  std::vector<PendingBranch> Pending;
+  int CurLine = 1;
   std::string Err;
   int ErrLine = 0;
+  bool RangeError = false;
 };
 
 } // namespace

@@ -5,60 +5,84 @@
 #include "support/Format.h"
 
 #include <ostream>
-#include <sstream>
 
 using namespace gis;
 
 namespace {
 
-std::string memRef(const Instruction &I) {
-  Reg Base = I.memBase();
-  int64_t Disp = I.imm();
-  if (Disp >= 0)
-    return formatString("mem[%s + %lld]", Base.str().c_str(),
-                        static_cast<long long>(Disp));
-  return formatString("mem[%s - %lld]", Base.str().c_str(),
-                      static_cast<long long>(-Disp));
+/// Column at which an instruction's "; comment" starts.
+constexpr size_t CommentColumn = 36;
+
+/// "NAME rD = "
+void appendDefHead(std::string &Out, std::string_view Name, Reg D) {
+  Out += Name;
+  Out += ' ';
+  appendReg(Out, D);
+  Out += " = ";
 }
 
-std::string regList(const std::vector<Reg> &Regs) {
-  std::string Out;
+/// "mem[rB + d]", or "mem[rB - |d|]" for a negative displacement.  The
+/// magnitude is taken in uint64_t, so INT64_MIN prints without overflow.
+void appendMemRef(std::string &Out, const Instruction &I) {
+  Out += "mem[";
+  appendReg(Out, I.memBase());
+  int64_t Disp = I.imm();
+  if (Disp >= 0) {
+    Out += " + ";
+    appendUInt(Out, static_cast<uint64_t>(Disp));
+  } else {
+    Out += " - ";
+    appendUInt(Out, 0 - static_cast<uint64_t>(Disp));
+  }
+  Out += ']';
+}
+
+void appendRegList(std::string &Out, const std::vector<Reg> &Regs) {
   for (size_t I = 0, E = Regs.size(); I != E; ++I) {
     if (I)
       Out += ", ";
-    Out += Regs[I].str();
+    appendReg(Out, Regs[I]);
   }
-  return Out;
 }
 
-std::string targetLabel(const Function &F, BlockId Target) {
+void appendLabel(std::string &Out, const Function &F, BlockId Target) {
   GIS_ASSERT(Target != InvalidId, "branch without target");
-  return F.block(Target).label();
+  Out += F.block(Target).label();
+}
+
+/// A generous estimate of a function's printed size, so printing it into
+/// a fresh string reallocates rarely.
+size_t estimatedSize(const Function &F) {
+  return 64 + F.name().size() + 16 * size_t(F.numBlocks()) +
+         24 * size_t(F.numInstrs());
 }
 
 } // namespace
 
-std::string gis::instructionToString(const Function &F, InstrId Id) {
+void gis::appendInstruction(std::string &Out, const Function &F,
+                            InstrId Id) {
   const Instruction &I = F.instr(Id);
-  std::string Body;
-  std::string Name(opcodeName(I.opcode()));
+  const size_t Start = Out.size();
+  std::string_view Name = opcodeName(I.opcode());
 
   switch (I.opcode()) {
   case Opcode::LI:
-    Body = formatString("%s %s = %lld", Name.c_str(), I.defs()[0].str().c_str(),
-                        static_cast<long long>(I.imm()));
+    appendDefHead(Out, Name, I.defs()[0]);
+    appendInt(Out, I.imm());
     break;
   case Opcode::LR:
   case Opcode::NEG:
-    Body = formatString("%s %s = %s", Name.c_str(), I.defs()[0].str().c_str(),
-                        I.uses()[0].str().c_str());
+    appendDefHead(Out, Name, I.defs()[0]);
+    appendReg(Out, I.uses()[0]);
     break;
   case Opcode::AI:
   case Opcode::SL:
   case Opcode::SR:
-    Body = formatString("%s %s = %s, %lld", Name.c_str(),
-                        I.defs()[0].str().c_str(), I.uses()[0].str().c_str(),
-                        static_cast<long long>(I.imm()));
+  case Opcode::CI:
+    appendDefHead(Out, Name, I.defs()[0]);
+    appendReg(Out, I.uses()[0]);
+    Out += ", ";
+    appendInt(Out, I.imm());
     break;
   case Opcode::A:
   case Opcode::S:
@@ -75,113 +99,161 @@ std::string gis::instructionToString(const Function &F, InstrId Id) {
   case Opcode::FMA:
   case Opcode::C:
   case Opcode::FC:
-    Body = formatString("%s %s = %s", Name.c_str(), I.defs()[0].str().c_str(),
-                        regList(I.uses()).c_str());
-    break;
-  case Opcode::CI:
-    Body = formatString("%s %s = %s, %lld", Name.c_str(),
-                        I.defs()[0].str().c_str(), I.uses()[0].str().c_str(),
-                        static_cast<long long>(I.imm()));
+    appendDefHead(Out, Name, I.defs()[0]);
+    appendRegList(Out, I.uses());
     break;
   case Opcode::L:
   case Opcode::LF:
-    Body = formatString("%s %s = %s", Name.c_str(), I.defs()[0].str().c_str(),
-                        memRef(I).c_str());
+    appendDefHead(Out, Name, I.defs()[0]);
+    appendMemRef(Out, I);
     break;
   case Opcode::LU:
-    Body = formatString("%s %s, %s = %s", Name.c_str(),
-                        I.defs()[0].str().c_str(), I.defs()[1].str().c_str(),
-                        memRef(I).c_str());
+    Out += Name;
+    Out += ' ';
+    appendReg(Out, I.defs()[0]);
+    Out += ", ";
+    appendReg(Out, I.defs()[1]);
+    Out += " = ";
+    appendMemRef(Out, I);
     break;
   case Opcode::ST:
   case Opcode::STF:
   case Opcode::STU:
-    Body = formatString("%s %s = %s", Name.c_str(), memRef(I).c_str(),
-                        I.uses()[0].str().c_str());
+    Out += Name;
+    Out += ' ';
+    appendMemRef(Out, I);
+    Out += " = ";
+    appendReg(Out, I.uses()[0]);
     break;
   case Opcode::B:
-    Body = formatString("%s %s", Name.c_str(),
-                        targetLabel(F, I.target()).c_str());
+    Out += Name;
+    Out += ' ';
+    appendLabel(Out, F, I.target());
     break;
   case Opcode::BT:
   case Opcode::BF:
-    Body = formatString("%s %s, %s, %s", Name.c_str(),
-                        targetLabel(F, I.target()).c_str(),
-                        I.uses()[0].str().c_str(),
-                        std::string(condBitName(I.cond())).c_str());
+    Out += Name;
+    Out += ' ';
+    appendLabel(Out, F, I.target());
+    Out += ", ";
+    appendReg(Out, I.uses()[0]);
+    Out += ", ";
+    Out += condBitName(I.cond());
     break;
-  case Opcode::CALL: {
-    std::string Args = regList(I.uses());
+  case Opcode::CALL:
     if (I.defs().empty())
-      Body = formatString("CALL %s(%s)", I.callee().c_str(), Args.c_str());
+      Out += "CALL ";
     else
-      Body = formatString("CALL %s = %s(%s)", I.defs()[0].str().c_str(),
-                          I.callee().c_str(), Args.c_str());
+      appendDefHead(Out, Name, I.defs()[0]);
+    Out += I.callee();
+    Out += '(';
+    appendRegList(Out, I.uses());
+    Out += ')';
     break;
-  }
   case Opcode::RET:
-    Body = I.uses().empty()
-               ? std::string("RET")
-               : formatString("RET %s", I.uses()[0].str().c_str());
+    Out += Name;
+    if (!I.uses().empty()) {
+      Out += ' ';
+      appendReg(Out, I.uses()[0]);
+    }
     break;
   case Opcode::SPILL:
   case Opcode::SPILLF:
-    Body = formatString("%s slot[%lld] = %s", Name.c_str(),
-                        static_cast<long long>(I.imm()),
-                        I.uses()[0].str().c_str());
+    Out += Name;
+    Out += " slot[";
+    appendInt(Out, I.imm());
+    Out += "] = ";
+    appendReg(Out, I.uses()[0]);
     break;
   case Opcode::RELOAD:
   case Opcode::RELOADF:
-    Body = formatString("%s %s = slot[%lld]", Name.c_str(),
-                        I.defs()[0].str().c_str(),
-                        static_cast<long long>(I.imm()));
+    appendDefHead(Out, Name, I.defs()[0]);
+    Out += "slot[";
+    appendInt(Out, I.imm());
+    Out += ']';
     break;
   case Opcode::NOP:
-    Body = "NOP";
+    Out += Name;
     break;
   }
 
-  if (!I.comment().empty())
-    Body = padRight(Body, 36) + "; " + I.comment();
-  return Body;
+  if (!I.comment().empty()) {
+    size_t Len = Out.size() - Start;
+    if (Len < CommentColumn)
+      Out.append(CommentColumn - Len, ' ');
+    Out += "; ";
+    Out += I.comment();
+  }
 }
 
-std::string gis::functionToString(const Function &F) {
-  std::ostringstream OS;
-  printFunction(F, OS);
-  return OS.str();
-}
-
-void gis::printFunction(const Function &F, std::ostream &OS) {
-  OS << "func " << F.name();
-  if (!F.params().empty())
-    OS << "(" << regList(F.params()) << ")";
-  OS << " {\n";
+void gis::appendFunction(std::string &Out, const Function &F) {
+  Out += "func ";
+  Out += F.name();
+  if (!F.params().empty()) {
+    Out += '(';
+    appendRegList(Out, F.params());
+    Out += ')';
+  }
+  Out += " {\n";
   for (BlockId B : F.layout()) {
     const BasicBlock &BB = F.block(B);
-    OS << BB.label() << ":\n";
-    for (InstrId I : BB.instrs())
-      OS << "  " << instructionToString(F, I) << "\n";
+    Out += BB.label();
+    Out += ":\n";
+    for (InstrId I : BB.instrs()) {
+      Out += "  ";
+      appendInstruction(Out, F, I);
+      Out += '\n';
+    }
   }
-  OS << "}\n";
+  Out += "}\n";
 }
 
-std::string gis::moduleToString(const Module &M) {
-  std::ostringstream OS;
-  printModule(M, OS);
-  return OS.str();
-}
-
-void gis::printModule(const Module &M, std::ostream &OS) {
-  for (const GlobalArray &G : M.globals())
-    OS << "global " << G.Name << "[" << G.SizeWords << "]\n";
+void gis::appendModule(std::string &Out, const Module &M) {
+  for (const GlobalArray &G : M.globals()) {
+    Out += "global ";
+    Out += G.Name;
+    Out += '[';
+    appendInt(Out, G.SizeWords);
+    Out += "]\n";
+  }
   if (!M.globals().empty())
-    OS << "\n";
+    Out += '\n';
   bool First = true;
   for (const auto &F : M.functions()) {
     if (!First)
-      OS << "\n";
+      Out += '\n';
     First = false;
-    printFunction(*F, OS);
+    appendFunction(Out, *F);
   }
+}
+
+std::string gis::instructionToString(const Function &F, InstrId Id) {
+  std::string Out;
+  appendInstruction(Out, F, Id);
+  return Out;
+}
+
+std::string gis::functionToString(const Function &F) {
+  std::string Out;
+  Out.reserve(estimatedSize(F));
+  appendFunction(Out, F);
+  return Out;
+}
+
+std::string gis::moduleToString(const Module &M) {
+  size_t Size = 16 * M.globals().size();
+  for (const auto &F : M.functions())
+    Size += estimatedSize(*F);
+  std::string Out;
+  Out.reserve(Size);
+  appendModule(Out, M);
+  return Out;
+}
+
+void gis::printFunction(const Function &F, std::ostream &OS) {
+  OS << functionToString(F);
+}
+
+void gis::printModule(const Module &M, std::ostream &OS) {
+  OS << moduleToString(M);
 }

@@ -2,20 +2,34 @@
 
 #include "ir/Register.h"
 
-#include "support/Format.h"
+#include <charconv>
 
 using namespace gis;
 
-std::string Reg::str() const {
-  if (!isValid())
-    return "<invalid>";
-  switch (regClass()) {
-  case RegClass::GPR:
-    return formatString("r%u", index());
-  case RegClass::FPR:
-    return formatString("f%u", index());
-  case RegClass::CR:
-    return formatString("cr%u", index());
+void gis::appendReg(std::string &Out, Reg R) {
+  if (!R.isValid()) {
+    Out += "<invalid>";
+    return;
   }
-  gis_unreachable("invalid register class");
+  char Buf[16];
+  char *P = Buf;
+  switch (R.regClass()) {
+  case RegClass::GPR:
+    *P++ = 'r';
+    break;
+  case RegClass::FPR:
+    *P++ = 'f';
+    break;
+  case RegClass::CR:
+    *P++ = 'c';
+    *P++ = 'r';
+    break;
+  }
+  Out.append(Buf, std::to_chars(P, Buf + sizeof(Buf), R.index()).ptr);
+}
+
+std::string Reg::str() const {
+  std::string S;
+  appendReg(S, *this);
+  return S;
 }

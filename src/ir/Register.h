@@ -65,12 +65,15 @@ public:
   bool operator!=(const Reg &RHS) const { return Encoded != RHS.Encoded; }
   bool operator<(const Reg &RHS) const { return Encoded < RHS.Encoded; }
 
-  /// Textual name: r7, f2, cr6.
+  /// Textual name: r7, f2, cr6 (appendReg into a fresh string).
   std::string str() const;
+
+  /// The largest index a register can carry.
+  static constexpr uint32_t MaxIndex = (uint32_t(1) << 28) - 1;
 
 private:
   static constexpr uint32_t IndexBits = 28;
-  static constexpr uint32_t IndexMask = (uint32_t(1) << IndexBits) - 1;
+  static constexpr uint32_t IndexMask = MaxIndex;
   static constexpr uint32_t InvalidEncoding = ~uint32_t(0);
 
   Reg(RegClass Class, uint32_t Index)
@@ -80,6 +83,11 @@ private:
 
   uint32_t Encoded = InvalidEncoding;
 };
+
+/// Appends the textual name of \p R (r7, f2, cr6; "<invalid>" for the
+/// invalid register) to \p Out.  Every printer of registers goes through
+/// here, so the IR text, the cache keys it feeds and Reg::str() agree.
+void appendReg(std::string &Out, Reg R);
 
 } // namespace gis
 

@@ -6,12 +6,12 @@
 #include "ir/Printer.h"
 #include "persist/PersistIO.h"
 #include "support/Diagnostics.h"
+#include "support/Format.h"
+#include "support/StringUtils.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-#include <sstream>
+#include <array>
+#include <charconv>
 #include <unordered_map>
 
 using namespace gis;
@@ -19,137 +19,174 @@ using namespace gis::persist;
 
 namespace {
 
-constexpr char Magic[] = "GIS-SCHED-CACHE";
+constexpr std::string_view Magic = "GIS-SCHED-CACHE";
 
-std::string hexKey(const Key128 &K) {
-  char Buf[33];
-  std::snprintf(Buf, sizeof(Buf), "%016llx%016llx",
-                static_cast<unsigned long long>(K.Hi),
-                static_cast<unsigned long long>(K.Lo));
-  return Buf;
+/// The 32 lowercase hex digits of \p K (Hi first), written into \p Buf.
+std::string_view hexKey(const Key128 &K, std::array<char, 32> &Buf) {
+  static constexpr char Digits[] = "0123456789abcdef";
+  size_t N = 0;
+  for (uint64_t Word : {K.Hi, K.Lo})
+    for (int Shift = 60; Shift >= 0; Shift -= 4)
+      Buf[N++] = Digits[(Word >> Shift) & 0xf];
+  return std::string_view(Buf.data(), Buf.size());
 }
 
-/// The persisted subset of PipelineStats: every scalar --stats/--stats-json
-/// reports, plus the counter registry.  Deliberately not persisted --
-/// diagnostics, decision logs and per-region wall-clock timings -- are
-/// payloads a disk hit cannot replay faithfully; entries carrying them are
-/// never written (see DiskScheduleCache::insert).
-std::string serializeStats(const PipelineStats &S) {
-  std::ostringstream OS;
-  auto Put = [&OS](const char *K, uint64_t V) {
-    if (V) // sparse: most fields are zero for most functions
-      OS << K << "=" << V << "\n";
+void appendHexKey(std::string &Out, const Key128 &K) {
+  std::array<char, 32> Buf;
+  Out += hexKey(K, Buf);
+}
+
+/// Visits every persisted scalar of \p S as (key, field), in the stats
+/// block's fixed order.  The persisted subset of PipelineStats is every
+/// scalar --stats/--stats-json reports, plus the counter registry.
+/// Deliberately not persisted -- diagnostics, decision logs and per-region
+/// wall-clock timings -- are payloads a disk hit cannot replay faithfully;
+/// entries carrying them are never written (see DiskScheduleCache::insert).
+template <typename StatsT, typename VisitT>
+void forEachScalar(StatsT &S, VisitT &&Visit) {
+  Visit("global.regions_scheduled", S.Global.RegionsScheduled);
+  Visit("global.blocks_scheduled", S.Global.BlocksScheduled);
+  Visit("global.useful_motions", S.Global.UsefulMotions);
+  Visit("global.speculative_motions", S.Global.SpeculativeMotions);
+  Visit("global.renames", S.Global.Renames);
+  Visit("global.vetoed_speculations", S.Global.VetoedSpeculations);
+  Visit("local.blocks_scheduled", S.Local.BlocksScheduled);
+  Visit("local.blocks_reordered", S.Local.BlocksReordered);
+  Visit("local.blocks_failed", S.Local.BlocksFailed);
+  Visit("loops_unrolled", S.LoopsUnrolled);
+  Visit("loops_rotated", S.LoopsRotated);
+  Visit("prerenamed_defs", S.PreRenamedDefs);
+  Visit("regions_skipped_by_size", S.RegionsSkippedBySize);
+  Visit("functions_skipped_irreducible", S.FunctionsSkippedIrreducible);
+  Visit("pressure_peak_gpr", S.PressurePeak[0]);
+  Visit("pressure_peak_fpr", S.PressurePeak[1]);
+  Visit("pressure_peak_cr", S.PressurePeak[2]);
+  Visit("regalloc.intervals", S.RegAlloc.IntervalsBuilt);
+  Visit("regalloc.spilled_intervals", S.RegAlloc.IntervalsSpilled);
+  Visit("regalloc.spill_stores", S.RegAlloc.SpillStores);
+  Visit("regalloc.spill_reloads", S.RegAlloc.SpillReloads);
+  Visit("regalloc.spill_slots", S.RegAlloc.SpillSlots);
+  Visit("regalloc.failures", S.RegAllocFailures);
+  Visit("region_waves", S.RegionWaves);
+  Visit("opt.passes_run", S.Opt.PassesRun);
+  Visit("opt.peephole_rewrites", S.Opt.PeepholeRewrites);
+  Visit("opt.strength_reduced", S.Opt.StrengthReduced);
+  Visit("opt.values_numbered", S.Opt.ValuesNumbered);
+  Visit("opt.dce_removed", S.Opt.DeadRemoved);
+  Visit("transactions_run", S.TransactionsRun);
+  Visit("regions_rolled_back", S.RegionsRolledBack);
+  Visit("transforms_rolled_back", S.TransformsRolledBack);
+  Visit("verifier_failures", S.VerifierFailures);
+  Visit("oracle_mismatches", S.OracleMismatches);
+  Visit("engine_failures", S.EngineFailures);
+  Visit("faults_injected", S.FaultsInjected);
+}
+
+/// The number of fields forEachScalar visits.
+constexpr unsigned NumScalars = 36;
+
+/// One "key=value" line per nonzero scalar, then per nonzero counter.
+void appendStats(std::string &Out, const PipelineStats &S) {
+  auto Put = [&Out](std::string_view Key, uint64_t V) {
+    if (!V) // sparse: most fields are zero for most functions
+      return;
+    Out += Key;
+    Out += '=';
+    appendUInt(Out, V);
+    Out += '\n';
   };
-  Put("global.regions_scheduled", S.Global.RegionsScheduled);
-  Put("global.blocks_scheduled", S.Global.BlocksScheduled);
-  Put("global.useful_motions", S.Global.UsefulMotions);
-  Put("global.speculative_motions", S.Global.SpeculativeMotions);
-  Put("global.renames", S.Global.Renames);
-  Put("global.vetoed_speculations", S.Global.VetoedSpeculations);
-  Put("local.blocks_scheduled", S.Local.BlocksScheduled);
-  Put("local.blocks_reordered", S.Local.BlocksReordered);
-  Put("local.blocks_failed", S.Local.BlocksFailed);
-  Put("loops_unrolled", S.LoopsUnrolled);
-  Put("loops_rotated", S.LoopsRotated);
-  Put("prerenamed_defs", S.PreRenamedDefs);
-  Put("regions_skipped_by_size", S.RegionsSkippedBySize);
-  Put("functions_skipped_irreducible", S.FunctionsSkippedIrreducible);
-  Put("pressure_peak_gpr", S.PressurePeak[0]);
-  Put("pressure_peak_fpr", S.PressurePeak[1]);
-  Put("pressure_peak_cr", S.PressurePeak[2]);
-  Put("regalloc.intervals", S.RegAlloc.IntervalsBuilt);
-  Put("regalloc.spilled_intervals", S.RegAlloc.IntervalsSpilled);
-  Put("regalloc.spill_stores", S.RegAlloc.SpillStores);
-  Put("regalloc.spill_reloads", S.RegAlloc.SpillReloads);
-  Put("regalloc.spill_slots", S.RegAlloc.SpillSlots);
-  Put("regalloc.failures", S.RegAllocFailures);
-  Put("region_waves", S.RegionWaves);
-  Put("opt.passes_run", S.Opt.PassesRun);
-  Put("opt.peephole_rewrites", S.Opt.PeepholeRewrites);
-  Put("opt.strength_reduced", S.Opt.StrengthReduced);
-  Put("opt.values_numbered", S.Opt.ValuesNumbered);
-  Put("opt.dce_removed", S.Opt.DeadRemoved);
-  Put("transactions_run", S.TransactionsRun);
-  Put("regions_rolled_back", S.RegionsRolledBack);
-  Put("transforms_rolled_back", S.TransformsRolledBack);
-  Put("verifier_failures", S.VerifierFailures);
-  Put("oracle_mismatches", S.OracleMismatches);
-  Put("engine_failures", S.EngineFailures);
-  Put("faults_injected", S.FaultsInjected);
+  forEachScalar(S, Put);
   for (unsigned K = 0; K != obs::NumCounters; ++K) {
     auto Id = static_cast<obs::CounterId>(K);
-    if (uint64_t V = S.Counters.get(Id))
-      OS << "counter." << obs::counterKey(Id) << "=" << V << "\n";
+    if (uint64_t V = S.Counters.get(Id)) {
+      Out += "counter.";
+      Put(obs::counterKey(Id), V);
+    }
   }
-  return OS.str();
 }
 
-bool parseStats(const std::string &Text, PipelineStats &S) {
-  std::unordered_map<std::string, uint64_t> KV;
-  std::istringstream In(Text);
-  std::string Line;
-  while (std::getline(In, Line)) {
+/// The slot of every stats-block key: the scalars in forEachScalar order,
+/// then the counters by id.
+class StatsKeyTable {
+public:
+  static constexpr unsigned NumSlots = NumScalars + obs::NumCounters;
+
+  StatsKeyTable() {
+    PipelineStats Dummy;
+    unsigned Slot = 0;
+    forEachScalar(Dummy, [&](std::string_view Key, unsigned &) {
+      Slots.emplace(Key, Slot++);
+    });
+    GIS_ASSERT(Slot == NumScalars, "NumScalars out of step with the fields");
+    CounterKeys.reserve(obs::NumCounters);
+    for (unsigned K = 0; K != obs::NumCounters; ++K)
+      CounterKeys.push_back(
+          "counter." +
+          std::string(obs::counterKey(static_cast<obs::CounterId>(K))));
+    for (unsigned K = 0; K != obs::NumCounters; ++K)
+      Slots.emplace(CounterKeys[K], NumScalars + K);
+  }
+
+  /// The slot of \p Key, or NumSlots for a key no field carries.
+  unsigned slot(std::string_view Key) const {
+    auto It = Slots.find(Key);
+    return It == Slots.end() ? NumSlots : It->second;
+  }
+
+private:
+  std::vector<std::string> CounterKeys; ///< owns the counters' keys
+  std::unordered_map<std::string_view, unsigned> Slots;
+};
+
+/// Splits off the line of \p Text starting at \p Pos (without its '\n');
+/// false when no '\n' ends it.
+bool nextLine(std::string_view Text, size_t &Pos, std::string_view &Line) {
+  size_t NL = Text.find('\n', Pos);
+  if (NL == std::string_view::npos)
+    return false;
+  Line = Text.substr(Pos, NL - Pos);
+  Pos = NL + 1;
+  return true;
+}
+
+/// A whole-string unsigned decimal; false on anything else or overflow.
+template <typename IntT> bool parseDecimal(std::string_view S, IntT &Out) {
+  auto [End, Ec] = std::from_chars(S.data(), S.data() + S.size(), Out);
+  return Ec == std::errc() && End == S.data() + S.size();
+}
+
+bool parseStats(std::string_view Text, PipelineStats &S) {
+  static const StatsKeyTable Keys;
+  // Value and presence per slot, plus one slot for unknown keys; the first
+  // line of a key wins.
+  std::array<uint64_t, StatsKeyTable::NumSlots + 1> Values{};
+  std::array<bool, StatsKeyTable::NumSlots + 1> Seen{};
+  for (size_t Pos = 0; Pos < Text.size();) {
+    size_t NL = Text.find('\n', Pos);
+    size_t End = NL == std::string_view::npos ? Text.size() : NL;
+    std::string_view Line = Text.substr(Pos, End - Pos);
+    Pos = End + 1;
     if (Line.empty())
       continue;
     size_t Eq = Line.find('=');
-    if (Eq == std::string::npos)
+    if (Eq == std::string_view::npos)
       return false;
-    errno = 0;
-    char *End = nullptr;
-    unsigned long long V = std::strtoull(Line.c_str() + Eq + 1, &End, 10);
-    if (errno != 0 || End == Line.c_str() + Eq + 1 || *End != '\0')
+    uint64_t V = 0;
+    if (!parseDecimal(Line.substr(Eq + 1), V))
       return false;
-    KV.emplace(Line.substr(0, Eq), V);
+    unsigned Slot = Keys.slot(Line.substr(0, Eq));
+    if (!Seen[Slot]) {
+      Seen[Slot] = true;
+      Values[Slot] = V;
+    }
   }
-  auto Get = [&KV](const char *K) -> uint64_t {
-    auto It = KV.find(K);
-    return It == KV.end() ? 0 : It->second;
-  };
-  auto GetU = [&Get](const char *K) {
-    return static_cast<unsigned>(Get(K));
-  };
-  S.Global.RegionsScheduled = GetU("global.regions_scheduled");
-  S.Global.BlocksScheduled = GetU("global.blocks_scheduled");
-  S.Global.UsefulMotions = GetU("global.useful_motions");
-  S.Global.SpeculativeMotions = GetU("global.speculative_motions");
-  S.Global.Renames = GetU("global.renames");
-  S.Global.VetoedSpeculations = GetU("global.vetoed_speculations");
-  S.Local.BlocksScheduled = GetU("local.blocks_scheduled");
-  S.Local.BlocksReordered = GetU("local.blocks_reordered");
-  S.Local.BlocksFailed = GetU("local.blocks_failed");
-  S.LoopsUnrolled = GetU("loops_unrolled");
-  S.LoopsRotated = GetU("loops_rotated");
-  S.PreRenamedDefs = GetU("prerenamed_defs");
-  S.RegionsSkippedBySize = GetU("regions_skipped_by_size");
-  S.FunctionsSkippedIrreducible = GetU("functions_skipped_irreducible");
-  S.PressurePeak[0] = GetU("pressure_peak_gpr");
-  S.PressurePeak[1] = GetU("pressure_peak_fpr");
-  S.PressurePeak[2] = GetU("pressure_peak_cr");
-  S.RegAlloc.IntervalsBuilt = GetU("regalloc.intervals");
-  S.RegAlloc.IntervalsSpilled = GetU("regalloc.spilled_intervals");
-  S.RegAlloc.SpillStores = GetU("regalloc.spill_stores");
-  S.RegAlloc.SpillReloads = GetU("regalloc.spill_reloads");
-  S.RegAlloc.SpillSlots = GetU("regalloc.spill_slots");
-  S.RegAllocFailures = GetU("regalloc.failures");
-  S.RegionWaves = GetU("region_waves");
-  S.Opt.PassesRun = GetU("opt.passes_run");
-  S.Opt.PeepholeRewrites = GetU("opt.peephole_rewrites");
-  S.Opt.StrengthReduced = GetU("opt.strength_reduced");
-  S.Opt.ValuesNumbered = GetU("opt.values_numbered");
-  S.Opt.DeadRemoved = GetU("opt.dce_removed");
-  S.TransactionsRun = GetU("transactions_run");
-  S.RegionsRolledBack = GetU("regions_rolled_back");
-  S.TransformsRolledBack = GetU("transforms_rolled_back");
-  S.VerifierFailures = GetU("verifier_failures");
-  S.OracleMismatches = GetU("oracle_mismatches");
-  S.EngineFailures = GetU("engine_failures");
-  S.FaultsInjected = GetU("faults_injected");
-  for (unsigned K = 0; K != obs::NumCounters; ++K) {
-    auto Id = static_cast<obs::CounterId>(K);
-    std::string CK = "counter." + std::string(obs::counterKey(Id));
-    if (uint64_t V = Get(CK.c_str()))
-      S.Counters.bump(Id, V);
-  }
+  unsigned Slot = 0;
+  forEachScalar(S, [&](std::string_view, unsigned &Field) {
+    Field = static_cast<unsigned>(Values[Slot++]);
+  });
+  for (unsigned K = 0; K != obs::NumCounters; ++K)
+    if (uint64_t V = Values[NumScalars + K])
+      S.Counters.bump(static_cast<obs::CounterId>(K), V);
   return true;
 }
 
@@ -157,54 +194,75 @@ Status corrupt(const std::string &Reason, const std::string &Detail) {
   return Status::error(ErrorCode::CacheEntryCorrupt, Reason + ": " + Detail);
 }
 
-/// Reads one "\n"-terminated header line from \p Bytes at \p Pos.
-bool nextLine(const std::string &Bytes, size_t &Pos, std::string &Line) {
-  size_t NL = Bytes.find('\n', Pos);
-  if (NL == std::string::npos)
-    return false;
-  Line = Bytes.substr(Pos, NL - Pos);
-  Pos = NL + 1;
-  return true;
+/// The first two whitespace-separated words of a header line.
+std::pair<std::string_view, std::string_view> headerWords(
+    std::string_view Line) {
+  auto Word = [&Line]() {
+    size_t Start = 0;
+    while (Start < Line.size() && isAsciiSpace(Line[Start]))
+      ++Start;
+    size_t End = Start;
+    while (End < Line.size() && !isAsciiSpace(Line[End]))
+      ++End;
+    std::string_view W = Line.substr(Start, End - Start);
+    Line.remove_prefix(End);
+    return W;
+  };
+  std::string_view First = Word();
+  return {First, Word()};
 }
 
 } // namespace
 
 std::string DiskScheduleCache::entryFileName(const Key128 &Key) {
-  return hexKey(Key) + ".gse";
+  std::string Name;
+  appendHexKey(Name, Key);
+  Name += ".gse";
+  return Name;
 }
 
 std::string DiskScheduleCache::serializeEntry(const Key128 &Key,
                                               const Function &F,
                                               const PipelineStats &Stats,
                                               unsigned Version) {
-  std::string Ir = functionToString(F);
-  std::string St = serializeStats(Stats);
-  Key128 Sum = hashKey128(Ir + St);
-  std::ostringstream OS;
-  OS << Magic << " " << Version << "\n"
-     << "key " << hexKey(Key) << "\n"
-     << "ir " << Ir.size() << "\n"
-     << "stats " << St.size() << "\n"
-     << "sum " << hexKey(Sum) << "\n\n"
-     << Ir << St;
-  return OS.str();
+  std::string Payload = functionToString(F);
+  const size_t IrLen = Payload.size();
+  appendStats(Payload, Stats);
+  const Key128 Sum = hashKey128(Payload);
+
+  std::string Out;
+  Out.reserve(Payload.size() + 160);
+  Out += Magic;
+  Out += ' ';
+  appendUInt(Out, Version);
+  Out += "\nkey ";
+  appendHexKey(Out, Key);
+  Out += "\nir ";
+  appendUInt(Out, IrLen);
+  Out += "\nstats ";
+  appendUInt(Out, Payload.size() - IrLen);
+  Out += "\nsum ";
+  appendHexKey(Out, Sum);
+  Out += "\n\n";
+  Out += Payload;
+  return Out;
 }
 
 Status DiskScheduleCache::deserializeEntry(const std::string &Bytes,
                                            const Key128 &Key, Function &F,
                                            PipelineStats &Stats) {
+  const std::string_view In(Bytes);
   size_t Pos = 0;
-  std::string Line;
+  std::string_view Line;
 
   // Header line 1: magic + version.
-  if (!nextLine(Bytes, Pos, Line))
+  if (!nextLine(In, Pos, Line))
     return corrupt("short", "no header");
   {
-    std::istringstream H(Line);
-    std::string M;
+    auto [M, VersionText] = headerWords(Line);
     unsigned V = 0;
-    if (!(H >> M >> V) || M != Magic)
-      return corrupt("magic", "bad magic line '" + Line + "'");
+    if (M != Magic || !parseDecimal(VersionText, V))
+      return corrupt("magic", "bad magic line '" + std::string(Line) + "'");
     if (V != DiskCacheFormatVersion)
       return corrupt("version", "entry version " + std::to_string(V) +
                                     ", expected " +
@@ -212,45 +270,43 @@ Status DiskScheduleCache::deserializeEntry(const std::string &Bytes,
   }
 
   // Header lines 2-5: key, ir length, stats length, checksum.
-  std::string KeyHex, SumHex;
+  std::string_view KeyHex, SumHex;
   size_t IrLen = 0, StLen = 0;
-  for (const char *Want : {"key", "ir", "stats", "sum"}) {
-    if (!nextLine(Bytes, Pos, Line))
+  for (std::string_view Want : {"key", "ir", "stats", "sum"}) {
+    if (!nextLine(In, Pos, Line))
       return corrupt("short", "truncated header");
-    std::istringstream H(Line);
-    std::string Tag;
-    H >> Tag;
+    auto [Tag, Value] = headerWords(Line);
     if (Tag != Want)
       return corrupt("header", "expected '" + std::string(Want) +
-                                   "', got '" + Line + "'");
+                                   "', got '" + std::string(Line) + "'");
+    bool Ok = !Value.empty();
     if (Tag == "key")
-      H >> KeyHex;
+      KeyHex = Value;
     else if (Tag == "ir")
-      H >> IrLen;
+      Ok = parseDecimal(Value, IrLen);
     else if (Tag == "stats")
-      H >> StLen;
+      Ok = parseDecimal(Value, StLen);
     else
-      H >> SumHex;
-    if (!H)
-      return corrupt("header", "malformed '" + Line + "'");
+      SumHex = Value;
+    if (!Ok)
+      return corrupt("header", "malformed '" + std::string(Line) + "'");
   }
-  if (!nextLine(Bytes, Pos, Line) || !Line.empty())
+  if (!nextLine(In, Pos, Line) || !Line.empty())
     return corrupt("header", "missing blank separator");
 
-  if (KeyHex != hexKey(Key))
-    return corrupt("key-mismatch", "entry for key " + KeyHex);
-  if (Bytes.size() - Pos != IrLen + StLen)
-    return corrupt("short", "payload " +
-                                std::to_string(Bytes.size() - Pos) +
+  std::array<char, 32> Hex;
+  if (KeyHex != hexKey(Key, Hex))
+    return corrupt("key-mismatch", "entry for key " + std::string(KeyHex));
+  const std::string_view Payload = In.substr(Pos);
+  if (IrLen > Payload.size() || Payload.size() - IrLen != StLen)
+    return corrupt("short", "payload " + std::to_string(Payload.size()) +
                                 " bytes, declared " +
                                 std::to_string(IrLen + StLen));
 
-  std::string Payload = Bytes.substr(Pos);
-  if (hexKey(hashKey128(Payload)) != SumHex)
+  if (hexKey(hashKey128(Payload), Hex) != SumHex)
     return corrupt("checksum", "payload checksum mismatch");
 
-  std::string Ir = Payload.substr(0, IrLen);
-  ParseResult R = parseModule(Ir);
+  ParseResult R = parseModule(Payload.substr(0, IrLen));
   if (!R.ok())
     return corrupt("parse", "line " + std::to_string(R.Line) + ": " +
                                 R.Error);
@@ -263,7 +319,7 @@ Status DiskScheduleCache::deserializeEntry(const std::string &Bytes,
   if (!parseStats(Payload.substr(IrLen), Parsed))
     return corrupt("parse", "malformed stats block");
 
-  F = *R.M->functions().front();
+  F = std::move(*R.M->functions().front());
   Stats += Parsed;
   return Status::ok();
 }

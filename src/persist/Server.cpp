@@ -353,8 +353,7 @@ void CompileServer::serveConnection(int Fd, Clock::time_point Admitted,
   EngineReport Report =
       Engine.compileBatch({BatchItem{M.get(), Req.Name}});
 
-  std::ostringstream Body;
-  printModule(*M, Body);
+  std::string Body = moduleToString(*M);
   {
     std::lock_guard<std::mutex> L(Mu);
     ++Counts.Completed;
@@ -362,6 +361,6 @@ void CompileServer::serveConnection(int Fd, Clock::time_point Admitted,
   }
   writeAll(Fd, formatOkResponse(Report.CacheHits - Report.DiskHits,
                                 Report.DiskHits, Report.CacheMisses,
-                                Body.str()));
+                                Body));
   ::close(Fd);
 }

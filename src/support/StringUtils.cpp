@@ -2,16 +2,14 @@
 
 #include "support/StringUtils.h"
 
-#include <cctype>
-
 using namespace gis;
 
 std::string_view gis::trim(std::string_view S) {
   size_t Begin = 0;
-  while (Begin < S.size() && std::isspace(static_cast<unsigned char>(S[Begin])))
+  while (Begin < S.size() && isAsciiSpace(S[Begin]))
     ++Begin;
   size_t End = S.size();
-  while (End > Begin && std::isspace(static_cast<unsigned char>(S[End - 1])))
+  while (End > Begin && isAsciiSpace(S[End - 1]))
     --End;
   return S.substr(Begin, End - Begin);
 }

@@ -19,7 +19,18 @@
 
 namespace gis {
 
-/// Removes leading and trailing whitespace.
+/// ASCII character classes.  The text layer reads bytes, never the locale:
+/// these agree with <cctype> in the "C" locale and cost no call.
+inline bool isAsciiSpace(char C) {
+  return C == ' ' || (C >= '\t' && C <= '\r');
+}
+inline bool isAsciiDigit(char C) { return C >= '0' && C <= '9'; }
+inline bool isAsciiAlnum(char C) {
+  char Lower = static_cast<char>(C | 0x20);
+  return isAsciiDigit(C) || (Lower >= 'a' && Lower <= 'z');
+}
+
+/// Removes leading and trailing ASCII whitespace.
 std::string_view trim(std::string_view S);
 
 /// Splits \p S on \p Sep, dropping empty pieces when \p KeepEmpty is false.

@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 using namespace gis;
 
 namespace {
@@ -74,6 +76,30 @@ TEST(LexerTest, Errors) {
   EXPECT_FALSE(lexMiniC("int a @ b;").ok());
   EXPECT_FALSE(lexMiniC("a & b").ok());
   EXPECT_FALSE(lexMiniC("/* unterminated").ok());
+}
+
+// Literals accumulate in int64_t: the largest one lexes, one more is a
+// diagnostic on its line instead of a signed overflow.
+TEST(LexerTest, IntegerLiteralRange) {
+  LexResult Max = lexMiniC("x = 9223372036854775807;");
+  ASSERT_TRUE(Max.ok()) << Max.Error;
+  ASSERT_GE(Max.Tokens.size(), 3u);
+  EXPECT_EQ(Max.Tokens[2].Kind, TokKind::Number);
+  EXPECT_EQ(Max.Tokens[2].Value, INT64_MAX);
+
+  for (const char *Src : {"int a;\nx = 9223372036854775808;",
+                          "int a;\nx = 99999999999999999999999;"}) {
+    LexResult R = lexMiniC(Src);
+    EXPECT_FALSE(R.ok()) << Src;
+    EXPECT_EQ(R.Error, "integer out of range") << Src;
+    EXPECT_EQ(R.Line, 2) << Src;
+  }
+
+  CompileResult C =
+      compileMiniC("int main() {\n  return 99999999999999999999;\n}\n");
+  EXPECT_FALSE(C.ok());
+  EXPECT_EQ(C.Error, "integer out of range");
+  EXPECT_EQ(C.Line, 2);
 }
 
 //===----------------------------------------------------------------------===

@@ -132,6 +132,37 @@ TEST(ServeTest, AsmInputAndFrontendErrors) {
   ASSERT_EQ(Bad.Kind, ResponseKind::Error);
   EXPECT_NE(Bad.Text.find("frontend"), std::string::npos);
   EXPECT_EQ(Server.stats().Errors, 1u);
+
+  // Numbers beyond their range, in asm and in mini-C: each request gets
+  // ERR frontend with its line, and the daemon keeps serving.
+  const char *BadAsm[] = {
+      "func f {\nB0:\n  LI r1 = 99999999999999999999\n  RET r1\n}\n",
+      "global a[99999999999999999999]\n",
+      "func f {\nB0:\n  L r1 = mem[r2 + 9223372036854775808]\n  RET\n}\n",
+      "func f {\nB0:\n  LI r300000000 = 1\n  RET\n}\n",
+      "func f {\nB0:\n  LI r4294967297 = 1\n  RET\n}\n",
+  };
+  unsigned Errors = 1;
+  for (const char *Text : BadAsm) {
+    CompileRequest AsmReq = makeRequest(Text);
+    AsmReq.IsAsm = true;
+    CompileResponse E = compileOverSocket(clientFor(Server), AsmReq);
+    ASSERT_EQ(E.Kind, ResponseKind::Error) << Text;
+    EXPECT_NE(E.Text.find("frontend: line "), std::string::npos) << E.Text;
+    EXPECT_NE(E.Text.find("out of range"), std::string::npos) << E.Text;
+    EXPECT_EQ(Server.stats().Errors, ++Errors);
+  }
+  CompileResponse BadLiteral = compileOverSocket(
+      clientFor(Server),
+      makeRequest("int main() {\n  return 99999999999999999999;\n}\n"));
+  ASSERT_EQ(BadLiteral.Kind, ResponseKind::Error);
+  EXPECT_EQ(BadLiteral.Text, "frontend: line 2: integer out of range");
+  EXPECT_EQ(Server.stats().Errors, ++Errors);
+
+  CompileResponse Good =
+      compileOverSocket(clientFor(Server), makeRequest(kSource));
+  ASSERT_EQ(Good.Kind, ResponseKind::Ok);
+  EXPECT_EQ(Good.Text, localSchedule(kSource));
 }
 
 TEST(ServeTest, SharedDiskTierSurvivesDaemonRestart) {
