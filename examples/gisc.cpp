@@ -87,7 +87,6 @@
 //                                load in chrome://tracing or Perfetto
 //     --explain                  per-pick decision log: candidate set,
 //                                winning Section 5.2 rule, motion class
-//     --no-counters              skip the obs counter registry
 //   inspection (to stdout):
 //     --dump-ir-before           IR as generated
 //     --dump-ir                  IR after scheduling
@@ -426,8 +425,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Cli) {
     } else if (A == "--explain") {
       Cli.Explain = true;
       Cli.Pipeline.CollectDecisions = true;
-    } else if (A == "--no-counters") {
-      Cli.Pipeline.CollectCounters = false;
     } else if (!A.empty() && A[0] == '-') {
       std::cerr << "gisc: unknown option " << A << "\n";
       return false;
@@ -685,8 +682,7 @@ int runEngineMode(const CliOptions &Cli,
     printOptStats(Report.Aggregate, Cli.Pipeline);
     printPressureAndRegAlloc(Report.Aggregate,
                              Cli.Pipeline.AllocateRegisters);
-    if (Cli.Pipeline.CollectCounters)
-      printCounters(Report.Aggregate.Counters);
+    printCounters(Report.Aggregate.Counters);
   }
 
   if (!Cli.StatsJsonPath.empty()) {
@@ -931,8 +927,7 @@ int main(int argc, char **argv) {
       std::cout << "  diagnostic: " << D.str() << "\n";
     printOptStats(Stats, Cli.Pipeline);
     printPressureAndRegAlloc(Stats, Cli.Pipeline.AllocateRegisters);
-    if (Cli.Pipeline.CollectCounters)
-      printCounters(Stats.Counters);
+    printCounters(Stats.Counters);
     for (const auto &F : M->functions()) {
       RegPressure P = computeRegPressure(*F);
       std::cout << "  " << F->name() << ": peak live GPR/FPR/CR = "

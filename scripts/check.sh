@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 #
-# Tier-1 verification: build and run the full test suite twice, once plain
+# Tier-1 verification: first a static check that no two headers define one
+# type name, then build and run the full test suite twice, once plain
 # and once under ASan+UBSan (-DGIS_SANITIZE=address,undefined), then run
 # the suites that compile on concurrent threads -- the batch engine, whose
 # workers schedule distinct functions in parallel, and the subsystems
@@ -31,6 +32,27 @@ run_suite() {
   build_tree "$dir" "$@"
   ctest --test-dir "$dir" --output-on-failure -j "$JOBS"
 }
+
+echo "== duplicate type names across src/ headers =="
+# Two headers that define one namespace-scope class or struct name break
+# the one-definition rule, and the linker hides it: it keeps one copy of
+# each inline member (a destructor, say) and every caller runs that one.
+# Namespaces are not indented here, so a namespace-scope definition starts
+# at column 0; forward declarations end in ';' and are skipped.
+DUP_TYPES="$(
+  find "$ROOT/src" -name '*.h' | sort | while read -r h; do
+    { grep -oE '^(template <[^>]*> )?(class|struct) [A-Za-z_][A-Za-z0-9_]*([^;A-Za-z0-9_][^;]*)?$' "$h" || true; } |
+      sed -E 's/^(template <[^>]*> )?(class|struct) ([A-Za-z0-9_]+).*/\3/' | sort -u
+  done | sort | uniq -d
+)"
+if [ -n "$DUP_TYPES" ]; then
+  echo "FAIL: type names defined in more than one header under src/:" >&2
+  for T in $DUP_TYPES; do
+    grep -rlE "^(template <[^>]*> )?(class|struct) $T([^;A-Za-z0-9_][^;]*)?\$" "$ROOT/src" --include='*.h' |
+      sed "s|^|  $T: |" >&2
+  done
+  exit 1
+fi
 
 echo "== plain build =="
 run_suite "$ROOT/build"

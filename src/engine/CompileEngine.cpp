@@ -247,23 +247,20 @@ EngineReport CompileEngine::compileBatch(const std::vector<BatchItem> &Batch) {
 
   // Cache traffic lives at the engine layer, not in any one pipeline run,
   // so it enters the merged registry here (after the deterministic merge).
-  if (Opts.CollectCounters) {
-    Report.Aggregate.Counters.bump(obs::CacheHits, Report.CacheHits);
-    Report.Aggregate.Counters.bump(obs::CacheMisses, Report.CacheMisses);
-    if (DiskOn) {
-      Report.Aggregate.Counters.bump(obs::PersistDiskHits, Report.DiskHits);
-      Report.Aggregate.Counters.bump(obs::PersistDiskMisses,
-                                     Report.DiskMisses);
-      Report.Aggregate.Counters.bump(
-          obs::PersistQuarantines,
-          Report.Disk.Quarantines - DiskBefore.Quarantines);
-      Report.Aggregate.Counters.bump(
-          obs::PersistWriteFailures,
-          Report.Disk.WriteFailures - DiskBefore.WriteFailures);
-      Report.Aggregate.Counters.bump(
-          obs::PersistEvictions,
-          Report.Disk.Evictions - DiskBefore.Evictions);
-    }
+  Report.Aggregate.Counters.bump(obs::CacheHits, Report.CacheHits);
+  Report.Aggregate.Counters.bump(obs::CacheMisses, Report.CacheMisses);
+  if (DiskOn) {
+    Report.Aggregate.Counters.bump(obs::PersistDiskHits, Report.DiskHits);
+    Report.Aggregate.Counters.bump(obs::PersistDiskMisses, Report.DiskMisses);
+    Report.Aggregate.Counters.bump(
+        obs::PersistQuarantines,
+        Report.Disk.Quarantines - DiskBefore.Quarantines);
+    Report.Aggregate.Counters.bump(
+        obs::PersistWriteFailures,
+        Report.Disk.WriteFailures - DiskBefore.WriteFailures);
+    Report.Aggregate.Counters.bump(obs::PersistEvictions,
+                                   Report.Disk.Evictions -
+                                       DiskBefore.Evictions);
   }
   Report.WallSeconds = secondsSince(WallStart);
   return Report;

@@ -68,11 +68,12 @@ uint64_t gis::fingerprintOptions(const PipelineOptions &Opts) {
   H.addBool(Opts.EnableOracle);
   H.addBool(Opts.OracleModule != nullptr);
   H.addU64(Opts.OracleMaxSteps);
-  // The observability flags ARE part of the fingerprint: cached
-  // PipelineStats replay their obs counters and decision log on a hit, so
-  // an entry produced without them must not serve a run that wants them
-  // (and vice versa).
-  H.addBool(Opts.CollectCounters);
+  // The decision-log flag IS part of the fingerprint: cached PipelineStats
+  // replay their decision log on a hit, so an entry produced without it
+  // must not serve a run that wants it (and vice versa).  The constant
+  // stands where a counters switch was hashed, so every deployed key,
+  // memory or disk, is unchanged; the registry is always collected.
+  H.addBool(true);
   H.addBool(Opts.CollectDecisions);
   // Register allocation changes the emitted code outright; a hit must
   // never replay a schedule compiled under different allocator settings.

@@ -117,10 +117,16 @@ struct FuncDecl {
   int Line = 0;
 };
 
+/// A global array declaration: `int NAME[SIZE];` at file scope.
+struct GlobalArrayDecl {
+  std::string Name;
+  int64_t Size = 0;
+  int Line = 0;
+};
+
 /// A whole translation unit.
 struct Program {
-  /// Global arrays: name -> size.
-  std::vector<std::pair<std::string, int64_t>> GlobalArrays;
+  std::vector<GlobalArrayDecl> GlobalArrays;
   std::vector<FuncDecl> Functions;
 };
 

@@ -17,6 +17,12 @@ using namespace gis;
 
 namespace {
 
+/// The diagnostic for an array whose end would overflow the global address
+/// space (Module::allocateGlobal).
+std::string tooLarge(const std::string &Name) {
+  return "array '" + Name + "' does not fit in the address space";
+}
+
 /// A named entity visible in some scope.
 struct Symbol {
   enum class Kind { Scalar, Array } K = Kind::Scalar;
@@ -560,10 +566,14 @@ private:
       return true;
     }
     case StmtKind::DeclArray: {
-      const GlobalArray &G = M.allocateGlobal(
+      const GlobalArray *G = M.allocateGlobal(
           F.name() + "." + S.Name + formatString(".%u", NextLabel++),
           S.ArraySize);
-      return declareArray(S.Name, G.Address, S.Line);
+      if (!G) {
+        Err.set(tooLarge(S.Name), S.Line);
+        return false;
+      }
+      return declareArray(S.Name, G->Address, S.Line);
     }
     case StmtKind::AssignVar: {
       std::optional<Symbol> Sym = lookup(S.Name);
@@ -768,8 +778,12 @@ CompileResult gis::generateIR(const Program &Prog) {
   auto M = std::make_unique<Module>();
   CodeGenError Err;
 
-  for (const auto &[Name, Size] : Prog.GlobalArrays)
-    M->allocateGlobal(Name, Size);
+  for (const GlobalArrayDecl &G : Prog.GlobalArrays)
+    if (!M->allocateGlobal(G.Name, G.Size)) {
+      Result.Error = tooLarge(G.Name);
+      Result.Line = G.Line;
+      return Result;
+    }
 
   for (const FuncDecl &Decl : Prog.Functions) {
     Function &F = M->createFunction(Decl.Name);

@@ -33,7 +33,7 @@ public:
         if (!expect(TokKind::RBracket, "expected ']'") ||
             !expect(TokKind::Semi, "expected ';'"))
           return fail();
-        Prog->GlobalArrays.emplace_back(Name.Text, Size.Value);
+        Prog->GlobalArrays.push_back({Name.Text, Size.Value, Name.Line});
         continue;
       }
 

@@ -54,16 +54,23 @@ public:
   const std::vector<GlobalArray> &globals() const { return Globals; }
 
   /// Reserves \p SizeWords words of global memory for \p Name and returns
-  /// the descriptor.  Addresses are laid out sequentially from 0x1000.
-  const GlobalArray &allocateGlobal(std::string Name, int64_t SizeWords) {
+  /// the descriptor, valid until the next allocation.  Addresses are laid
+  /// out sequentially from 0x1000, with a stride of 4 per element and 64
+  /// bytes of padding to keep arrays disjoint.  Returns null, reserving
+  /// nothing, when \p SizeWords is negative or the array's end plus that
+  /// padding -- the next array's address -- overflows int64_t; the front
+  /// ends turn that into a diagnostic.
+  const GlobalArray *allocateGlobal(std::string Name, int64_t SizeWords) {
     int64_t Address = 0x1000;
-    if (!Globals.empty()) {
-      const GlobalArray &Last = Globals.back();
-      // Stride of 4 per element, padded to keep arrays disjoint.
-      Address = Last.Address + Last.SizeWords * 4 + 64;
-    }
+    if (!Globals.empty()) // checked when that array was reserved
+      Address = Globals.back().Address + Globals.back().SizeWords * 4 + 64;
+    int64_t Next;
+    if (SizeWords < 0 || __builtin_mul_overflow(SizeWords, 4, &Next) ||
+        __builtin_add_overflow(Next, Address, &Next) ||
+        __builtin_add_overflow(Next, 64, &Next))
+      return nullptr;
     Globals.push_back(GlobalArray{std::move(Name), Address, SizeWords});
-    return Globals.back();
+    return &Globals.back();
   }
 
 private:

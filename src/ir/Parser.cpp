@@ -107,7 +107,8 @@ private:
   size_t Pos = 0;
 };
 
-/// r<N>, f<N> or cr<N>, with N at most Reg::MaxIndex.
+/// r<N>, f<N> or cr<N>, with N at most Reg::MaxParsedIndex (the rest of
+/// the index space is headroom for the pipeline's fresh registers).
 Scan scanReg(std::string_view Name, Reg &Out) {
   RegClass Class;
   std::string_view Digits;
@@ -126,7 +127,7 @@ Scan scanReg(std::string_view Name, Reg &Out) {
   uint64_t Index = 0;
   auto [End, Ec] =
       std::from_chars(Digits.data(), Digits.data() + Digits.size(), Index);
-  if (Ec != std::errc() || Index > Reg::MaxIndex)
+  if (Ec != std::errc() || Index > Reg::MaxParsedIndex)
     return Scan::OutOfRange;
   Out = Reg::make(Class, static_cast<uint32_t>(Index));
   return Scan::Ok;
@@ -243,7 +244,11 @@ private:
       return rangeError(IntegerRange);
     if (S != Scan::Ok || !C.consume(']'))
       return fail("malformed global size");
-    M->allocateGlobal(std::string(Name), Size);
+    if (Size < 0)
+      return fail("negative global size");
+    if (!M->allocateGlobal(std::string(Name), Size))
+      return fail("global '" + std::string(Name) +
+                  "' does not fit in the address space");
     return true;
   }
 

@@ -71,6 +71,29 @@ public:
   /// The largest index a register can carry.
   static constexpr uint32_t MaxIndex = (uint32_t(1) << 28) - 1;
 
+  /// The largest index the IR parser accepts (2^24 - 1).  Function::newReg
+  /// continues past a function's highest index, so the rest of the space,
+  /// MaxIndex - MaxParsedIndex = 15 * 2^24, is headroom for the registers
+  /// the pipeline creates, and no parsed input -- a daemon COMPILE request
+  /// included -- can exhaust it:
+  ///   - a request body is at most 64 MiB (persist::MaxBodyBytes, 2^26
+  ///     bytes), and a line that defines a register takes at least 8 bytes
+  ///     ("LI r0=0\n"; LU's two defs take 16), so a function has at most
+  ///     D = 2^23 defs;
+  ///   - strength reduction takes one fresh register, and adds one def, per
+  ///     multiply: at most D registers, 2D defs after it;
+  ///   - pre-renaming takes at most one per def: 2D;
+  ///   - unrolling and rotation copy instructions without fresh registers
+  ///     and at most double a loop each, and tail duplication clones at
+  ///     most TraceDupBudget instructions: at most 8D + 128 defs after
+  ///     them;
+  ///   - global scheduling renames at most one def per instruction in each
+  ///     region task that schedules it, and an instruction is in at most
+  ///     three (both global passes, then a superblock): 24D + 384;
+  ///   - the local scheduler and the register allocator take none.
+  /// That is at most 27D + 384 < 14 * 2^24 fresh registers per class.
+  static constexpr uint32_t MaxParsedIndex = (uint32_t(1) << 24) - 1;
+
 private:
   static constexpr uint32_t IndexBits = 28;
   static constexpr uint32_t IndexMask = MaxIndex;

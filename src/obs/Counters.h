@@ -8,12 +8,28 @@
 /// \file
 /// The counters registry of the observability subsystem: a fixed set of
 /// named uint64 counters covering code motions by classification, the
-/// Section 5.2 comparator-rule wins, the Section 5.3 live-on-exit guard,
-/// and the transactional/caching machinery.  A CounterSet is a plain
-/// value: schedulers bump a private set, the pipeline merges committed
-/// deltas in deterministic (region-index, then input) order, so totals are
-/// exact for every --jobs width -- the same discipline PipelineStats
-/// already follows.
+/// Section 5.2 comparator-rule wins, the transactional/caching machinery
+/// and the cold path.  A CounterSet is a plain value: schedulers bump a
+/// private set, the pipeline merges committed deltas in deterministic
+/// (region-index, then input) order, so totals are exact for every --jobs
+/// width -- the same discipline PipelineStats already follows.  The
+/// registry is always collected.
+///
+/// The registry holds the counts no statistics struct carries.  A number
+/// that PipelineStats (or the daemon's ServerStats) already counts is a
+/// field there, listed once in PipelineStats's scalar table, and not an id
+/// here.  Three duplicates stay on purpose:
+///   - motion.useful / motion.speculative: bumped at the engine's pick,
+///     while GlobalSchedStats::UsefulMotions / SpeculativeMotions are
+///     bumped when the scheduler moves the instruction -- two independent
+///     sites, so their agreement is a real cross-check (ObsCounters tests;
+///     DESIGN.md section 9);
+///   - tx.rollbacks: RegionsRolledBack + TransformsRolledBack, bumped at
+///     the same sites; it stays because the benchmark's serve workload
+///     reads it from the daemon's STATS reply (gisbench/src/Serve.cpp);
+///   - cache.* and persist.*: the engine's per-batch cache traffic
+///     (EngineReport), which is the daemon's only record of it across
+///     requests.
 ///
 /// Rule-win accounting: when an instruction is picked from a ready list
 /// with at least two live candidates, exactly one of the seven rule
@@ -57,29 +73,10 @@ enum class CounterId : unsigned {
   PicksContested,   ///< scheduled with >= 2 live candidates
   PicksUncontested, ///< scheduled as the only live candidate
 
-  // Section 5.3 live-on-exit guard.
-  SpecVetoLiveOut, ///< speculative motions rejected by the guard
-  SpecRenames,     ///< motions rescued by register renaming
-
   // Transactions and caching.
-  Rollbacks,   ///< region or whole-function transactions rolled back
+  Rollbacks,   ///< transactions rolled back (kept: see the file comment)
   CacheHits,   ///< schedule-cache hits (engine path)
   CacheMisses, ///< schedule-cache misses (engine path)
-
-  // Register allocation (regalloc/LinearScan; PipelineOptions::
-  // AllocateRegisters).
-  RegAllocIntervals,        ///< live intervals built (all classes)
-  RegAllocSpilledIntervals, ///< intervals assigned a spill slot
-  RegAllocSpillStores,      ///< SPILL/SPILLF instructions emitted
-  RegAllocSpillReloads,     ///< RELOAD/RELOADF instructions emitted
-  RegAllocFailures,         ///< allocation attempts rolled back
-
-  // Mid-end optimizer (src/opt/; gisc -O1/-O2).
-  OptPassesRun,         ///< optimizer pass transactions committed
-  OptPeepholeRewrites,  ///< peephole rewrites applied
-  OptStrengthReduced,   ///< multiplies/divides strength-reduced
-  OptValuesNumbered,    ///< redundant expressions removed by GVN
-  OptDceRemoved,        ///< dead instructions removed
 
   // Persistent (disk-backed) schedule cache (persist/DiskCache.h).
   PersistDiskHits,      ///< entries served from the cache directory
@@ -87,11 +84,6 @@ enum class CounterId : unsigned {
   PersistQuarantines,   ///< corrupt/skewed entries quarantined on load
   PersistWriteFailures, ///< entry writes that failed (degradation trigger)
   PersistEvictions,     ///< disk entries evicted by the size bound
-
-  // Compile daemon (persist/Server.h; gisc --serve).
-  ServeAccepted, ///< requests admitted to the queue
-  ServeShed,     ///< requests rejected because the queue was full
-  ServeTimeouts, ///< requests whose deadline expired before compile
 
   // Cold-path accounting (DESIGN.md section 14).  Arena bytes and node
   // counts describe the graphs built; liveness_full counts region liveness
@@ -117,13 +109,6 @@ enum class CounterId : unsigned {
   ColdVerifyBlocksScoped,  ///< blocks actually verified by scoped sweeps
   ColdVerifyBlocksTotal,   ///< blocks in functions verified by scoped sweeps
 
-  // Superblock formation (src/trace/; gisc --superblocks).
-  TraceFormed,               ///< traces formed (>= 2 blocks)
-  TraceBlocksClaimed,        ///< blocks claimed by formed traces
-  TraceTailDupInstrs,        ///< instructions cloned by tail duplication
-  TraceTruncated,            ///< traces cut short by the clone budget
-  TraceSuperblocksScheduled, ///< single-entry traces scheduled as regions
-
   NumCounters
 };
 
@@ -143,33 +128,15 @@ inline constexpr CounterId RuleCritPathSpec = CounterId::RuleCritPathSpec;
 inline constexpr CounterId RuleSourceOrder = CounterId::RuleSourceOrder;
 inline constexpr CounterId PicksContested = CounterId::PicksContested;
 inline constexpr CounterId PicksUncontested = CounterId::PicksUncontested;
-inline constexpr CounterId SpecVetoLiveOut = CounterId::SpecVetoLiveOut;
-inline constexpr CounterId SpecRenames = CounterId::SpecRenames;
 inline constexpr CounterId Rollbacks = CounterId::Rollbacks;
 inline constexpr CounterId CacheHits = CounterId::CacheHits;
 inline constexpr CounterId CacheMisses = CounterId::CacheMisses;
-inline constexpr CounterId RegAllocIntervals = CounterId::RegAllocIntervals;
-inline constexpr CounterId RegAllocSpilledIntervals =
-    CounterId::RegAllocSpilledIntervals;
-inline constexpr CounterId RegAllocSpillStores =
-    CounterId::RegAllocSpillStores;
-inline constexpr CounterId RegAllocSpillReloads =
-    CounterId::RegAllocSpillReloads;
-inline constexpr CounterId RegAllocFailures = CounterId::RegAllocFailures;
-inline constexpr CounterId OptPassesRun = CounterId::OptPassesRun;
-inline constexpr CounterId OptPeepholeRewrites = CounterId::OptPeepholeRewrites;
-inline constexpr CounterId OptStrengthReduced = CounterId::OptStrengthReduced;
-inline constexpr CounterId OptValuesNumbered = CounterId::OptValuesNumbered;
-inline constexpr CounterId OptDceRemoved = CounterId::OptDceRemoved;
 inline constexpr CounterId PersistDiskHits = CounterId::PersistDiskHits;
 inline constexpr CounterId PersistDiskMisses = CounterId::PersistDiskMisses;
 inline constexpr CounterId PersistQuarantines = CounterId::PersistQuarantines;
 inline constexpr CounterId PersistWriteFailures =
     CounterId::PersistWriteFailures;
 inline constexpr CounterId PersistEvictions = CounterId::PersistEvictions;
-inline constexpr CounterId ServeAccepted = CounterId::ServeAccepted;
-inline constexpr CounterId ServeShed = CounterId::ServeShed;
-inline constexpr CounterId ServeTimeouts = CounterId::ServeTimeouts;
 inline constexpr CounterId ColdArenaBytes = CounterId::ColdArenaBytes;
 inline constexpr CounterId ColdDdgNodes = CounterId::ColdDdgNodes;
 inline constexpr CounterId ColdLivenessDelta = CounterId::ColdLivenessDelta;
@@ -184,12 +151,6 @@ inline constexpr CounterId ColdVerifyBlocksScoped =
     CounterId::ColdVerifyBlocksScoped;
 inline constexpr CounterId ColdVerifyBlocksTotal =
     CounterId::ColdVerifyBlocksTotal;
-inline constexpr CounterId TraceFormed = CounterId::TraceFormed;
-inline constexpr CounterId TraceBlocksClaimed = CounterId::TraceBlocksClaimed;
-inline constexpr CounterId TraceTailDupInstrs = CounterId::TraceTailDupInstrs;
-inline constexpr CounterId TraceTruncated = CounterId::TraceTruncated;
-inline constexpr CounterId TraceSuperblocksScheduled =
-    CounterId::TraceSuperblocksScheduled;
 
 /// Stable machine-readable key of a counter ("motion.useful", "rule.delay_useful", ...).
 std::string_view counterKey(CounterId Id);

@@ -55,7 +55,10 @@ public:
     OS << ": ";
     return OS;
   }
-  void field(std::string_view K, uint64_t V) { key(K) << V; }
+  /// Kept out of line: the table writers expand to one call per row.
+  [[gnu::noinline]] void field(std::string_view K, uint64_t V) {
+    key(K) << V;
+  }
   void fieldF(std::string_view K, double V) { key(K) << V; }
   void fieldStr(std::string_view K, std::string_view V) {
     writeJsonString(key(K), V);
@@ -70,8 +73,10 @@ private:
   bool First = true;
 };
 
-void writeCounters(std::ostream &OS, const CounterSet &C,
-                   const char *Indent) {
+} // namespace
+
+void obs::writeCountersJson(std::ostream &OS, const CounterSet &C,
+                            const char *Indent) {
   OS << "{";
   ObjectWriter W(OS, Indent);
   for (unsigned K = 0; K != NumCounters; ++K)
@@ -80,69 +85,28 @@ void writeCounters(std::ostream &OS, const CounterSet &C,
   OS << "\n" << (Indent + 2) << "}";
 }
 
-/// The PipelineStats scalars (everything --stats prints, minus the
-/// variable-length diagnostics) as one JSON object.
-void writePipelineFields(std::ostream &OS, const PipelineStats &S,
-                         const char *Indent) {
+void obs::writePipelineJson(std::ostream &OS, const PipelineStats &S,
+                            const char *Indent, bool WithRecordCounts) {
   OS << "{";
   ObjectWriter W(OS, Indent);
-  W.field("regions_scheduled", S.Global.RegionsScheduled);
-  W.field("blocks_scheduled", S.Global.BlocksScheduled);
-  W.field("useful_motions", S.Global.UsefulMotions);
-  W.field("speculative_motions", S.Global.SpeculativeMotions);
-  W.field("renames", S.Global.Renames);
-  W.field("vetoed_speculations", S.Global.VetoedSpeculations);
-  W.field("local_blocks_scheduled", S.Local.BlocksScheduled);
-  W.field("local_blocks_reordered", S.Local.BlocksReordered);
-  W.field("local_blocks_failed", S.Local.BlocksFailed);
-  W.field("opt_passes_run", S.Opt.PassesRun);
-  W.field("opt_peephole_rewrites", S.Opt.PeepholeRewrites);
-  W.field("opt_strength_reduced", S.Opt.StrengthReduced);
-  W.field("opt_values_numbered", S.Opt.ValuesNumbered);
-  W.field("opt_dce_removed", S.Opt.DeadRemoved);
-  W.field("loops_unrolled", S.LoopsUnrolled);
-  W.field("loops_rotated", S.LoopsRotated);
-  W.field("prerenamed_defs", S.PreRenamedDefs);
-  W.field("traces_formed", S.TracesFormed);
-  W.field("trace_blocks", S.TraceBlocks);
-  W.field("tail_dup_instrs", S.TailDupInstrs);
-  W.field("tail_dup_blocks", S.TailDupBlocks);
-  W.field("traces_truncated", S.TracesTruncated);
-  W.field("superblocks_scheduled", S.SuperblocksScheduled);
-  W.field("regions_skipped_by_size", S.RegionsSkippedBySize);
-  W.field("functions_skipped_irreducible", S.FunctionsSkippedIrreducible);
-  W.field("region_waves", S.RegionWaves);
-  W.field("region_tasks", static_cast<uint64_t>(S.RegionTimes.size()));
-  W.field("transactions_run", S.TransactionsRun);
-  W.field("regions_rolled_back", S.RegionsRolledBack);
-  W.field("transforms_rolled_back", S.TransformsRolledBack);
-  W.field("verifier_failures", S.VerifierFailures);
-  W.field("oracle_mismatches", S.OracleMismatches);
-  W.field("engine_failures", S.EngineFailures);
-  W.field("faults_injected", S.FaultsInjected);
-  W.field("pressure_peak_gpr", S.PressurePeak[0]);
-  W.field("pressure_peak_fpr", S.PressurePeak[1]);
-  W.field("pressure_peak_cr", S.PressurePeak[2]);
-  W.field("regalloc_intervals", S.RegAlloc.IntervalsBuilt);
-  W.field("regalloc_spilled_intervals", S.RegAlloc.IntervalsSpilled);
-  W.field("regalloc_spill_stores", S.RegAlloc.SpillStores);
-  W.field("regalloc_spill_reloads", S.RegAlloc.SpillReloads);
-  W.field("regalloc_spill_slots", S.RegAlloc.SpillSlots);
-  W.field("regalloc_failures", S.RegAllocFailures);
-  W.field("diagnostics", static_cast<uint64_t>(S.Diags.size()));
-  W.field("decisions", static_cast<uint64_t>(S.Decisions.size()));
+  forEachStatsScalar(
+      [&W](const StatsScalar &R, const unsigned &V) { W.field(R.JsonKey, V); },
+      S);
+  if (WithRecordCounts) {
+    W.field("region_tasks", static_cast<uint64_t>(S.RegionTimes.size()));
+    W.field("diagnostics", static_cast<uint64_t>(S.Diags.size()));
+    W.field("decisions", static_cast<uint64_t>(S.Decisions.size()));
+  }
   OS << "\n" << (Indent + 2) << "}";
 }
-
-} // namespace
 
 void obs::writePipelineStatsJson(std::ostream &OS, const PipelineStats &S,
                                  const ProfileData *Profile,
                                  const Function *ProfiledEntry) {
-  OS << "{\n  \"schema\": \"gis-stats-v1\",\n  \"pipeline\": ";
-  writePipelineFields(OS, S, "    ");
+  OS << "{\n  \"schema\": \"gis-stats-v2\",\n  \"pipeline\": ";
+  writePipelineJson(OS, S, "    ");
   OS << ",\n  \"counters\": ";
-  writeCounters(OS, S.Counters, "    ");
+  writeCountersJson(OS, S.Counters, "    ");
   if (Profile && ProfiledEntry && Profile->hasFunction(ProfiledEntry->name())) {
     const Function &F = *ProfiledEntry;
     OS << ",\n  \"profile\": {\n    \"function\": ";
@@ -164,7 +128,7 @@ void obs::writePipelineStatsJson(std::ostream &OS, const PipelineStats &S,
 }
 
 void obs::writeEngineReportJson(std::ostream &OS, const EngineReport &R) {
-  OS << "{\n  \"schema\": \"gis-engine-stats-v1\",\n  \"engine\": {";
+  OS << "{\n  \"schema\": \"gis-engine-stats-v2\",\n  \"engine\": {";
   {
     ObjectWriter W(OS, "    ");
     W.field("threads", static_cast<uint64_t>(R.Threads));
@@ -208,9 +172,9 @@ void obs::writeEngineReportJson(std::ostream &OS, const EngineReport &R) {
     W.field("evictions", R.Disk.Evictions);
   }
   OS << "\n  },\n  \"pipeline\": ";
-  writePipelineFields(OS, R.Aggregate, "    ");
+  writePipelineJson(OS, R.Aggregate, "    ");
   OS << ",\n  \"counters\": ";
-  writeCounters(OS, R.Aggregate.Counters, "    ");
+  writeCountersJson(OS, R.Aggregate.Counters, "    ");
   OS << ",\n  \"per_function\": [";
   for (size_t K = 0; K != R.PerFunction.size(); ++K) {
     const FunctionCompileResult &F = R.PerFunction[K];

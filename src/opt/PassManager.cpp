@@ -35,28 +35,19 @@ Status runPassBody(PassId P, Function &F, const MachineDescription &MD,
   return Status::ok();
 }
 
-void recordWork(PassId P, unsigned Work, OptStats &Stats,
-                obs::CounterSet *Counters) {
+void recordWork(PassId P, unsigned Work, OptStats &Stats) {
   switch (P) {
   case PassId::Peephole:
     Stats.PeepholeRewrites += Work;
-    if (Counters)
-      Counters->bump(obs::OptPeepholeRewrites, Work);
     break;
   case PassId::StrengthReduce:
     Stats.StrengthReduced += Work;
-    if (Counters)
-      Counters->bump(obs::OptStrengthReduced, Work);
     break;
   case PassId::ValueNumbering:
     Stats.ValuesNumbered += Work;
-    if (Counters)
-      Counters->bump(obs::OptValuesNumbered, Work);
     break;
   case PassId::DeadCode:
     Stats.DeadRemoved += Work;
-    if (Counters)
-      Counters->bump(obs::OptDceRemoved, Work);
     break;
   }
 }
@@ -97,9 +88,7 @@ OptRunReport gis::opt::runOptPasses(Function &F, const MachineDescription &MD,
 
     if (R.Committed) {
       ++Report.Opt.PassesRun;
-      recordWork(P, Work, Report.Opt, Counters);
-      if (Counters)
-        Counters->bump(obs::OptPassesRun);
+      recordWork(P, Work, Report.Opt);
       continue;
     }
 

@@ -69,7 +69,9 @@ struct OptPassTime {
   double Seconds = 0;
 };
 
-/// Per-pass work totals of one or more optimizer runs.
+/// Per-pass work totals of one or more optimizer runs.  Runs are summed
+/// through PipelineStats's scalar table (sched/Pipeline.h), which
+/// PipelineStats::operator+= extends with the PassTimes records.
 struct OptStats {
   unsigned PassesRun = 0; ///< pass transactions committed
   unsigned PeepholeRewrites = 0;
@@ -77,17 +79,6 @@ struct OptStats {
   unsigned ValuesNumbered = 0;
   unsigned DeadRemoved = 0;
   std::vector<OptPassTime> PassTimes;
-
-  OptStats &operator+=(const OptStats &RHS) {
-    PassesRun += RHS.PassesRun;
-    PeepholeRewrites += RHS.PeepholeRewrites;
-    StrengthReduced += RHS.StrengthReduced;
-    ValuesNumbered += RHS.ValuesNumbered;
-    DeadRemoved += RHS.DeadRemoved;
-    PassTimes.insert(PassTimes.end(), RHS.PassTimes.begin(),
-                     RHS.PassTimes.end());
-    return *this;
-  }
 };
 
 /// Everything one runOptPasses call produced, for the caller (the
@@ -106,8 +97,8 @@ struct OptRunReport {
 /// Runs every enabled pass over \p F in pipeline order, each as a guarded
 /// transaction configured by \p Tx.  \p F's CFG must be up to date on
 /// entry and is up to date on return (no pass changes control flow).
-/// \p Counters may be null; when set, per-pass work and rollbacks are
-/// bumped there.
+/// \p Counters may be null; when set, rollbacks are bumped there (the
+/// per-pass work is the report's OptStats).
 OptRunReport runOptPasses(Function &F, const MachineDescription &MD,
                           const OptOptions &Opts, const TransactionConfig &Tx,
                           obs::CounterSet *Counters);

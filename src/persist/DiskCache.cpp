@@ -36,56 +36,12 @@ void appendHexKey(std::string &Out, const Key128 &K) {
   Out += hexKey(K, Buf);
 }
 
-/// Visits every persisted scalar of \p S as (key, field), in the stats
-/// block's fixed order.  The persisted subset of PipelineStats is every
-/// scalar --stats/--stats-json reports, plus the counter registry.
-/// Deliberately not persisted -- diagnostics, decision logs and per-region
-/// wall-clock timings -- are payloads a disk hit cannot replay faithfully;
-/// entries carrying them are never written (see DiskScheduleCache::insert).
-template <typename StatsT, typename VisitT>
-void forEachScalar(StatsT &S, VisitT &&Visit) {
-  Visit("global.regions_scheduled", S.Global.RegionsScheduled);
-  Visit("global.blocks_scheduled", S.Global.BlocksScheduled);
-  Visit("global.useful_motions", S.Global.UsefulMotions);
-  Visit("global.speculative_motions", S.Global.SpeculativeMotions);
-  Visit("global.renames", S.Global.Renames);
-  Visit("global.vetoed_speculations", S.Global.VetoedSpeculations);
-  Visit("local.blocks_scheduled", S.Local.BlocksScheduled);
-  Visit("local.blocks_reordered", S.Local.BlocksReordered);
-  Visit("local.blocks_failed", S.Local.BlocksFailed);
-  Visit("loops_unrolled", S.LoopsUnrolled);
-  Visit("loops_rotated", S.LoopsRotated);
-  Visit("prerenamed_defs", S.PreRenamedDefs);
-  Visit("regions_skipped_by_size", S.RegionsSkippedBySize);
-  Visit("functions_skipped_irreducible", S.FunctionsSkippedIrreducible);
-  Visit("pressure_peak_gpr", S.PressurePeak[0]);
-  Visit("pressure_peak_fpr", S.PressurePeak[1]);
-  Visit("pressure_peak_cr", S.PressurePeak[2]);
-  Visit("regalloc.intervals", S.RegAlloc.IntervalsBuilt);
-  Visit("regalloc.spilled_intervals", S.RegAlloc.IntervalsSpilled);
-  Visit("regalloc.spill_stores", S.RegAlloc.SpillStores);
-  Visit("regalloc.spill_reloads", S.RegAlloc.SpillReloads);
-  Visit("regalloc.spill_slots", S.RegAlloc.SpillSlots);
-  Visit("regalloc.failures", S.RegAllocFailures);
-  Visit("region_waves", S.RegionWaves);
-  Visit("opt.passes_run", S.Opt.PassesRun);
-  Visit("opt.peephole_rewrites", S.Opt.PeepholeRewrites);
-  Visit("opt.strength_reduced", S.Opt.StrengthReduced);
-  Visit("opt.values_numbered", S.Opt.ValuesNumbered);
-  Visit("opt.dce_removed", S.Opt.DeadRemoved);
-  Visit("transactions_run", S.TransactionsRun);
-  Visit("regions_rolled_back", S.RegionsRolledBack);
-  Visit("transforms_rolled_back", S.TransformsRolledBack);
-  Visit("verifier_failures", S.VerifierFailures);
-  Visit("oracle_mismatches", S.OracleMismatches);
-  Visit("engine_failures", S.EngineFailures);
-  Visit("faults_injected", S.FaultsInjected);
-}
-
-/// The number of fields forEachScalar visits.
-constexpr unsigned NumScalars = 36;
-
-/// One "key=value" line per nonzero scalar, then per nonzero counter.
+/// One "key=value" line per nonzero scalar (PipelineStats's scalar table,
+/// under its disk keys), then per nonzero counter.  Every scalar is
+/// persisted, plus the counter registry.  Deliberately not persisted --
+/// diagnostics, decision logs and per-region wall-clock timings -- are
+/// payloads a disk hit cannot replay faithfully; entries carrying them are
+/// never written (see DiskScheduleCache::insert).
 void appendStats(std::string &Out, const PipelineStats &S) {
   auto Put = [&Out](std::string_view Key, uint64_t V) {
     if (!V) // sparse: most fields are zero for most functions
@@ -95,7 +51,9 @@ void appendStats(std::string &Out, const PipelineStats &S) {
     appendUInt(Out, V);
     Out += '\n';
   };
-  forEachScalar(S, Put);
+  forEachStatsScalar(
+      [&Put](const StatsScalar &R, const unsigned &V) { Put(R.DiskKey, V); },
+      S);
   for (unsigned K = 0; K != obs::NumCounters; ++K) {
     auto Id = static_cast<obs::CounterId>(K);
     if (uint64_t V = S.Counters.get(Id)) {
@@ -105,26 +63,23 @@ void appendStats(std::string &Out, const PipelineStats &S) {
   }
 }
 
-/// The slot of every stats-block key: the scalars in forEachScalar order,
-/// then the counters by id.
+/// The slot of every stats-block key: the scalars in table order, then the
+/// counters by id.
 class StatsKeyTable {
 public:
-  static constexpr unsigned NumSlots = NumScalars + obs::NumCounters;
+  static constexpr unsigned NumSlots = NumStatsScalars + obs::NumCounters;
 
   StatsKeyTable() {
-    PipelineStats Dummy;
     unsigned Slot = 0;
-    forEachScalar(Dummy, [&](std::string_view Key, unsigned &) {
-      Slots.emplace(Key, Slot++);
-    });
-    GIS_ASSERT(Slot == NumScalars, "NumScalars out of step with the fields");
+    forEachStatsScalar(
+        [&](const StatsScalar &R) { Slots.emplace(R.DiskKey, Slot++); });
     CounterKeys.reserve(obs::NumCounters);
     for (unsigned K = 0; K != obs::NumCounters; ++K)
       CounterKeys.push_back(
           "counter." +
           std::string(obs::counterKey(static_cast<obs::CounterId>(K))));
     for (unsigned K = 0; K != obs::NumCounters; ++K)
-      Slots.emplace(CounterKeys[K], NumScalars + K);
+      Slots.emplace(CounterKeys[K], NumStatsScalars + K);
   }
 
   /// The slot of \p Key, or NumSlots for a key no field carries.
@@ -181,11 +136,13 @@ bool parseStats(std::string_view Text, PipelineStats &S) {
     }
   }
   unsigned Slot = 0;
-  forEachScalar(S, [&](std::string_view, unsigned &Field) {
-    Field = static_cast<unsigned>(Values[Slot++]);
-  });
+  forEachStatsScalar(
+      [&](const StatsScalar &, unsigned &Field) {
+        Field = static_cast<unsigned>(Values[Slot++]);
+      },
+      S);
   for (unsigned K = 0; K != obs::NumCounters; ++K)
-    if (uint64_t V = Values[NumScalars + K])
+    if (uint64_t V = Values[NumStatsScalars + K])
       S.Counters.bump(static_cast<obs::CounterId>(K), V);
   return true;
 }
@@ -412,6 +369,11 @@ void DiskScheduleCache::insert(const Key128 &Key, const Function &F,
   // diagnostic would violate the engine's faithful-replay contract.
   if (!Stats.Diags.empty() || !Stats.Decisions.empty())
     return;
+  // Nor are functions with a register index the IR parser refuses (above
+  // Reg::MaxParsedIndex): their entry could never be read back.
+  for (RegClass C : {RegClass::GPR, RegClass::FPR, RegClass::CR})
+    if (F.numRegs(C) > Reg::MaxParsedIndex + 1)
+      return;
   std::string Bytes = serializeEntry(Key, F, Stats);
   Status S = atomicWriteFile(Dir, entryFileName(Key), Bytes);
   if (!S.isOk()) {

@@ -7,6 +7,7 @@
 #include "ir/Printer.h"
 #include "ir/Verifier.h"
 #include "obs/Counters.h"
+#include "obs/StatsJson.h"
 #include "persist/Protocol.h"
 #include "support/Format.h"
 
@@ -142,16 +143,18 @@ obs::CounterSet CompileServer::counters() const {
 
 std::string CompileServer::statsJson() const {
   ServerStats S;
+  PipelineStats P;
   obs::CounterSet C;
   size_t Depth;
   {
     std::lock_guard<std::mutex> L(Mu);
     S = Counts;
+    P.addScalars(PipelineTotals);
     C = Aggregated;
     Depth = Queue.size();
   }
   std::ostringstream OS;
-  OS << "{\n  \"schema\": \"gis-serve-stats-v1\",\n  \"serve\": {"
+  OS << "{\n  \"schema\": \"gis-serve-stats-v2\",\n  \"serve\": {"
      << "\n    \"accepted\": " << S.Accepted
      << ",\n    \"completed\": " << S.Completed
      << ",\n    \"shed\": " << S.Shed
@@ -169,13 +172,13 @@ std::string CompileServer::statsJson() const {
        << ", \"write_failures\": " << D.WriteFailures
        << ", \"evictions\": " << D.Evictions << "},";
   }
-  OS << "\n  \"counters\": {";
-  for (unsigned K = 0; K != obs::NumCounters; ++K) {
-    auto Id = static_cast<obs::CounterId>(K);
-    OS << (K ? ",\n    \"" : "\n    \"") << obs::counterKey(Id)
-       << "\": " << C.get(Id);
-  }
-  OS << "\n  }\n}\n";
+  // The pipeline totals keep no per-run records, so the writer leaves out
+  // their counts.
+  OS << "\n  \"pipeline\": ";
+  obs::writePipelineJson(OS, P, "    ", /*WithRecordCounts=*/false);
+  OS << ",\n  \"counters\": ";
+  obs::writeCountersJson(OS, C, "    ");
+  OS << "\n}\n";
   return OS.str();
 }
 
@@ -201,10 +204,8 @@ void CompileServer::acceptLoop() {
       if (Admit) {
         Queue.push_back(Pending{Fd, Clock::now()});
         ++Counts.Accepted;
-        Aggregated.bump(obs::ServeAccepted);
       } else {
         ++Counts.Shed;
-        Aggregated.bump(obs::ServeShed);
       }
     }
     if (Admit) {
@@ -308,7 +309,6 @@ void CompileServer::serveConnection(int Fd, Clock::time_point Admitted,
     {
       std::lock_guard<std::mutex> L(Mu);
       ++Counts.TimedOut;
-      Aggregated.bump(obs::ServeTimeouts);
     }
     writeAll(Fd, formatTimeoutResponse());
     ::close(Fd);
@@ -357,6 +357,7 @@ void CompileServer::serveConnection(int Fd, Clock::time_point Admitted,
   {
     std::lock_guard<std::mutex> L(Mu);
     ++Counts.Completed;
+    PipelineTotals.addScalars(Report.Aggregate);
     Aggregated += Report.Aggregate.Counters;
   }
   writeAll(Fd, formatOkResponse(Report.CacheHits - Report.DiskHits,

@@ -12,8 +12,8 @@
 ///
 ///   - Bounded admission: the accept loop holds at most QueueDepth pending
 ///     connections.  When the queue is full, the next connection gets an
-///     immediate `SHED <retry_ms>` (never silent backlog growth) and the
-///     serve.shed counter bumps -- the client backs off and retries
+///     immediate `SHED <retry_ms>` (never silent backlog growth) and
+///     ServerStats::Shed bumps -- the client backs off and retries
 ///     (persist/Client.h).
 ///
 ///   - Per-request deadlines: a COMPILE request carries its deadline in
@@ -113,9 +113,11 @@ public:
 
   ServerStats stats() const;
   /// Aggregated obs counters of every request served (includes the
-  /// serve.* and persist.* registry entries).
+  /// engine's cache.* and persist.* registry entries).
   obs::CounterSet counters() const;
-  /// The STATS-response JSON (also what the stats() totals render to).
+  /// The STATS-response JSON: the stats() totals ("serve"), the disk tier,
+  /// the PipelineStats scalars summed over every compile ("pipeline") and
+  /// counters().
   std::string statsJson() const;
 
 private:
@@ -146,6 +148,9 @@ private:
   std::condition_variable QueueCv;
   std::deque<Pending> Queue;
   ServerStats Counts;
+  /// Scalar totals of every compile served (PipelineStats::addScalars);
+  /// its vectors stay empty.
+  PipelineStats PipelineTotals;
   obs::CounterSet Aggregated;
 
   std::atomic<bool> Stopping{false};

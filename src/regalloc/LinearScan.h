@@ -39,22 +39,14 @@ namespace gis {
 /// three floats, and condition registers never spill.
 constexpr std::array<unsigned, 3> RegAllocScratch = {2, 3, 0};
 
-/// Statistics of one allocation run.
+/// Statistics of one allocation run.  Runs are summed through
+/// PipelineStats's scalar table (sched/Pipeline.h).
 struct RegAllocStats {
   unsigned IntervalsBuilt = 0;
   unsigned IntervalsSpilled = 0;
   unsigned SpillStores = 0;  ///< SPILL/SPILLF instructions emitted
   unsigned SpillReloads = 0; ///< RELOAD/RELOADF instructions emitted
   unsigned SpillSlots = 0;   ///< distinct spill slots used
-
-  RegAllocStats &operator+=(const RegAllocStats &RHS) {
-    IntervalsBuilt += RHS.IntervalsBuilt;
-    IntervalsSpilled += RHS.IntervalsSpilled;
-    SpillStores += RHS.SpillStores;
-    SpillReloads += RHS.SpillReloads;
-    SpillSlots += RHS.SpillSlots;
-    return *this;
-  }
 };
 
 /// Rewrites \p F onto the finite register files of \p MD: every symbolic

@@ -180,7 +180,6 @@ GlobalSchedStats GlobalScheduler::scheduleRegion(Function &F,
         return true;
       if (!Opts.EnableRenaming) {
         ++Stats.VetoedSpeculations;
-        BumpObs(obs::SpecVetoLiveOut);
         return false;
       }
       // An instruction reading the register it rewrites (LU-style base
@@ -189,7 +188,6 @@ GlobalSchedStats GlobalScheduler::scheduleRegion(Function &F,
       for (Reg D : Conflicts)
         if (F.instr(I).usesReg(D)) {
           ++Stats.VetoedSpeculations;
-          BumpObs(obs::SpecVetoLiveOut);
           return false;
         }
       // A rename rewrites pool entries of the home block only (the def
@@ -200,11 +198,9 @@ GlobalSchedStats GlobalScheduler::scheduleRegion(Function &F,
       for (Reg D : Conflicts) {
         if (!renameLocalDef(F, Home, I, D, IsLiveOut)) {
           ++Stats.VetoedSpeculations;
-          BumpObs(obs::SpecVetoLiveOut);
           return false; // earlier successful renames remain; still sound
         }
         ++Stats.Renames;
-        BumpObs(obs::SpecRenames);
         LivenessStale = true;
       }
       return true;

@@ -63,7 +63,8 @@ struct GlobalSchedOptions {
   DisambigCache *Cache = nullptr;
 };
 
-/// Statistics of one scheduling run.
+/// Statistics of one scheduling run.  Runs are summed through
+/// PipelineStats's scalar table (sched/Pipeline.h).
 struct GlobalSchedStats {
   unsigned RegionsScheduled = 0;
   unsigned BlocksScheduled = 0;
@@ -71,16 +72,6 @@ struct GlobalSchedStats {
   unsigned SpeculativeMotions = 0;
   unsigned Renames = 0;
   unsigned VetoedSpeculations = 0;
-
-  GlobalSchedStats &operator+=(const GlobalSchedStats &RHS) {
-    RegionsScheduled += RHS.RegionsScheduled;
-    BlocksScheduled += RHS.BlocksScheduled;
-    UsefulMotions += RHS.UsefulMotions;
-    SpeculativeMotions += RHS.SpeculativeMotions;
-    Renames += RHS.Renames;
-    VetoedSpeculations += RHS.VetoedSpeculations;
-    return *this;
-  }
 };
 
 /// PDG-based global scheduler for one machine description.

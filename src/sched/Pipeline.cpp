@@ -96,8 +96,7 @@ bool recordOutcome(TxContext &Ctx, const TransactionResult &R,
     ++Ctx.Stats.RegionsRolledBack;
   else
     ++Ctx.Stats.TransformsRolledBack;
-  if (Ctx.Opts.CollectCounters)
-    Ctx.Stats.Counters.bump(obs::Rollbacks);
+  Ctx.Stats.Counters.bump(obs::Rollbacks);
   obs::Tracer::instance().instant("rollback", "tx", "loop",
                                   static_cast<int64_t>(LoopIdx));
   reportDiagnostic(Ctx.Stats.Diags, R.S, Ctx.F.name(), Stage, LoopIdx);
@@ -137,7 +136,7 @@ bool runDeltaTransaction(
   DeltaCheckpoint Ck(Ctx.F, Cfg.Enabled);
   TransactionResult R = runFunctionTransactionDelta(
       Ctx.F, Stage, Cfg, Ck, [&] { return Body(Delta, Ck); });
-  if (Cfg.Enabled && Ctx.Opts.CollectCounters)
+  if (Cfg.Enabled)
     Ctx.Stats.Counters.bump(obs::ColdCkptBytes, Ck.bytesSaved());
   return recordOutcome(Ctx, R, Delta, Stage, LoopIdx, RegionScoped);
 }
@@ -247,14 +246,13 @@ void scheduleRegionTask(TxContext &Ctx, const GlobalSchedOptions &GOpts,
 
   PipelineStats Delta; // body statistics, merged only on commit
   obs::SchedSink Sink;
-  if (Ctx.Opts.CollectCounters)
-    Sink.Counters = &Delta.Counters;
+  Sink.Counters = &Delta.Counters;
   if (Ctx.Opts.CollectDecisions)
     Sink.Decisions = &Delta.Decisions;
   GlobalScheduler GS(Ctx.MD, GOpts);
   Status S;
   PDG P;
-  Delta.Global += GS.scheduleRegion(Ctx.F, R, Transactional ? &S : nullptr,
+  Delta.Global = GS.scheduleRegion(Ctx.F, R, Transactional ? &S : nullptr,
                                     &WaveLV, Sink, Verify ? &P : nullptr,
                                     Snap ? &*Snap : nullptr);
   if (Transactional) {
@@ -282,10 +280,8 @@ void scheduleRegionTask(TxContext &Ctx, const GlobalSchedOptions &GOpts,
         fatalError(__FILE__, __LINE__,
                    "slow-path check: scoped schedule verifier diverges "
                    "from the full sweep");
-      if (Ctx.Opts.CollectCounters) {
-        Delta.Counters.bump(obs::ColdVerifyBlocksScoped, VS.BlocksVerified);
-        Delta.Counters.bump(obs::ColdVerifyBlocksTotal, VS.BlocksTotal);
-      }
+      Delta.Counters.bump(obs::ColdVerifyBlocksScoped, VS.BlocksVerified);
+      Delta.Counters.bump(obs::ColdVerifyBlocksTotal, VS.BlocksTotal);
       if (!Problems.empty()) {
         S = Status::error(ErrorCode::VerifierSemantic, Problems.front());
         ++Ctx.Stats.VerifierFailures;
@@ -318,8 +314,7 @@ void scheduleRegionTask(TxContext &Ctx, const GlobalSchedOptions &GOpts,
     // only.
     Snap->restore(Ctx.F);
     ++Ctx.Stats.RegionsRolledBack;
-    if (Ctx.Opts.CollectCounters)
-      Ctx.Stats.Counters.bump(obs::Rollbacks);
+    Ctx.Stats.Counters.bump(obs::Rollbacks);
     obs::Tracer::instance().instant("rollback", "tx", "loop",
                                     static_cast<int64_t>(LoopIdx));
     reportDiagnostic(Ctx.Stats.Diags, S, Ctx.F.name(), "region", LoopIdx);
@@ -419,10 +414,9 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
   // report folds into this run's statistics so rollbacks, faults and
   // diagnostics surface through the one channel.
   if (Opts.Opt.anyEnabled()) {
-    opt::OptRunReport R = opt::runOptPasses(
-        F, MD, Opts.Opt, txConfig(Opts),
-        Opts.CollectCounters ? &Stats.Counters : nullptr);
-    Stats.Opt += R.Opt;
+    opt::OptRunReport R =
+        opt::runOptPasses(F, MD, Opts.Opt, txConfig(Opts), &Stats.Counters);
+    Stats.Opt = std::move(R.Opt);
     Stats.TransactionsRun += R.TransactionsRun;
     Stats.TransformsRolledBack += R.TransformsRolledBack;
     Stats.VerifierFailures += R.VerifierFailures;
@@ -619,10 +613,6 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
               ++Delta.TracesFormed;
               Delta.TraceBlocks += static_cast<unsigned>(T.Blocks.size());
             }
-            if (Opts.CollectCounters) {
-              Delta.Counters.bump(obs::TraceFormed, Traces.size());
-              Delta.Counters.bump(obs::TraceBlocksClaimed, Delta.TraceBlocks);
-            }
             return Status::ok();
           },
           /*RegionScoped=*/false);
@@ -657,10 +647,6 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
               Delta.TailDupInstrs += DS.ClonedInstrs;
               Delta.TailDupBlocks += DS.ClonedBlocks + DS.TrampolineBlocks;
               Delta.TracesTruncated += DS.TracesTruncated;
-              if (Opts.CollectCounters) {
-                Delta.Counters.bump(obs::TraceTailDupInstrs, DS.ClonedInstrs);
-                Delta.Counters.bump(obs::TraceTruncated, DS.TracesTruncated);
-              }
               return Status::ok();
             },
             /*RegionScoped=*/true);
@@ -692,8 +678,6 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
       }
       if (!Regions.empty()) {
         Stats.SuperblocksScheduled += static_cast<unsigned>(Regions.size());
-        if (Opts.CollectCounters)
-          Stats.Counters.bump(obs::TraceSuperblocksScheduled, Regions.size());
         obs::TraceSpan SBSpan("superblocks", "stage");
         scheduleWave(Ctx, std::move(Regions));
       }
@@ -708,8 +692,7 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
         Ctx, Stage, -1,
         [&](PipelineStats &Delta, DeltaCheckpoint &Ck) {
           obs::SchedSink Sink;
-          if (Opts.CollectCounters)
-            Sink.Counters = &Delta.Counters;
+          Sink.Counters = &Delta.Counters;
           if (Opts.CollectDecisions)
             Sink.Decisions = &Delta.Decisions;
           Delta.Local = scheduleLocal(F, MD, LI, Sink, &DCache, &Ck);
@@ -746,21 +729,11 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
       Status S = allocateRegisters(F, MD, RA);
       if (!S.isOk())
         return S;
-      Delta.RegAlloc += RA;
-      if (Opts.CollectCounters) {
-        Delta.Counters.bump(obs::RegAllocIntervals, RA.IntervalsBuilt);
-        Delta.Counters.bump(obs::RegAllocSpilledIntervals,
-                            RA.IntervalsSpilled);
-        Delta.Counters.bump(obs::RegAllocSpillStores, RA.SpillStores);
-        Delta.Counters.bump(obs::RegAllocSpillReloads, RA.SpillReloads);
-      }
+      Delta.RegAlloc = RA;
       return S;
     });
-    if (!Committed) {
+    if (!Committed)
       ++Stats.RegAllocFailures;
-      if (Opts.CollectCounters)
-        Stats.Counters.bump(obs::RegAllocFailures);
-    }
     if (Committed && Opts.RescheduleAfterAlloc && Opts.RunLocalScheduler) {
       F.renumberOriginalOrder();
       RunLocal("postalloc");
@@ -777,10 +750,8 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
   // count); request totals are deterministic -- one facts and one
   // reachability request per region build -- so these are exact like the
   // rest of the registry.
-  if (Opts.CollectCounters) {
-    Stats.Counters.bump(obs::ColdDisambigCacheHits, DCache.hits());
-    Stats.Counters.bump(obs::ColdDisambigCacheMisses, DCache.misses());
-  }
+  Stats.Counters.bump(obs::ColdDisambigCacheHits, DCache.hits());
+  Stats.Counters.bump(obs::ColdDisambigCacheMisses, DCache.misses());
   return Stats;
 }
 

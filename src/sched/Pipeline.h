@@ -52,6 +52,9 @@
 #include "sched/Profile.h"
 #include "support/Diagnostics.h"
 
+#include <algorithm>
+#include <string_view>
+
 namespace gis {
 
 /// Options for the full scheduling pipeline.
@@ -157,12 +160,6 @@ struct PipelineOptions {
   // Observability (src/obs/; gisc --stats-json / --explain)
   //===--------------------------------------------------------------------===
 
-  /// Collect the obs counter registry (PipelineStats::Counters): motion
-  /// classes, comparator-rule wins, guard rejections, rollbacks.  Cheap
-  /// (plain array increments on a buffer private to each region task), so
-  /// on by default; bench_pipeline_ablation measures the cost of this flag
-  /// and the issue budget is < 2%.
-  bool CollectCounters = true;
   /// Record one obs::Decision per engine pick (PipelineStats::Decisions),
   /// the data behind `gisc --explain`.  Allocates per pick; off by
   /// default.
@@ -178,7 +175,10 @@ struct RegionTime {
   double Seconds = 0;
 };
 
-/// Aggregate statistics of one pipeline run.
+/// Aggregate statistics of one pipeline run.  Its scalars are listed once,
+/// in forEachStatsScalar below; every consumer of them -- operator+=, the
+/// disk-cache stats block, --stats-json and the daemon's STATS -- walks
+/// that table.
 struct PipelineStats {
   GlobalSchedStats Global;
   LocalSchedStats Local;
@@ -237,56 +237,136 @@ struct PipelineStats {
   /// One record per rolled-back or degraded transform.
   std::vector<Diagnostic> Diags;
 
-  /// Observability counter registry (PipelineOptions::CollectCounters).
-  /// Collected into per-task buffers and merged along the same
-  /// deterministic commit paths as the rest of this struct, so every value
-  /// is exact -- identical for every --jobs width, and rolled-back work
-  /// never counts.
+  /// Observability counter registry (obs/Counters.h): the counts no field
+  /// above carries.  Collected into per-task buffers and merged along the
+  /// same deterministic commit paths as the rest of this struct, so every
+  /// value is exact -- identical for every --jobs width, and rolled-back
+  /// work never counts.
   obs::CounterSet Counters;
   /// Per-pick decision log (PipelineOptions::CollectDecisions), in
   /// deterministic commit order; rendered by `gisc --explain`.
   std::vector<obs::Decision> Decisions;
 
-  PipelineStats &operator+=(const PipelineStats &RHS) {
-    Global += RHS.Global;
-    Local.BlocksScheduled += RHS.Local.BlocksScheduled;
-    Local.BlocksReordered += RHS.Local.BlocksReordered;
-    Local.BlocksFailed += RHS.Local.BlocksFailed;
-    LoopsUnrolled += RHS.LoopsUnrolled;
-    LoopsRotated += RHS.LoopsRotated;
-    PreRenamedDefs += RHS.PreRenamedDefs;
-    RegionsSkippedBySize += RHS.RegionsSkippedBySize;
-    FunctionsSkippedIrreducible += RHS.FunctionsSkippedIrreducible;
-    TracesFormed += RHS.TracesFormed;
-    TraceBlocks += RHS.TraceBlocks;
-    TailDupInstrs += RHS.TailDupInstrs;
-    TailDupBlocks += RHS.TailDupBlocks;
-    TracesTruncated += RHS.TracesTruncated;
-    SuperblocksScheduled += RHS.SuperblocksScheduled;
-    for (unsigned C = 0; C != 3; ++C)
-      PressurePeak[C] = PressurePeak[C] > RHS.PressurePeak[C]
-                            ? PressurePeak[C]
-                            : RHS.PressurePeak[C];
-    RegAlloc += RHS.RegAlloc;
-    RegAllocFailures += RHS.RegAllocFailures;
-    Opt += RHS.Opt;
-    RegionWaves += RHS.RegionWaves;
-    RegionTimes.insert(RegionTimes.end(), RHS.RegionTimes.begin(),
-                       RHS.RegionTimes.end());
-    TransactionsRun += RHS.TransactionsRun;
-    RegionsRolledBack += RHS.RegionsRolledBack;
-    TransformsRolledBack += RHS.TransformsRolledBack;
-    VerifierFailures += RHS.VerifierFailures;
-    OracleMismatches += RHS.OracleMismatches;
-    EngineFailures += RHS.EngineFailures;
-    FaultsInjected += RHS.FaultsInjected;
-    Diags.insert(Diags.end(), RHS.Diags.begin(), RHS.Diags.end());
-    Counters += RHS.Counters;
-    Decisions.insert(Decisions.end(), RHS.Decisions.begin(),
-                     RHS.Decisions.end());
-    return *this;
-  }
+  /// Merges every scalar of \p RHS (the table below): sums, and maxima for
+  /// the pressure peaks.  Leaves the vectors and the registry alone, so a
+  /// long-lived total (the daemon's) grows no memory.
+  void addScalars(const PipelineStats &RHS);
+
+  /// addScalars, plus the vectors appended and the registry added.
+  PipelineStats &operator+=(const PipelineStats &RHS);
 };
+
+/// One row of the PipelineStats scalar table.
+struct StatsScalar {
+  /// Key in --stats-json's and the daemon STATS reply's "pipeline" object.
+  std::string_view JsonKey;
+  /// Key in a disk-cache entry's stats block (persist/DiskCache.cpp).
+  std::string_view DiskKey;
+  /// Merged by maximum across runs (the pressure peaks), not by sum.
+  bool MergeMax = false;
+};
+
+/// The scalar table of PipelineStats: calls Visit(Row, Field...) once per
+/// scalar, in the fixed order every stats writer emits them, where Field
+/// is that scalar of each of \p S (none: the rows alone).  The disk keys
+/// are the stats block's since format version 1, so adding a row keeps
+/// old entries readable (a missing key reads 0); the JSON keys are
+/// --stats-json's.
+template <typename VisitT, typename... StatsT>
+constexpr void forEachStatsScalar(VisitT &&Visit, StatsT &...S) {
+  auto Row = [&Visit](const StatsScalar &R, auto &...Field) {
+    Visit(R, Field...);
+  };
+  Row({"regions_scheduled", "global.regions_scheduled"},
+      S.Global.RegionsScheduled...);
+  Row({"blocks_scheduled", "global.blocks_scheduled"},
+      S.Global.BlocksScheduled...);
+  Row({"useful_motions", "global.useful_motions"}, S.Global.UsefulMotions...);
+  Row({"speculative_motions", "global.speculative_motions"},
+      S.Global.SpeculativeMotions...);
+  Row({"renames", "global.renames"}, S.Global.Renames...);
+  Row({"vetoed_speculations", "global.vetoed_speculations"},
+      S.Global.VetoedSpeculations...);
+  Row({"local_blocks_scheduled", "local.blocks_scheduled"},
+      S.Local.BlocksScheduled...);
+  Row({"local_blocks_reordered", "local.blocks_reordered"},
+      S.Local.BlocksReordered...);
+  Row({"local_blocks_failed", "local.blocks_failed"}, S.Local.BlocksFailed...);
+  Row({"loops_unrolled", "loops_unrolled"}, S.LoopsUnrolled...);
+  Row({"loops_rotated", "loops_rotated"}, S.LoopsRotated...);
+  Row({"prerenamed_defs", "prerenamed_defs"}, S.PreRenamedDefs...);
+  Row({"regions_skipped_by_size", "regions_skipped_by_size"},
+      S.RegionsSkippedBySize...);
+  Row({"functions_skipped_irreducible", "functions_skipped_irreducible"},
+      S.FunctionsSkippedIrreducible...);
+  Row({"traces_formed", "trace.formed"}, S.TracesFormed...);
+  Row({"trace_blocks", "trace.blocks"}, S.TraceBlocks...);
+  Row({"tail_dup_instrs", "trace.tail_dup_instrs"}, S.TailDupInstrs...);
+  Row({"tail_dup_blocks", "trace.tail_dup_blocks"}, S.TailDupBlocks...);
+  Row({"traces_truncated", "trace.truncated"}, S.TracesTruncated...);
+  Row({"superblocks_scheduled", "trace.superblocks_scheduled"},
+      S.SuperblocksScheduled...);
+  Row({"pressure_peak_gpr", "pressure_peak_gpr", true}, S.PressurePeak[0]...);
+  Row({"pressure_peak_fpr", "pressure_peak_fpr", true}, S.PressurePeak[1]...);
+  Row({"pressure_peak_cr", "pressure_peak_cr", true}, S.PressurePeak[2]...);
+  Row({"regalloc_intervals", "regalloc.intervals"},
+      S.RegAlloc.IntervalsBuilt...);
+  Row({"regalloc_spilled_intervals", "regalloc.spilled_intervals"},
+      S.RegAlloc.IntervalsSpilled...);
+  Row({"regalloc_spill_stores", "regalloc.spill_stores"},
+      S.RegAlloc.SpillStores...);
+  Row({"regalloc_spill_reloads", "regalloc.spill_reloads"},
+      S.RegAlloc.SpillReloads...);
+  Row({"regalloc_spill_slots", "regalloc.spill_slots"},
+      S.RegAlloc.SpillSlots...);
+  Row({"regalloc_failures", "regalloc.failures"}, S.RegAllocFailures...);
+  Row({"region_waves", "region_waves"}, S.RegionWaves...);
+  Row({"opt_passes_run", "opt.passes_run"}, S.Opt.PassesRun...);
+  Row({"opt_peephole_rewrites", "opt.peephole_rewrites"},
+      S.Opt.PeepholeRewrites...);
+  Row({"opt_strength_reduced", "opt.strength_reduced"},
+      S.Opt.StrengthReduced...);
+  Row({"opt_values_numbered", "opt.values_numbered"},
+      S.Opt.ValuesNumbered...);
+  Row({"opt_dce_removed", "opt.dce_removed"}, S.Opt.DeadRemoved...);
+  Row({"transactions_run", "transactions_run"}, S.TransactionsRun...);
+  Row({"regions_rolled_back", "regions_rolled_back"},
+      S.RegionsRolledBack...);
+  Row({"transforms_rolled_back", "transforms_rolled_back"},
+      S.TransformsRolledBack...);
+  Row({"verifier_failures", "verifier_failures"}, S.VerifierFailures...);
+  Row({"oracle_mismatches", "oracle_mismatches"}, S.OracleMismatches...);
+  Row({"engine_failures", "engine_failures"}, S.EngineFailures...);
+  Row({"faults_injected", "faults_injected"}, S.FaultsInjected...);
+}
+
+/// The number of rows of the scalar table.
+inline constexpr unsigned NumStatsScalars = [] {
+  unsigned N = 0;
+  forEachStatsScalar([&N](const StatsScalar &) { ++N; });
+  return N;
+}();
+
+inline void PipelineStats::addScalars(const PipelineStats &RHS) {
+  forEachStatsScalar(
+      [](const StatsScalar &R, unsigned &Into, const unsigned &From) {
+        Into = R.MergeMax ? std::max(Into, From) : Into + From;
+      },
+      *this, RHS);
+}
+
+inline PipelineStats &PipelineStats::operator+=(const PipelineStats &RHS) {
+  addScalars(RHS);
+  RegionTimes.insert(RegionTimes.end(), RHS.RegionTimes.begin(),
+                     RHS.RegionTimes.end());
+  Opt.PassTimes.insert(Opt.PassTimes.end(), RHS.Opt.PassTimes.begin(),
+                       RHS.Opt.PassTimes.end());
+  Diags.insert(Diags.end(), RHS.Diags.begin(), RHS.Diags.end());
+  Counters += RHS.Counters;
+  Decisions.insert(Decisions.end(), RHS.Decisions.begin(),
+                   RHS.Decisions.end());
+  return *this;
+}
 
 /// Runs the full pipeline on one function.
 PipelineStats schedulePipeline(Function &F, const MachineDescription &MD,

@@ -42,13 +42,13 @@ uint64_t staticCycleEstimate(const Function &F, const MachineDescription &MD) {
 
 } // namespace
 
-std::vector<FunctionSnapshot>
+std::vector<FunctionInventory>
 gis::snapshotModule(const Module &M, const MachineDescription &MD) {
-  std::vector<FunctionSnapshot> Out;
+  std::vector<FunctionInventory> Out;
   for (const auto &FPtr : M.functions()) {
     Function &F = *FPtr;
     F.recomputeCFG();
-    FunctionSnapshot S;
+    FunctionInventory S;
     S.Name = F.name();
     S.Blocks = F.numBlocks();
     for (BlockId B : F.layout())
@@ -80,8 +80,8 @@ void gis::printReport(const ScheduleReport &R, std::ostream &OS) {
                      "loops");
   OS << std::string(84, '-') << "\n";
   for (size_t K = 0; K != R.After.size(); ++K) {
-    const FunctionSnapshot &B = R.Before[K];
-    const FunctionSnapshot &A = R.After[K];
+    const FunctionInventory &B = R.Before[K];
+    const FunctionInventory &A = R.After[K];
     OS << formatString(
         "%-16s %8u->%-8u %8llu->%-8llu %5u->%-2u/%u->%-2u %7u%s\n",
         A.Name.c_str(), B.Instructions, A.Instructions,

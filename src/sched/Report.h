@@ -28,7 +28,7 @@
 namespace gis {
 
 /// Inventory of one function before or after scheduling.
-struct FunctionSnapshot {
+struct FunctionInventory {
   std::string Name;
   unsigned Blocks = 0;
   unsigned Instructions = 0;
@@ -41,19 +41,21 @@ struct FunctionSnapshot {
   std::array<unsigned, 3> PeakLive = {0, 0, 0};
 };
 
-/// Takes a snapshot of every function of \p M under machine \p MD.
-std::vector<FunctionSnapshot> snapshotModule(const Module &M,
-                                             const MachineDescription &MD);
+/// Takes the inventory of every function of \p M under machine \p MD.
+/// (Not a checkpoint: ir/Checkpoint.h's FunctionSnapshot is the one that
+/// holds a function copy.)
+std::vector<FunctionInventory> snapshotModule(const Module &M,
+                                              const MachineDescription &MD);
 
-/// A complete run report: snapshots around a pipeline invocation plus the
-/// pipeline's own statistics.
+/// A complete run report: inventories around a pipeline invocation plus
+/// the pipeline's own statistics.
 struct ScheduleReport {
-  std::vector<FunctionSnapshot> Before;
-  std::vector<FunctionSnapshot> After;
+  std::vector<FunctionInventory> Before;
+  std::vector<FunctionInventory> After;
   PipelineStats Stats;
 };
 
-/// Convenience: snapshot, schedule, snapshot.
+/// Convenience: inventory, schedule, inventory.
 ScheduleReport scheduleWithReport(Module &M, const MachineDescription &MD,
                                   const PipelineOptions &Opts);
 

@@ -115,8 +115,9 @@ int addmul(int x, int y) {
 )");
   ASSERT_TRUE(R.ok()) << R.Error << " at line " << R.Line;
   ASSERT_EQ(R.Prog->GlobalArrays.size(), 1u);
-  EXPECT_EQ(R.Prog->GlobalArrays[0].first, "a");
-  EXPECT_EQ(R.Prog->GlobalArrays[0].second, 100);
+  EXPECT_EQ(R.Prog->GlobalArrays[0].Name, "a");
+  EXPECT_EQ(R.Prog->GlobalArrays[0].Size, 100);
+  EXPECT_EQ(R.Prog->GlobalArrays[0].Line, 2);
   ASSERT_EQ(R.Prog->Functions.size(), 1u);
   const FuncDecl &F = R.Prog->Functions[0];
   EXPECT_EQ(F.Name, "addmul");
@@ -317,6 +318,24 @@ TEST(CodeGenTest, SemanticErrors) {
   EXPECT_FALSE(compileMiniC("int main() { break; }").ok());
   EXPECT_FALSE(compileMiniC("int a[4]; int main() { return a; }").ok());
   EXPECT_FALSE(compileMiniC("int main() { int x; return x[0]; }").ok());
+}
+
+// An array must end, with the padding before the next one, inside the
+// int64_t address space: the front end reports the declaration and its
+// line instead of wrapping an address.
+TEST(CodeGenTest, RejectsArraysOutsideTheAddressSpace) {
+  CompileResult R = compileMiniC(
+      "int a[4611686018427387904];\nint b[1];\nint main() { return 0; }\n");
+  EXPECT_FALSE(R.ok());
+  EXPECT_EQ(R.Error, "array 'a' does not fit in the address space");
+  EXPECT_EQ(R.Line, 1);
+  R = compileMiniC("int a[1];\nint main() {\n  int b[2305843009213693000];\n"
+                   "  return 0;\n}\n");
+  EXPECT_FALSE(R.ok());
+  EXPECT_EQ(R.Error, "array 'b' does not fit in the address space");
+  EXPECT_EQ(R.Line, 3);
+  EXPECT_TRUE(compileMiniC("int a[0];\nint main() { int b[8]; return 0; }\n")
+                  .ok());
 }
 
 TEST(CodeGenTest, GeneratedIRIsWellFormed) {

@@ -216,8 +216,23 @@ TEST(ModuleTest, GlobalAllocationIsDisjoint) {
   Module M;
   // Copy the first descriptor: the reference returned by allocateGlobal is
   // invalidated by the next allocation (the globals vector may grow).
-  const GlobalArray A = M.allocateGlobal("a", 100);
-  const GlobalArray &B = M.allocateGlobal("b", 50);
+  const GlobalArray A = *M.allocateGlobal("a", 100);
+  const GlobalArray &B = *M.allocateGlobal("b", 50);
   EXPECT_LT(A.Address + A.SizeWords * 4, B.Address);
   EXPECT_EQ(M.globals().size(), 2u);
+}
+
+TEST(ModuleTest, GlobalAllocationRejectsWhatDoesNotFit) {
+  Module M;
+  EXPECT_EQ(M.allocateGlobal("neg", -5), nullptr);
+  EXPECT_EQ(M.allocateGlobal("wraps", INT64_MAX / 4), nullptr);
+  EXPECT_TRUE(M.globals().empty()); // a refusal reserves nothing
+  ASSERT_NE(M.allocateGlobal("a", 1), nullptr);
+  // The next address, 0x1000 + 4 + 64, leaves exactly this much.
+  const int64_t Fits = (INT64_MAX - 0x1000 - 4 - 64 - 64) / 4;
+  EXPECT_EQ(M.allocateGlobal("too big", Fits + 1), nullptr);
+  const GlobalArray *Last = M.allocateGlobal("last", Fits);
+  ASSERT_NE(Last, nullptr);
+  EXPECT_EQ(Last->Address, 0x1000 + 4 + 64);
+  EXPECT_EQ(M.allocateGlobal("after", 0), nullptr);
 }

@@ -2,18 +2,21 @@
 //
 // Property tests over the random-program corpus tying the obs counter
 // registry (src/obs/Counters.h) to the scheduler's own statistics.  The
-// two are bumped at *different* code sites -- GlobalSchedStats classifies
-// motions in the OnSchedule callback, the obs counters at the engine's
-// pick point -- so agreement is a real cross-check of the Section 5.2/5.3
-// bookkeeping, not a tautology:
+// motion pair is bumped at *different* code sites -- GlobalSchedStats
+// classifies motions in the OnSchedule callback, the obs counters at the
+// engine's pick point -- so its agreement is a real cross-check of the
+// Section 5.2 bookkeeping, not a tautology; the rule and pick counters are
+// checked against the decision log, which is recorded separately:
 //
 //   motion.useful        == GlobalSchedStats::UsefulMotions
 //   motion.speculative   == GlobalSchedStats::SpeculativeMotions
 //   sum(rule.*)          == sched.picks_contested
 //                        == decisions with >= 2 candidates
-//   spec.veto_liveout    == GlobalSchedStats::VetoedSpeculations
-//   spec.renames         == GlobalSchedStats::Renames
 //   tx.rollbacks         == RegionsRolledBack + TransformsRolledBack
+//
+// tx.rollbacks is bumped next to the two rollback fields; it stays in the
+// registry for the benchmark (see obs/Counters.h), and this line keeps it
+// honest.
 //
 // Part of the `gis_obs_tests` executable (ctest label "obs").
 //
@@ -67,9 +70,7 @@ void checkInvariants(const PipelineStats &S, const std::string &Tag) {
   EXPECT_EQ(Contested, C.get(obs::PicksContested)) << Tag;
   EXPECT_EQ(Uncontested, C.get(obs::PicksUncontested)) << Tag;
 
-  // Section 5.3 guard and the transactional machinery.
-  EXPECT_EQ(C.get(obs::SpecVetoLiveOut), S.Global.VetoedSpeculations) << Tag;
-  EXPECT_EQ(C.get(obs::SpecRenames), S.Global.Renames) << Tag;
+  // The transactional machinery.
   EXPECT_EQ(C.get(obs::Rollbacks),
             uint64_t(S.RegionsRolledBack) + S.TransformsRolledBack)
       << Tag;
@@ -128,16 +129,6 @@ TEST(ObsCounters, ColdpathCountersTrackIncrementalMode) {
     EXPECT_EQ(S.Counters.get(obs::ColdLivenessDelta), 0u) << Tag;
     EXPECT_GT(S.Counters.get(obs::ColdLivenessFull), 0u) << Tag;
   }
-}
-
-TEST(ObsCounters, CollectionOffLeavesRegistryEmpty) {
-  std::unique_ptr<Module> M = compileMiniCOrDie(generateRandomMiniC(7));
-  PipelineOptions Opts;
-  Opts.CollectCounters = false;
-  Opts.CollectDecisions = false;
-  PipelineStats Stats = scheduleModule(*M, MachineDescription::rs6k(), Opts);
-  EXPECT_TRUE(Stats.Counters == obs::CounterSet{});
-  EXPECT_TRUE(Stats.Decisions.empty());
 }
 
 TEST(ObsCounters, CounterSetArithmetic) {

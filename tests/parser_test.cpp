@@ -545,7 +545,7 @@ TEST(ParserTest, RoundTripsEveryScheduleOfTheCorpus) {
 }
 
 // Numbers from outside input: an integer beyond int64_t or a register
-// index beyond Reg::MaxIndex is a diagnostic with its line, never an
+// index beyond Reg::MaxParsedIndex is a diagnostic with its line, never an
 // exception, an abort or a silently wrapped value.
 TEST(ParserTest, RejectsOutOfRangeNumbers) {
   struct Case {
@@ -575,6 +575,10 @@ TEST(ParserTest, RejectsOutOfRangeNumbers) {
        "integer out of range", 3},
       {"func f {\nB0:\n  LI r300000000 = 1\n}\n",
        "register index out of range", 3},
+      {"func f {\nB0:\n  LI r16777216 = 1\n}\n",
+       "register index out of range", 3},
+      {"func f {\nB0:\n  LI r268435455 = 1\n}\n",
+       "register index out of range", 3},
       {"func f {\nB0:\n  LI r4294967297 = 1\n}\n",
        "register index out of range", 3},
       {"func f {\nB0:\n  LR f268435456 = f1\n}\n",
@@ -598,7 +602,7 @@ TEST(ParserTest, RejectsOutOfRangeNumbers) {
 TEST(ParserTest, AcceptsEveryInRangeExtreme) {
   ParseResult R = parseModule("func f {\n"
                               "B0:\n"
-                              "  LI r268435455 = 9223372036854775807\n"
+                              "  LI r16777215 = 9223372036854775807\n"
                               "  LI r5 = -9223372036854775808\n"
                               "  LI r00007 = +5\n"
                               "  L r1 = mem[r2 - -5]\n"
@@ -606,12 +610,60 @@ TEST(ParserTest, AcceptsEveryInRangeExtreme) {
                               "}\n");
   ASSERT_TRUE(R.ok()) << R.Error << " at line " << R.Line;
   const Function &F = *R.M->functions()[0];
-  EXPECT_EQ(F.instr(0).defs()[0], Reg::gpr(Reg::MaxIndex));
+  EXPECT_EQ(F.instr(0).defs()[0], Reg::gpr(Reg::MaxParsedIndex));
   EXPECT_EQ(F.instr(0).imm(), INT64_MAX);
   EXPECT_EQ(F.instr(1).imm(), INT64_MIN);
   EXPECT_EQ(F.instr(2).defs()[0], Reg::gpr(7));
   EXPECT_EQ(F.instr(2).imm(), 5);
   EXPECT_EQ(F.instr(3).imm(), 5);
+}
+
+// A global array must have a nonnegative size and end -- with the padding
+// before the next array -- inside the int64_t address space; anything
+// else is a diagnostic with its line, not a wrapped address.
+TEST(ParserTest, RejectsGlobalsOutsideTheAddressSpace) {
+  struct Case {
+    const char *Text;
+    const char *Error;
+    int Line;
+  };
+  const Case Cases[] = {
+      {"global a[-5]\n", "negative global size", 1},
+      {"global a[4611686018427387904]\nglobal b[1]\n",
+       "global 'a' does not fit in the address space", 1},
+      {"global a[1]\nglobal b[2305843009213693000]\n",
+       "global 'b' does not fit in the address space", 2},
+  };
+  for (const Case &C : Cases) {
+    ParseResult R = parseModule(C.Text);
+    EXPECT_FALSE(R.ok()) << C.Text;
+    EXPECT_EQ(R.Error, C.Error) << C.Text;
+    EXPECT_EQ(R.Line, C.Line) << C.Text;
+  }
+  // The largest array that fits still parses, and so does an empty one.
+  ParseResult R = parseModule("global a[0]\nglobal b[2305843009213689000]\n");
+  ASSERT_TRUE(R.ok()) << R.Error;
+  EXPECT_EQ(R.M->globals()[1].Address, 0x1000 + 64);
+}
+
+// A register index at the parser's cap leaves the pipeline its headroom:
+// pre-renaming and global scheduling allocate past it without running out.
+TEST(ParserTest, MaxParsedRegisterSchedules) {
+  auto M = parseModuleOrDie("func main {\n"
+                            "B0:\n"
+                            "  LI r16777215 = 1\n"
+                            "  LI r2 = 5\n"
+                            "  A r3 = r2, r16777215\n"
+                            "  LI r2 = 7\n"
+                            "  A r4 = r2, r3\n"
+                            "  RET r4\n"
+                            "}\n");
+  PipelineStats S =
+      scheduleModule(*M, MachineDescription::rs6k(), PipelineOptions{});
+  EXPECT_EQ(S.TransformsRolledBack + S.RegionsRolledBack, 0u);
+  EXPECT_GT(S.PreRenamedDefs, 0u);
+  EXPECT_GT(M->functions()[0]->numRegs(RegClass::GPR),
+            Reg::MaxParsedIndex + 1);
 }
 
 // The magnitude of an INT64_MIN displacement prints without overflow and

@@ -400,6 +400,146 @@ TEST(DiskCacheTest, EntrySerializationRoundTrips) {
   EXPECT_EQ(Back.Counters.get(obs::MotionUseful), 7u);
 }
 
+/// Sets each of PipelineStats's scalars, named one by one, to a distinct
+/// nonzero value (the pressure peaks too, which merge by max).
+void fillEveryScalar(PipelineStats &S) {
+  unsigned V = 1;
+  for (unsigned *Field :
+       {&S.Global.RegionsScheduled, &S.Global.BlocksScheduled,
+        &S.Global.UsefulMotions, &S.Global.SpeculativeMotions,
+        &S.Global.Renames, &S.Global.VetoedSpeculations,
+        &S.Local.BlocksScheduled, &S.Local.BlocksReordered,
+        &S.Local.BlocksFailed, &S.LoopsUnrolled, &S.LoopsRotated,
+        &S.PreRenamedDefs, &S.RegionsSkippedBySize,
+        &S.FunctionsSkippedIrreducible, &S.TracesFormed, &S.TraceBlocks,
+        &S.TailDupInstrs, &S.TailDupBlocks, &S.TracesTruncated,
+        &S.SuperblocksScheduled, &S.PressurePeak[0], &S.PressurePeak[1],
+        &S.PressurePeak[2], &S.RegAlloc.IntervalsBuilt,
+        &S.RegAlloc.IntervalsSpilled, &S.RegAlloc.SpillStores,
+        &S.RegAlloc.SpillReloads, &S.RegAlloc.SpillSlots,
+        &S.RegAllocFailures, &S.Opt.PassesRun, &S.Opt.PeepholeRewrites,
+        &S.Opt.StrengthReduced, &S.Opt.ValuesNumbered, &S.Opt.DeadRemoved,
+        &S.RegionWaves, &S.TransactionsRun, &S.RegionsRolledBack,
+        &S.TransformsRolledBack, &S.VerifierFailures, &S.OracleMismatches,
+        &S.EngineFailures, &S.FaultsInjected})
+    *Field = V++;
+  EXPECT_EQ(V - 1, 42u);
+}
+
+/// Expects \p Got to equal \p Want in each scalar, named one by one, and
+/// in every registry counter.
+void expectSameStats(const PipelineStats &Want, const PipelineStats &Got) {
+#define GIS_EXPECT_FIELD(F) EXPECT_EQ(Got.F, Want.F) << #F
+  GIS_EXPECT_FIELD(Global.RegionsScheduled);
+  GIS_EXPECT_FIELD(Global.BlocksScheduled);
+  GIS_EXPECT_FIELD(Global.UsefulMotions);
+  GIS_EXPECT_FIELD(Global.SpeculativeMotions);
+  GIS_EXPECT_FIELD(Global.Renames);
+  GIS_EXPECT_FIELD(Global.VetoedSpeculations);
+  GIS_EXPECT_FIELD(Local.BlocksScheduled);
+  GIS_EXPECT_FIELD(Local.BlocksReordered);
+  GIS_EXPECT_FIELD(Local.BlocksFailed);
+  GIS_EXPECT_FIELD(LoopsUnrolled);
+  GIS_EXPECT_FIELD(LoopsRotated);
+  GIS_EXPECT_FIELD(PreRenamedDefs);
+  GIS_EXPECT_FIELD(RegionsSkippedBySize);
+  GIS_EXPECT_FIELD(FunctionsSkippedIrreducible);
+  GIS_EXPECT_FIELD(TracesFormed);
+  GIS_EXPECT_FIELD(TraceBlocks);
+  GIS_EXPECT_FIELD(TailDupInstrs);
+  GIS_EXPECT_FIELD(TailDupBlocks);
+  GIS_EXPECT_FIELD(TracesTruncated);
+  GIS_EXPECT_FIELD(SuperblocksScheduled);
+  GIS_EXPECT_FIELD(PressurePeak[0]);
+  GIS_EXPECT_FIELD(PressurePeak[1]);
+  GIS_EXPECT_FIELD(PressurePeak[2]);
+  GIS_EXPECT_FIELD(RegAlloc.IntervalsBuilt);
+  GIS_EXPECT_FIELD(RegAlloc.IntervalsSpilled);
+  GIS_EXPECT_FIELD(RegAlloc.SpillStores);
+  GIS_EXPECT_FIELD(RegAlloc.SpillReloads);
+  GIS_EXPECT_FIELD(RegAlloc.SpillSlots);
+  GIS_EXPECT_FIELD(RegAllocFailures);
+  GIS_EXPECT_FIELD(Opt.PassesRun);
+  GIS_EXPECT_FIELD(Opt.PeepholeRewrites);
+  GIS_EXPECT_FIELD(Opt.StrengthReduced);
+  GIS_EXPECT_FIELD(Opt.ValuesNumbered);
+  GIS_EXPECT_FIELD(Opt.DeadRemoved);
+  GIS_EXPECT_FIELD(RegionWaves);
+  GIS_EXPECT_FIELD(TransactionsRun);
+  GIS_EXPECT_FIELD(RegionsRolledBack);
+  GIS_EXPECT_FIELD(TransformsRolledBack);
+  GIS_EXPECT_FIELD(VerifierFailures);
+  GIS_EXPECT_FIELD(OracleMismatches);
+  GIS_EXPECT_FIELD(EngineFailures);
+  GIS_EXPECT_FIELD(FaultsInjected);
+#undef GIS_EXPECT_FIELD
+  for (unsigned K = 0; K != obs::NumCounters; ++K) {
+    auto Id = static_cast<obs::CounterId>(K);
+    EXPECT_EQ(Got.Counters.get(Id), Want.Counters.get(Id))
+        << obs::counterKey(Id);
+  }
+}
+
+// The stats block carries every scalar and the whole registry: each of the
+// 42 fields, set to a distinct value, and each counter survive serialize
+// -> deserialize.
+TEST(DiskCacheTest, EveryStatsScalarRoundTrips) {
+  auto M = compileMiniCOrDie(kSource);
+  Function &F = *M->functions()[0];
+  PipelineStats Stats;
+  fillEveryScalar(Stats);
+  for (unsigned K = 0; K != obs::NumCounters; ++K)
+    Stats.Counters.bump(static_cast<obs::CounterId>(K), 1000 + K);
+  Key128 Key = hashKey128("every scalar");
+
+  std::string Bytes = DiskScheduleCache::serializeEntry(Key, F, Stats);
+  Function G("other");
+  PipelineStats Back;
+  ASSERT_TRUE(DiskScheduleCache::deserializeEntry(Bytes, Key, G, Back)
+                  .isOk());
+  expectSameStats(Stats, Back);
+}
+
+// A disk hit replays the statistics of the run that wrote the entry: a
+// superblock module compiled cold, then again by an engine with a fresh
+// memory tier over the same directory, reads the same PipelineStats for
+// every function -- every scalar, superblock ones included, and every
+// counter.
+TEST(DiskCacheTest, DiskHitReplaysEveryStatistic) {
+  const char *Source = R"(
+int main() {
+  int i;
+  int s = 0;
+  for (i = 0; i < 50; i = i + 1) {
+    if (i % 4 == 0) s = s + 2;
+    s = s + 1;
+  }
+  print(s);
+  return s;
+}
+)";
+  TempDir D("gis-disk");
+  PipelineOptions Opts;
+  Opts.EnableSuperblocks = true;
+  EngineOptions EOpts;
+  EOpts.Jobs = 1;
+  EOpts.CacheDir = D.Path;
+  auto Compile = [&] {
+    auto M = compileMiniCOrDie(Source);
+    CompileEngine Engine(MachineDescription::rs6k(), Opts, EOpts);
+    return Engine.compile(*M);
+  };
+  EngineReport Cold = Compile();
+  EngineReport Warm = Compile();
+  ASSERT_EQ(Cold.DiskHits, 0u);
+  ASSERT_EQ(Warm.DiskHits, Warm.FunctionsCompiled);
+  ASSERT_EQ(Cold.PerFunction.size(), Warm.PerFunction.size());
+  EXPECT_GT(Cold.Aggregate.TracesFormed, 0u);
+  EXPECT_GT(Cold.Aggregate.SuperblocksScheduled, 0u);
+  for (size_t K = 0; K != Cold.PerFunction.size(); ++K)
+    expectSameStats(Cold.PerFunction[K].Stats, Warm.PerFunction[K].Stats);
+}
+
 // Format version 1 byte for byte: header lines, the printed function,
 // the sparse stats block (scalars in their fixed order, then the nonzero
 // counters) and the payload checksum.  Entries written by any build of
@@ -470,6 +610,32 @@ TEST(DiskCacheTest, EntriesWithDiagnosticsAreNeverPersisted) {
 //===----------------------------------------------------------------------===
 // Concurrency: engines sharing one directory
 //===----------------------------------------------------------------------===
+
+// A schedule whose registers run past the IR parser's cap -- an input at
+// Reg::MaxParsedIndex plus the pipeline's fresh registers -- is served but
+// not written to the disk tier, whose reader could never parse it back.
+TEST(DiskCacheTest, UnparseableRegistersAreNeverPersisted) {
+  TempDir D("gis-disk");
+  auto M = parseModuleOrDie("func main {\n"
+                            "B0:\n"
+                            "  LI r16777215 = 1\n"
+                            "  LI r2 = 5\n"
+                            "  A r3 = r2, r16777215\n"
+                            "  LI r2 = 7\n"
+                            "  A r4 = r2, r3\n"
+                            "  RET r4\n"
+                            "}\n");
+  EngineOptions EOpts;
+  EOpts.Jobs = 1;
+  EOpts.CacheDir = D.Path;
+  CompileEngine Engine(MachineDescription::rs6k(), PipelineOptions{}, EOpts);
+  EngineReport R = Engine.compile(*M);
+  ASSERT_GT(M->functions()[0]->numRegs(RegClass::GPR),
+            Reg::MaxParsedIndex + 1);
+  EXPECT_EQ(R.Disk.Inserts, 0u);
+  EXPECT_EQ(countEntries(D.Path), 0u);
+  EXPECT_FALSE(R.Disk.Degraded);
+}
 
 TEST(DiskCacheTest, ConcurrentEnginesShareOneDirectorySafely) {
   // Two engines (as two daemon processes would) compile overlapping

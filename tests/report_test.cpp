@@ -19,7 +19,7 @@ int main(int n) {
   return s;
 }
 )");
-  std::vector<FunctionSnapshot> S =
+  std::vector<FunctionInventory> S =
       snapshotModule(*M, MachineDescription::rs6k());
   ASSERT_EQ(S.size(), 1u);
   EXPECT_EQ(S[0].Name, "main");

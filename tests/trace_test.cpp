@@ -70,7 +70,6 @@ const char *const Fixtures[] = {"obs_diamond", "obs_loop_spec"};
 
 PipelineOptions obsOptions() {
   PipelineOptions Opts;
-  Opts.CollectCounters = true;
   Opts.CollectDecisions = true;
   return Opts;
 }
@@ -476,15 +475,13 @@ TEST(TracePerturbation, TracingDoesNotChangeSchedules) {
 TEST(TracePerturbation, CollectionFlagsDoNotChangeSchedules) {
   for (const char *Name : Fixtures) {
     PipelineOptions Bare;
-    Bare.CollectCounters = false;
     Bare.CollectDecisions = false;
     RunResult Off = runFixture(Name, Bare);
     RunResult On = runFixture(Name, obsOptions());
     EXPECT_EQ(Off.IR, On.IR) << Name;
     EXPECT_TRUE(hashKey128(Off.IR) == hashKey128(On.IR)) << Name;
-    // The bare run must not have paid for collection.
+    // The bare run must not have paid for the decision log.
     EXPECT_EQ(Off.Stats.Decisions.size(), 0u);
-    EXPECT_EQ(Off.Stats.Counters.ruleWinTotal(), 0u);
   }
 }
 
