@@ -56,8 +56,7 @@ std::string EngineReport::summary() const {
                     Aggregate.TransformsRolledBack);
   S += formatString(
       "  region scheduling: %u task(s) in %u wave(s), %.3fs total\n",
-      static_cast<unsigned>(Aggregate.RegionTimes.size()),
-      Aggregate.RegionWaves, [this] {
+      Aggregate.RegionTasks, Aggregate.RegionWaves, [this] {
         double T = 0;
         for (const RegionTime &RT : Aggregate.RegionTimes)
           T += RT.Seconds;

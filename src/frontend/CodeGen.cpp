@@ -7,10 +7,12 @@
 #include "ir/Verifier.h"
 #include "support/Format.h"
 
-#include <cstdio>
-#include <optional>
 #include <algorithm>
-#include <map>
+#include <charconv>
+#include <cstdio>
+#include <cstring>
+#include <optional>
+#include <unordered_map>
 #include <vector>
 
 using namespace gis;
@@ -19,15 +21,21 @@ namespace {
 
 /// The diagnostic for an array whose end would overflow the global address
 /// space (Module::allocateGlobal).
-std::string tooLarge(const std::string &Name) {
-  return "array '" + Name + "' does not fit in the address space";
+std::string tooLarge(std::string_view Name) {
+  return "array '" + std::string(Name) + "' does not fit in the address space";
 }
 
 /// A named entity visible in some scope.
 struct Symbol {
   enum class Kind { Scalar, Array } K = Kind::Scalar;
+  std::string_view Name;
   Reg ScalarReg;       // Scalar
   int64_t ArrayBase = 0; // Array: base address in static memory
+  /// The symbol of the same name this one shadows (an index into the
+  /// symbol vector), or NoSymbol.
+  uint32_t Shadowed = NoSymbol;
+
+  static constexpr uint32_t NoSymbol = ~uint32_t(0);
 };
 
 /// Thrown-free error channel: code generation aborts by setting Err and
@@ -54,11 +62,13 @@ public:
       : M(M), F(F), Decl(Decl), B(F), Err(Err) {}
 
   bool run() {
+    // Code generation emits about 0.4 instructions per source token.
+    F.reserveInstrs(Decl.NumTokens / 2 + 16);
     BlockId Entry = F.createBlock("entry");
     B.setInsertBlock(Entry);
     pushScope();
 
-    for (const std::string &P : Decl.Params) {
+    for (std::string_view P : Decl.Params) {
       Reg R = F.newReg(RegClass::GPR);
       F.addParam(R);
       if (!declareScalar(P, R, Decl.Line))
@@ -83,39 +93,52 @@ private:
   // Scopes and symbols
   //===--------------------------------------------------------------------===
 
-  void pushScope() { Scopes.emplace_back(); }
-  void popScope() { Scopes.pop_back(); }
+  // Every symbol in scope lives in one vector, innermost last; a scope is
+  // the suffix starting at its mark.  Innermost maps each name declared so
+  // far to its innermost symbol in scope (NoSymbol once none is), so a
+  // lookup or a redeclaration check costs the same however many symbols
+  // are in scope.
+  void pushScope() { ScopeMarks.push_back(Symbols.size()); }
+  void popScope() {
+    for (size_t K = Symbols.size(); K-- != ScopeMarks.back();)
+      Innermost.find(Symbols[K].Name)->second = Symbols[K].Shadowed;
+    Symbols.resize(ScopeMarks.back());
+    ScopeMarks.pop_back();
+  }
 
-  bool declareScalar(const std::string &Name, Reg R, int Line) {
-    if (Scopes.back().count(Name)) {
-      Err.set("redeclaration of '" + Name + "'", Line);
+  bool declare(Symbol S, int Line) {
+    uint32_t &Slot =
+        Innermost.try_emplace(S.Name, Symbol::NoSymbol).first->second;
+    if (Slot != Symbol::NoSymbol && Slot >= ScopeMarks.back()) {
+      Err.set("redeclaration of '" + std::string(S.Name) + "'", Line);
       return false;
     }
+    S.Shadowed = Slot;
+    Slot = static_cast<uint32_t>(Symbols.size());
+    Symbols.push_back(S);
+    return true;
+  }
+
+  bool declareScalar(std::string_view Name, Reg R, int Line) {
     Symbol S;
     S.K = Symbol::Kind::Scalar;
+    S.Name = Name;
     S.ScalarReg = R;
-    Scopes.back().emplace(Name, S);
-    return true;
+    return declare(S, Line);
   }
 
-  bool declareArray(const std::string &Name, int64_t Base, int Line) {
-    if (Scopes.back().count(Name)) {
-      Err.set("redeclaration of '" + Name + "'", Line);
-      return false;
-    }
+  bool declareArray(std::string_view Name, int64_t Base, int Line) {
     Symbol S;
     S.K = Symbol::Kind::Array;
+    S.Name = Name;
     S.ArrayBase = Base;
-    Scopes.back().emplace(Name, S);
-    return true;
+    return declare(S, Line);
   }
 
-  std::optional<Symbol> lookup(const std::string &Name) const {
-    for (auto It = Scopes.rbegin(); It != Scopes.rend(); ++It) {
-      auto Found = It->find(Name);
-      if (Found != It->end())
-        return Found->second;
-    }
+  std::optional<Symbol> lookup(std::string_view Name) const {
+    if (auto It = Innermost.find(Name);
+        It != Innermost.end() && It->second != Symbol::NoSymbol)
+      return Symbols[It->second];
     // Global arrays.
     for (const GlobalArray &G : M.globals())
       if (G.Name == Name) {
@@ -131,9 +154,9 @@ private:
   /// the entry block (a single LI definition dominating all uses, which
   /// the memory disambiguator resolves).
   Reg arrayBaseReg(int64_t Base) {
-    auto It = ArrayBaseRegs.find(Base);
-    if (It != ArrayBaseRegs.end())
-      return It->second;
+    for (const auto &[Known, R] : ArrayBaseRegs)
+      if (Known == Base)
+        return R;
     Reg R = F.newReg(RegClass::GPR);
     // Insert at the front of the entry block so the definition precedes
     // every use, including uses within the entry block itself.
@@ -145,7 +168,7 @@ private:
     std::vector<InstrId> &EntryInstrs = F.block(F.entry()).instrs();
     EntryInstrs.pop_back();
     EntryInstrs.insert(EntryInstrs.begin(), Id);
-    ArrayBaseRegs.emplace(Base, R);
+    ArrayBaseRegs.emplace_back(Base, R);
     return R;
   }
 
@@ -153,8 +176,14 @@ private:
   // Block plumbing
   //===--------------------------------------------------------------------===
 
+  /// A new block labeled \p Hint plus the next label number.
   BlockId newBlock(const char *Hint) {
-    return F.createBlock(formatString("%s%u", Hint, NextLabel++));
+    char Buf[40];
+    size_t N = std::strlen(Hint);
+    GIS_ASSERT(N < 20, "block label hint too long");
+    std::memcpy(Buf, Hint, N);
+    char *End = std::to_chars(Buf + N, Buf + sizeof(Buf), NextLabel++).ptr;
+    return F.createBlock(std::string(Buf, End));
   }
 
   /// Starts emitting into \p NewBlock (which must be the layout successor
@@ -194,7 +223,7 @@ private:
     case ExprKind::Var: {
       std::optional<Symbol> S = lookup(E.Name);
       if (!S || S->K != Symbol::Kind::Scalar) {
-        Err.set("'" + E.Name + "' is not a scalar variable", E.Line);
+        Err.set(notScalar(E.Name), E.Line);
         return Reg();
       }
       return S->ScalarReg;
@@ -202,7 +231,7 @@ private:
     case ExprKind::Index: {
       Reg Addr;
       int64_t Disp = 0;
-      if (!genElementAddress(E, Addr, Disp))
+      if (!genElementAddress(E.Name, E.Line, *E.Lhs, Addr, Disp))
         return Reg();
       Reg R = F.newReg(RegClass::GPR);
       B.load(R, Addr, Disp);
@@ -260,15 +289,15 @@ private:
       return R;
     }
     case ExprKind::Call: {
-      std::vector<Reg> Args;
-      for (const auto &A : E.Args) {
+      UseList Args;
+      for (const Expr *A : E.Args) {
         Reg R = genExpr(*A);
         if (!R.isValid())
           return Reg();
         Args.push_back(R);
       }
       Reg Result = F.newReg(RegClass::GPR);
-      B.call(E.Name, std::move(Args), Result);
+      B.call(std::string(E.Name), std::move(Args), Result);
       return Result;
     }
     }
@@ -334,16 +363,20 @@ private:
     return true;
   }
 
-  /// Address of array element \p E (an Index expression): base register
-  /// plus displacement.
-  bool genElementAddress(const Expr &E, Reg &Base, int64_t &Disp) {
-    std::optional<Symbol> S = lookup(E.Name);
+  static std::string notScalar(std::string_view Name) {
+    return "'" + std::string(Name) + "' is not a scalar variable";
+  }
+
+  /// Address of element \p Idx of array \p Name (named on line \p Line):
+  /// base register plus displacement.
+  bool genElementAddress(std::string_view Name, int Line, const Expr &Idx,
+                         Reg &Base, int64_t &Disp) {
+    std::optional<Symbol> S = lookup(Name);
     if (!S || S->K != Symbol::Kind::Array) {
-      Err.set("'" + E.Name + "' is not an array", E.Line);
+      Err.set("'" + std::string(Name) + "' is not an array", Line);
       return false;
     }
     Reg BaseReg = arrayBaseReg(S->ArrayBase);
-    const Expr &Idx = *E.Lhs;
     if (Idx.Kind == ExprKind::Number) {
       Base = BaseReg;
       Disp = 4 * Idx.Number;
@@ -392,14 +425,16 @@ private:
 
   /// Repositions \p Target in the layout right after the current insert
   /// block, making it the fall-through successor.
+  /// Both blocks are almost always near the end of the layout, so both
+  /// searches start there.
   void moveBlockAfterCurrent(BlockId Target) {
     std::vector<BlockId> &Layout = F.layout();
-    auto It = std::find(Layout.begin(), Layout.end(), Target);
-    GIS_ASSERT(It != Layout.end(), "block missing from layout");
-    Layout.erase(It);
-    auto Cur = std::find(Layout.begin(), Layout.end(), B.insertBlock());
-    GIS_ASSERT(Cur != Layout.end(), "insert block missing from layout");
-    Layout.insert(Cur + 1, Target);
+    auto It = std::find(Layout.rbegin(), Layout.rend(), Target);
+    GIS_ASSERT(It != Layout.rend(), "block missing from layout");
+    Layout.erase(std::next(It).base());
+    auto Cur = std::find(Layout.rbegin(), Layout.rend(), B.insertBlock());
+    GIS_ASSERT(Cur != Layout.rend(), "insert block missing from layout");
+    Layout.insert(Cur.base(), Target);
   }
 
   /// Emits code so control branches to \p Target exactly when \p E is
@@ -528,7 +563,7 @@ private:
     case StmtKind::For:
       return false; // inner loop owns its continues
     case StmtKind::Block:
-      for (const auto &Child : S.Body)
+      for (const Stmt *Child : S.Body)
         if (containsContinue(*Child))
           return true;
       return false;
@@ -546,7 +581,7 @@ private:
     switch (S.Kind) {
     case StmtKind::Block: {
       pushScope();
-      for (const auto &Child : S.Body) {
+      for (const Stmt *Child : S.Body) {
         if (Terminated)
           break; // unreachable code after return/break/continue: dropped
         if (!genStmt(*Child)) {
@@ -566,9 +601,12 @@ private:
       return true;
     }
     case StmtKind::DeclArray: {
-      const GlobalArray *G = M.allocateGlobal(
-          F.name() + "." + S.Name + formatString(".%u", NextLabel++),
-          S.ArraySize);
+      std::string Name = F.name();
+      Name += '.';
+      Name += S.Name;
+      Name += '.';
+      appendUInt(Name, NextLabel++);
+      const GlobalArray *G = M.allocateGlobal(std::move(Name), S.ArraySize);
       if (!G) {
         Err.set(tooLarge(S.Name), S.Line);
         return false;
@@ -578,23 +616,15 @@ private:
     case StmtKind::AssignVar: {
       std::optional<Symbol> Sym = lookup(S.Name);
       if (!Sym || Sym->K != Symbol::Kind::Scalar) {
-        Err.set("'" + S.Name + "' is not a scalar variable", S.Line);
+        Err.set(notScalar(S.Name), S.Line);
         return false;
       }
       return genExprInto(*S.Value, Sym->ScalarReg);
     }
     case StmtKind::AssignIndex: {
-      Expr IndexExpr;
-      IndexExpr.Kind = ExprKind::Index;
-      IndexExpr.Name = S.Name;
-      IndexExpr.Line = S.Line;
-      // Borrow the subscript without taking ownership.
-      IndexExpr.Lhs = std::unique_ptr<Expr>(const_cast<Expr *>(S.Index.get()));
       Reg Base;
       int64_t Disp = 0;
-      bool OK = genElementAddress(IndexExpr, Base, Disp);
-      IndexExpr.Lhs.release(); // do not delete the borrowed node
-      if (!OK)
+      if (!genElementAddress(S.Name, S.Line, *S.Index, Base, Disp))
         return false;
       Reg V = genExpr(*S.Value);
       if (!V.isValid())
@@ -738,8 +768,8 @@ private:
       // Bare print(...) has no result; other calls and expressions
       // evaluate for side effects.
       if (S.Value->Kind == ExprKind::Call && S.Value->Name == "print") {
-        std::vector<Reg> Args;
-        for (const auto &A : S.Value->Args) {
+        UseList Args;
+        for (const Expr *A : S.Value->Args) {
           Reg R = genExpr(*A);
           if (!R.isValid())
             return false;
@@ -764,8 +794,10 @@ private:
   const FuncDecl &Decl;
   IRBuilder B;
   CodeGenError &Err;
-  std::vector<std::map<std::string, Symbol>> Scopes;
-  std::map<int64_t, Reg> ArrayBaseRegs;
+  std::vector<Symbol> Symbols;
+  std::vector<size_t> ScopeMarks;
+  std::unordered_map<std::string_view, uint32_t> Innermost;
+  std::vector<std::pair<int64_t, Reg>> ArrayBaseRegs;
   std::vector<LoopTarget> LoopTargets;
   bool Terminated = false;
   unsigned NextLabel = 0;
@@ -779,14 +811,14 @@ CompileResult gis::generateIR(const Program &Prog) {
   CodeGenError Err;
 
   for (const GlobalArrayDecl &G : Prog.GlobalArrays)
-    if (!M->allocateGlobal(G.Name, G.Size)) {
+    if (!M->allocateGlobal(std::string(G.Name), G.Size)) {
       Result.Error = tooLarge(G.Name);
       Result.Line = G.Line;
       return Result;
     }
 
   for (const FuncDecl &Decl : Prog.Functions) {
-    Function &F = M->createFunction(Decl.Name);
+    Function &F = M->createFunction(std::string(Decl.Name));
     FunctionCodeGen Gen(*M, F, Decl, Err);
     if (!Gen.run()) {
       Result.Error = Err.Set ? Err.Message : "code generation failed";

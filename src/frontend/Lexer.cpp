@@ -3,215 +3,183 @@
 #include "frontend/Lexer.h"
 
 #include "support/Assert.h"
+#include "support/StringUtils.h"
 
-#include <cctype>
+#include <algorithm>
+#include <array>
 #include <cstdint>
-#include <map>
 
 using namespace gis;
 
+namespace {
+
+/// Identifier characters, by the "C" locale's classes (support/StringUtils.h).
+bool isIdentStart(char C) {
+  return C == '_' || (isAsciiAlnum(C) && !isAsciiDigit(C));
+}
+bool isIdentChar(char C) { return C == '_' || isAsciiAlnum(C); }
+
+/// The keyword spelled \p Word, or Identifier.
+TokKind keywordKind(std::string_view Word) {
+  switch (Word.size()) {
+  case 2:
+    return Word == "if" ? TokKind::KwIf : TokKind::Identifier;
+  case 3:
+    return Word == "int"   ? TokKind::KwInt
+           : Word == "for" ? TokKind::KwFor
+                           : TokKind::Identifier;
+  case 4:
+    return Word == "else" ? TokKind::KwElse : TokKind::Identifier;
+  case 5:
+    return Word == "while"   ? TokKind::KwWhile
+           : Word == "break" ? TokKind::KwBreak
+                             : TokKind::Identifier;
+  case 6:
+    return Word == "return" ? TokKind::KwReturn : TokKind::Identifier;
+  case 8:
+    return Word == "continue" ? TokKind::KwContinue : TokKind::Identifier;
+  default:
+    return TokKind::Identifier;
+  }
+}
+
+/// The kind of a one-character token, or End for a character that does
+/// not start one on its own.
+constexpr std::array<TokKind, 256> SingleCharKinds = [] {
+  std::array<TokKind, 256> T{};
+  T['('] = TokKind::LParen;
+  T[')'] = TokKind::RParen;
+  T['{'] = TokKind::LBrace;
+  T['}'] = TokKind::RBrace;
+  T['['] = TokKind::LBracket;
+  T[']'] = TokKind::RBracket;
+  T[';'] = TokKind::Semi;
+  T[','] = TokKind::Comma;
+  T['+'] = TokKind::Plus;
+  T['-'] = TokKind::Minus;
+  T['*'] = TokKind::Star;
+  T['/'] = TokKind::Slash;
+  T['%'] = TokKind::Percent;
+  return T;
+}();
+
+} // namespace
+
 LexResult gis::lexMiniC(std::string_view Source) {
   LexResult Result;
-  size_t Pos = 0;
+  // Generated mini-C averages about 2.5 bytes per token (one-space
+  // indentation and separators); the vector grows past this only on
+  // denser input, or past a million tokens.
+  Result.Tokens.reserve(std::min<size_t>(Source.size() / 2 + 16, 1 << 20));
+  const char *const Begin = Source.data();
+  const char *const End = Begin + Source.size();
+  const char *P = Begin;
   int Line = 1;
-
-  static const std::map<std::string_view, TokKind> Keywords = {
-      {"int", TokKind::KwInt},       {"if", TokKind::KwIf},
-      {"else", TokKind::KwElse},     {"while", TokKind::KwWhile},
-      {"for", TokKind::KwFor},       {"return", TokKind::KwReturn},
-      {"break", TokKind::KwBreak},   {"continue", TokKind::KwContinue},
-  };
 
   auto Fail = [&](std::string Msg) {
     Result.Error = std::move(Msg);
     Result.Line = Line;
-    return Result;
+    return std::move(Result);
+  };
+  auto Next = [&]() -> char { return P + 1 < End ? P[1] : '\0'; };
+  auto Push = [&](TokKind Kind, size_t Length) {
+    Token &T = Result.Tokens.emplace_back();
+    T.Kind = Kind;
+    T.Line = Line;
+    P += Length;
   };
 
-  auto Peek = [&](size_t Ahead = 0) -> char {
-    return Pos + Ahead < Source.size() ? Source[Pos + Ahead] : '\0';
-  };
-
-  while (Pos < Source.size()) {
-    char C = Source[Pos];
-    if (C == '\n') {
-      ++Line;
-      ++Pos;
-      continue;
-    }
-    if (std::isspace(static_cast<unsigned char>(C))) {
-      ++Pos;
+  while (P < End) {
+    char C = *P;
+    if (isAsciiSpace(C)) {
+      Line += C == '\n';
+      ++P;
       continue;
     }
     // Comments.
-    if (C == '/' && Peek(1) == '/') {
-      while (Pos < Source.size() && Source[Pos] != '\n')
-        ++Pos;
+    if (C == '/' && Next() == '/') {
+      while (P < End && *P != '\n')
+        ++P;
       continue;
     }
-    if (C == '/' && Peek(1) == '*') {
-      Pos += 2;
-      while (Pos < Source.size() &&
-             !(Source[Pos] == '*' && Peek(1) == '/')) {
-        if (Source[Pos] == '\n')
-          ++Line;
-        ++Pos;
+    if (C == '/' && Next() == '*') {
+      P += 2;
+      while (P < End && !(*P == '*' && Next() == '/')) {
+        Line += *P == '\n';
+        ++P;
       }
-      if (Pos >= Source.size())
+      if (P >= End)
         return Fail("unterminated block comment");
-      Pos += 2;
+      P += 2;
       continue;
     }
 
-    Token T;
-    T.Line = Line;
-
-    if (std::isalpha(static_cast<unsigned char>(C)) || C == '_') {
-      size_t Start = Pos;
-      while (Pos < Source.size() &&
-             (std::isalnum(static_cast<unsigned char>(Source[Pos])) ||
-              Source[Pos] == '_'))
-        ++Pos;
-      std::string_view Word = Source.substr(Start, Pos - Start);
-      auto It = Keywords.find(Word);
-      if (It != Keywords.end()) {
-        T.Kind = It->second;
-      } else {
-        T.Kind = TokKind::Identifier;
-        T.Text = std::string(Word);
-      }
-      Result.Tokens.push_back(std::move(T));
+    if (isIdentStart(C)) {
+      const char *Start = P;
+      while (P < End && isIdentChar(*P))
+        ++P;
+      std::string_view Word(Start, static_cast<size_t>(P - Start));
+      Token &T = Result.Tokens.emplace_back();
+      T.Kind = keywordKind(Word);
+      T.Line = Line;
+      if (T.Kind == TokKind::Identifier)
+        T.Text = Word;
       continue;
     }
 
-    if (std::isdigit(static_cast<unsigned char>(C))) {
+    if (isAsciiDigit(C)) {
       int64_t V = 0;
-      while (Pos < Source.size() &&
-             std::isdigit(static_cast<unsigned char>(Source[Pos]))) {
-        int64_t Digit = Source[Pos] - '0';
-        if (V > (INT64_MAX - Digit) / 10)
+      for (; P < End && isAsciiDigit(*P); ++P) {
+        int64_t D = *P - '0';
+        if (V > (INT64_MAX - D) / 10)
           return Fail("integer out of range");
-        V = V * 10 + Digit;
-        ++Pos;
+        V = V * 10 + D;
       }
+      Token &T = Result.Tokens.emplace_back();
       T.Kind = TokKind::Number;
+      T.Line = Line;
       T.Value = V;
-      Result.Tokens.push_back(std::move(T));
       continue;
     }
 
-    auto Two = [&](char Next, TokKind TwoKind, TokKind OneKind) {
-      if (Peek(1) == Next) {
-        T.Kind = TwoKind;
-        Pos += 2;
-      } else {
-        T.Kind = OneKind;
-        ++Pos;
-      }
-      Result.Tokens.push_back(T);
-    };
+    if (TokKind K = SingleCharKinds[static_cast<unsigned char>(C)];
+        K != TokKind::End) {
+      Push(K, 1);
+      continue;
+    }
 
+    bool NextIsEq = Next() == '=';
     switch (C) {
-    case '(':
-      T.Kind = TokKind::LParen;
-      ++Pos;
-      Result.Tokens.push_back(T);
-      break;
-    case ')':
-      T.Kind = TokKind::RParen;
-      ++Pos;
-      Result.Tokens.push_back(T);
-      break;
-    case '{':
-      T.Kind = TokKind::LBrace;
-      ++Pos;
-      Result.Tokens.push_back(T);
-      break;
-    case '}':
-      T.Kind = TokKind::RBrace;
-      ++Pos;
-      Result.Tokens.push_back(T);
-      break;
-    case '[':
-      T.Kind = TokKind::LBracket;
-      ++Pos;
-      Result.Tokens.push_back(T);
-      break;
-    case ']':
-      T.Kind = TokKind::RBracket;
-      ++Pos;
-      Result.Tokens.push_back(T);
-      break;
-    case ';':
-      T.Kind = TokKind::Semi;
-      ++Pos;
-      Result.Tokens.push_back(T);
-      break;
-    case ',':
-      T.Kind = TokKind::Comma;
-      ++Pos;
-      Result.Tokens.push_back(T);
-      break;
-    case '+':
-      T.Kind = TokKind::Plus;
-      ++Pos;
-      Result.Tokens.push_back(T);
-      break;
-    case '-':
-      T.Kind = TokKind::Minus;
-      ++Pos;
-      Result.Tokens.push_back(T);
-      break;
-    case '*':
-      T.Kind = TokKind::Star;
-      ++Pos;
-      Result.Tokens.push_back(T);
-      break;
-    case '/':
-      T.Kind = TokKind::Slash;
-      ++Pos;
-      Result.Tokens.push_back(T);
-      break;
-    case '%':
-      T.Kind = TokKind::Percent;
-      ++Pos;
-      Result.Tokens.push_back(T);
-      break;
     case '=':
-      Two('=', TokKind::EqEq, TokKind::Assign);
+      Push(NextIsEq ? TokKind::EqEq : TokKind::Assign, NextIsEq ? 2 : 1);
       break;
     case '<':
-      Two('=', TokKind::Le, TokKind::Lt);
+      Push(NextIsEq ? TokKind::Le : TokKind::Lt, NextIsEq ? 2 : 1);
       break;
     case '>':
-      Two('=', TokKind::Ge, TokKind::Gt);
+      Push(NextIsEq ? TokKind::Ge : TokKind::Gt, NextIsEq ? 2 : 1);
       break;
     case '!':
-      Two('=', TokKind::NotEq, TokKind::Bang);
+      Push(NextIsEq ? TokKind::NotEq : TokKind::Bang, NextIsEq ? 2 : 1);
       break;
     case '&':
-      if (Peek(1) != '&')
+      if (Next() != '&')
         return Fail("expected '&&'");
-      T.Kind = TokKind::AmpAmp;
-      Pos += 2;
-      Result.Tokens.push_back(T);
+      Push(TokKind::AmpAmp, 2);
       break;
     case '|':
-      if (Peek(1) != '|')
+      if (Next() != '|')
         return Fail("expected '||'");
-      T.Kind = TokKind::PipePipe;
-      Pos += 2;
-      Result.Tokens.push_back(T);
+      Push(TokKind::PipePipe, 2);
       break;
     default:
       return Fail(std::string("unexpected character '") + C + "'");
     }
   }
 
-  Token End;
-  End.Kind = TokKind::End;
-  End.Line = Line;
-  Result.Tokens.push_back(std::move(End));
+  Token &EndTok = Result.Tokens.emplace_back();
+  EndTok.Kind = TokKind::End;
+  EndTok.Line = Line;
   return Result;
 }
 

@@ -66,10 +66,10 @@ enum class TokKind : uint8_t {
 
 /// One token with its source line (1-based) for diagnostics.
 struct Token {
-  TokKind Kind;
-  std::string Text; ///< identifier spelling
-  int64_t Value = 0; ///< number value
+  TokKind Kind = TokKind::End;
   int Line = 0;
+  std::string_view Text; ///< identifier spelling: a view into the source
+  int64_t Value = 0;     ///< number value
 };
 
 /// Result of lexing: tokens or an error.
@@ -81,7 +81,8 @@ struct LexResult {
   bool ok() const { return Error.empty(); }
 };
 
-/// Lexes \p Source.  Comments: // to end of line and /* ... */.
+/// Lexes \p Source.  Comments: // to end of line and /* ... */.  The
+/// tokens' Text views point into \p Source, which must outlive them.
 LexResult lexMiniC(std::string_view Source);
 
 /// Returns a printable name of a token kind ("identifier", "'+'", ...).

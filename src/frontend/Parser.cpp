@@ -9,31 +9,39 @@ using namespace gis;
 
 namespace {
 
-/// Recursive-descent parser over the token stream.
+/// The diagnostic for input nested deeper than MaxNestingDepth.
+constexpr const char *TooDeep = "nesting deeper than 256 levels";
+static_assert(MaxNestingDepth == 256, "TooDeep spells the bound");
+
+/// Recursive-descent parser over the token stream.  Nodes and lists go to
+/// the Program's arena; lists are gathered on scratch stacks that every
+/// nesting level shares, then copied out whole.
 class MiniCParser {
 public:
-  explicit MiniCParser(std::vector<Token> Tokens)
-      : Tokens(std::move(Tokens)) {}
+  MiniCParser(const std::vector<Token> &Tokens, Program &Prog)
+      : Tokens(Tokens), Prog(Prog), Arena(Prog.Arena) {}
 
-  MiniCParseResult run() {
-    auto Prog = std::make_unique<Program>();
+  /// Parses the whole token stream into Prog; false (with the diagnostic
+  /// in Err and ErrLine) on the first error.
+  bool run() {
     while (!at(TokKind::End)) {
       if (!expect(TokKind::KwInt, "declarations start with 'int'"))
-        return fail();
+        return false;
+      size_t Start = Pos;
       if (!expect(TokKind::Identifier, "expected a name after 'int'"))
-        return fail();
-      Token Name = Cur;
+        return false;
+      const Token &Name = *Cur;
 
       if (at(TokKind::LBracket)) {
         // Global array.
         advance();
         if (!expect(TokKind::Number, "expected array size"))
-          return fail();
-        Token Size = Cur;
+          return false;
+        int64_t Size = Cur->Value;
         if (!expect(TokKind::RBracket, "expected ']'") ||
             !expect(TokKind::Semi, "expected ';'"))
-          return fail();
-        Prog->GlobalArrays.push_back({Name.Text, Size.Value, Name.Line});
+          return false;
+        Prog.GlobalArrays.push_back({Name.Text, Size, Name.Line});
         continue;
       }
 
@@ -42,15 +50,15 @@ public:
       Fn.Name = Name.Text;
       Fn.Line = Name.Line;
       if (!expect(TokKind::LParen, "expected '(' after function name"))
-        return fail();
+        return false;
+      size_t Mark = Params.size();
       if (!at(TokKind::RParen)) {
         while (true) {
           if (!expect(TokKind::KwInt, "parameters are 'int NAME'"))
-            return fail();
+            return false;
           if (!expect(TokKind::Identifier, "expected parameter name"))
-            return fail();
-          Token P = Cur;
-          Fn.Params.push_back(P.Text);
+            return false;
+          Params.push_back(Cur->Text);
           if (at(TokKind::Comma)) {
             advance();
             continue;
@@ -58,17 +66,22 @@ public:
           break;
         }
       }
+      Fn.Params = Arena.copy(
+          std::span<const std::string_view>(Params).subspan(Mark));
+      Params.resize(Mark);
       if (!expect(TokKind::RParen, "expected ')'"))
-        return fail();
+        return false;
       Fn.Body = parseBlock();
       if (!Fn.Body)
-        return fail();
-      Prog->Functions.push_back(std::move(Fn));
+        return false;
+      Fn.NumTokens = static_cast<unsigned>(Pos - Start);
+      Prog.Functions.push_back(Fn);
     }
-    MiniCParseResult R;
-    R.Prog = std::move(Prog);
-    return R;
+    return true;
   }
+
+  std::string Err;
+  int ErrLine = 0;
 
 private:
   //===--------------------------------------------------------------------===
@@ -80,111 +93,126 @@ private:
     return Idx < Tokens.size() ? Tokens[Idx] : Tokens.back();
   }
 
-  bool at(TokKind K) const { return peek().Kind == K; }
+  bool at(TokKind K) const { return Tokens[Pos].Kind == K; }
 
+  /// Consumes the current token, leaving it in Cur (the End token is
+  /// never consumed past).
   void advance() {
-    Cur = peek();
-    if (Pos < Tokens.size() - 1)
+    Cur = &Tokens[Pos];
+    if (Pos + 1 < Tokens.size())
       ++Pos;
   }
 
   /// Consumes a token of kind \p K (leaving it in Cur); records an error
   /// otherwise.
-  bool expect(TokKind K, const std::string &Msg) {
+  bool expect(TokKind K, const char *Msg) {
     if (!at(K)) {
-      error(Msg + " (found " + tokKindName(peek().Kind) + ")");
+      error(std::string(Msg) + " (found " + tokKindName(peek().Kind) + ")");
       return false;
     }
     advance();
     return true;
   }
 
-  void error(const std::string &Msg) {
+  void error(std::string Msg) { error(std::move(Msg), peek().Line); }
+
+  void error(std::string Msg, int Line) {
     if (Err.empty()) {
-      Err = Msg;
-      ErrLine = peek().Line;
+      Err = std::move(Msg);
+      ErrLine = Line;
     }
   }
 
-  MiniCParseResult fail() {
-    MiniCParseResult R;
-    R.Error = Err.empty() ? "parse error" : Err;
-    R.Line = ErrLine;
-    return R;
-  }
+  /// One level of statement or expression recursion, for the lifetime of
+  /// the guard; ok() is false past MaxNestingDepth.
+  class Nest {
+  public:
+    Nest(MiniCParser &P, unsigned &Depth, int Line) : Depth(Depth) {
+      if (++Depth > MaxNestingDepth)
+        P.error(TooDeep, Line);
+    }
+    Nest(const Nest &) = delete;
+    Nest &operator=(const Nest &) = delete;
+    ~Nest() { --Depth; }
+    bool ok() const { return Depth <= MaxNestingDepth; }
+
+  private:
+    unsigned &Depth;
+  };
 
   //===--------------------------------------------------------------------===
   // Statements
   //===--------------------------------------------------------------------===
 
-  std::unique_ptr<Stmt> parseBlock() {
+  Stmt *newStmt(StmtKind Kind, int Line) {
+    Stmt *S = Arena.make<Stmt>();
+    S->Kind = Kind;
+    S->Line = Line;
+    return S;
+  }
+
+  Stmt *parseBlock() {
     if (!expect(TokKind::LBrace, "expected '{'"))
       return nullptr;
-    auto S = std::make_unique<Stmt>();
-    S->Kind = StmtKind::Block;
-    S->Line = Cur.Line;
+    Stmt *S = newStmt(StmtKind::Block, Cur->Line);
+    size_t Mark = Stmts.size();
     while (!at(TokKind::RBrace)) {
       if (at(TokKind::End)) {
         error("unexpected end of input inside a block");
         return nullptr;
       }
-      auto Child = parseStmt();
+      Stmt *Child = parseStmt();
       if (!Child)
         return nullptr;
-      S->Body.push_back(std::move(Child));
+      Stmts.push_back(Child);
     }
     advance(); // consume '}'
+    S->Body = Arena.copy(std::span<Stmt *const>(Stmts).subspan(Mark));
+    Stmts.resize(Mark);
     return S;
   }
 
   /// A "simple" statement for for-headers: declaration or assignment or
   /// expression, without the trailing semicolon.
-  std::unique_ptr<Stmt> parseSimple() {
+  Stmt *parseSimple() {
     if (at(TokKind::KwInt))
       return parseDecl(/*ConsumeSemi=*/false);
     return parseAssignOrExpr(/*ConsumeSemi=*/false);
   }
 
-  std::unique_ptr<Stmt> parseDecl(bool ConsumeSemi) {
+  Stmt *parseDecl(bool ConsumeSemi) {
     advance(); // 'int'
     if (!expect(TokKind::Identifier, "expected a name after 'int'"))
       return nullptr;
-    Token Name = Cur;
-    auto S = std::make_unique<Stmt>();
-    S->Line = Name.Line;
-    S->Name = Name.Text;
+    Stmt *S = newStmt(StmtKind::DeclScalar, Cur->Line);
+    S->Name = Cur->Text;
     if (at(TokKind::LBracket)) {
       advance();
       if (!expect(TokKind::Number, "expected array size"))
         return nullptr;
-      Token Size = Cur;
+      S->Kind = StmtKind::DeclArray;
+      S->ArraySize = Cur->Value;
       if (!expect(TokKind::RBracket, "expected ']'"))
         return nullptr;
-      S->Kind = StmtKind::DeclArray;
-      S->ArraySize = Size.Value;
-    } else {
-      S->Kind = StmtKind::DeclScalar;
-      if (at(TokKind::Assign)) {
-        advance();
-        S->Value = parseExpr();
-        if (!S->Value)
-          return nullptr;
-      }
+    } else if (at(TokKind::Assign)) {
+      advance();
+      S->Value = parseExpr();
+      if (!S->Value)
+        return nullptr;
     }
     if (ConsumeSemi && !expect(TokKind::Semi, "expected ';'"))
       return nullptr;
     return S;
   }
 
-  std::unique_ptr<Stmt> parseAssignOrExpr(bool ConsumeSemi) {
-    auto S = std::make_unique<Stmt>();
-    S->Line = peek().Line;
+  Stmt *parseAssignOrExpr(bool ConsumeSemi) {
+    Stmt *S = newStmt(StmtKind::ExprStmt, peek().Line);
 
     // Lookahead for the assignment forms.
     if (at(TokKind::Identifier) && peek(1).Kind == TokKind::Assign) {
       advance();
       S->Kind = StmtKind::AssignVar;
-      S->Name = Cur.Text;
+      S->Name = Cur->Text;
       advance(); // '='
       S->Value = parseExpr();
       if (!S->Value)
@@ -193,7 +221,7 @@ private:
                isIndexAssign()) {
       advance();
       S->Kind = StmtKind::AssignIndex;
-      S->Name = Cur.Text;
+      S->Name = Cur->Text;
       advance(); // '['
       S->Index = parseExpr();
       if (!S->Index)
@@ -205,7 +233,6 @@ private:
       if (!S->Value)
         return nullptr;
     } else {
-      S->Kind = StmtKind::ExprStmt;
       S->Value = parseExpr();
       if (!S->Value)
         return nullptr;
@@ -238,7 +265,11 @@ private:
     return false;
   }
 
-  std::unique_ptr<Stmt> parseStmt() {
+  /// A statement nested in a block or a control statement: one level.
+  Stmt *parseStmt() {
+    Nest N(*this, StmtDepth, peek().Line);
+    if (!N.ok())
+      return nullptr;
     switch (peek().Kind) {
     case TokKind::LBrace:
       return parseBlock();
@@ -246,9 +277,7 @@ private:
       return parseDecl(/*ConsumeSemi=*/true);
     case TokKind::KwIf: {
       advance();
-      auto S = std::make_unique<Stmt>();
-      S->Kind = StmtKind::If;
-      S->Line = Cur.Line;
+      Stmt *S = newStmt(StmtKind::If, Cur->Line);
       if (!expect(TokKind::LParen, "expected '(' after 'if'"))
         return nullptr;
       S->Value = parseExpr();
@@ -267,9 +296,7 @@ private:
     }
     case TokKind::KwWhile: {
       advance();
-      auto S = std::make_unique<Stmt>();
-      S->Kind = StmtKind::While;
-      S->Line = Cur.Line;
+      Stmt *S = newStmt(StmtKind::While, Cur->Line);
       if (!expect(TokKind::LParen, "expected '(' after 'while'"))
         return nullptr;
       S->Value = parseExpr();
@@ -282,9 +309,7 @@ private:
     }
     case TokKind::KwFor: {
       advance();
-      auto S = std::make_unique<Stmt>();
-      S->Kind = StmtKind::For;
-      S->Line = Cur.Line;
+      Stmt *S = newStmt(StmtKind::For, Cur->Line);
       if (!expect(TokKind::LParen, "expected '(' after 'for'"))
         return nullptr;
       if (!at(TokKind::Semi)) {
@@ -315,9 +340,7 @@ private:
     }
     case TokKind::KwReturn: {
       advance();
-      auto S = std::make_unique<Stmt>();
-      S->Kind = StmtKind::Return;
-      S->Line = Cur.Line;
+      Stmt *S = newStmt(StmtKind::Return, Cur->Line);
       if (!at(TokKind::Semi)) {
         S->Value = parseExpr();
         if (!S->Value)
@@ -327,20 +350,12 @@ private:
         return nullptr;
       return S;
     }
-    case TokKind::KwBreak: {
-      advance();
-      auto S = std::make_unique<Stmt>();
-      S->Kind = StmtKind::Break;
-      S->Line = Cur.Line;
-      if (!expect(TokKind::Semi, "expected ';'"))
-        return nullptr;
-      return S;
-    }
+    case TokKind::KwBreak:
     case TokKind::KwContinue: {
       advance();
-      auto S = std::make_unique<Stmt>();
-      S->Kind = StmtKind::Continue;
-      S->Line = Cur.Line;
+      Stmt *S = newStmt(Cur->Kind == TokKind::KwBreak ? StmtKind::Break
+                                                      : StmtKind::Continue,
+                        Cur->Line);
       if (!expect(TokKind::Semi, "expected ';'"))
         return nullptr;
       return S;
@@ -354,151 +369,150 @@ private:
   // Expressions (precedence climbing)
   //===--------------------------------------------------------------------===
 
-  std::unique_ptr<Expr> parseExpr() { return parseLogOr(); }
-
-  std::unique_ptr<Expr> makeBinary(BinOp Op, std::unique_ptr<Expr> L,
-                                   std::unique_ptr<Expr> R) {
-    auto E = std::make_unique<Expr>();
-    E->Kind = ExprKind::Binary;
-    E->BOp = Op;
-    E->Line = L->Line;
-    E->Lhs = std::move(L);
-    E->Rhs = std::move(R);
+  Expr *newExpr(ExprKind Kind, int Line, unsigned Depth) {
+    Expr *E = Arena.make<Expr>();
+    E->Kind = Kind;
+    E->Line = Line;
+    E->Depth = static_cast<uint16_t>(Depth);
     return E;
   }
 
-  std::unique_ptr<Expr> parseLogOr() {
-    auto L = parseLogAnd();
-    while (L && at(TokKind::PipePipe)) {
+  Expr *parseExpr() { return parseLevel(0); }
+
+  /// The binary operator a token spells and its precedence level (0 is
+  /// ||, 5 is * / %); false for any other token.
+  static bool binaryOp(TokKind K, BinOp &Op, unsigned &Level) {
+    switch (K) {
+    case TokKind::PipePipe:
+      Op = BinOp::LogOr, Level = 0;
+      return true;
+    case TokKind::AmpAmp:
+      Op = BinOp::LogAnd, Level = 1;
+      return true;
+    case TokKind::EqEq:
+      Op = BinOp::Eq, Level = 2;
+      return true;
+    case TokKind::NotEq:
+      Op = BinOp::Ne, Level = 2;
+      return true;
+    case TokKind::Lt:
+      Op = BinOp::Lt, Level = 3;
+      return true;
+    case TokKind::Gt:
+      Op = BinOp::Gt, Level = 3;
+      return true;
+    case TokKind::Le:
+      Op = BinOp::Le, Level = 3;
+      return true;
+    case TokKind::Ge:
+      Op = BinOp::Ge, Level = 3;
+      return true;
+    case TokKind::Plus:
+      Op = BinOp::Add, Level = 4;
+      return true;
+    case TokKind::Minus:
+      Op = BinOp::Sub, Level = 4;
+      return true;
+    case TokKind::Star:
+      Op = BinOp::Mul, Level = 5;
+      return true;
+    case TokKind::Slash:
+      Op = BinOp::Div, Level = 5;
+      return true;
+    case TokKind::Percent:
+      Op = BinOp::Rem, Level = 5;
+      return true;
+    default:
+      return false;
+    }
+  }
+
+  /// One left-associative precedence level: Level 0 is ||, 5 is * / %,
+  /// and the operands of level 5 are unary expressions.  Every operand
+  /// after the first deepens the tree by one level.
+  Expr *parseLevel(unsigned Level) {
+    Expr *L = Level == 5 ? parseUnary() : parseLevel(Level + 1);
+    BinOp Op;
+    unsigned OpLevel;
+    while (L && binaryOp(peek().Kind, Op, OpLevel) && OpLevel == Level) {
       advance();
-      auto R = parseLogAnd();
+      int OpLine = Cur->Line;
+      Expr *R = Level == 5 ? parseUnary() : parseLevel(Level + 1);
       if (!R)
         return nullptr;
-      L = makeBinary(BinOp::LogOr, std::move(L), std::move(R));
+      unsigned Depth = std::max(L->Depth, R->Depth) + 1u;
+      if (Depth > MaxNestingDepth) {
+        error(TooDeep, OpLine);
+        return nullptr;
+      }
+      Expr *E = newExpr(ExprKind::Binary, L->Line, Depth);
+      E->BOp = Op;
+      E->Lhs = L;
+      E->Rhs = R;
+      L = E;
     }
     return L;
   }
 
-  std::unique_ptr<Expr> parseLogAnd() {
-    auto L = parseEquality();
-    while (L && at(TokKind::AmpAmp)) {
-      advance();
-      auto R = parseEquality();
-      if (!R)
-        return nullptr;
-      L = makeBinary(BinOp::LogAnd, std::move(L), std::move(R));
-    }
-    return L;
-  }
-
-  std::unique_ptr<Expr> parseEquality() {
-    auto L = parseRelational();
-    while (L && (at(TokKind::EqEq) || at(TokKind::NotEq))) {
-      BinOp Op = at(TokKind::EqEq) ? BinOp::Eq : BinOp::Ne;
-      advance();
-      auto R = parseRelational();
-      if (!R)
-        return nullptr;
-      L = makeBinary(Op, std::move(L), std::move(R));
-    }
-    return L;
-  }
-
-  std::unique_ptr<Expr> parseRelational() {
-    auto L = parseAdditive();
-    while (L && (at(TokKind::Lt) || at(TokKind::Gt) || at(TokKind::Le) ||
-                 at(TokKind::Ge))) {
-      BinOp Op = at(TokKind::Lt)   ? BinOp::Lt
-                 : at(TokKind::Gt) ? BinOp::Gt
-                 : at(TokKind::Le) ? BinOp::Le
-                                   : BinOp::Ge;
-      advance();
-      auto R = parseAdditive();
-      if (!R)
-        return nullptr;
-      L = makeBinary(Op, std::move(L), std::move(R));
-    }
-    return L;
-  }
-
-  std::unique_ptr<Expr> parseAdditive() {
-    auto L = parseMultiplicative();
-    while (L && (at(TokKind::Plus) || at(TokKind::Minus))) {
-      BinOp Op = at(TokKind::Plus) ? BinOp::Add : BinOp::Sub;
-      advance();
-      auto R = parseMultiplicative();
-      if (!R)
-        return nullptr;
-      L = makeBinary(Op, std::move(L), std::move(R));
-    }
-    return L;
-  }
-
-  std::unique_ptr<Expr> parseMultiplicative() {
-    auto L = parseUnary();
-    while (L && (at(TokKind::Star) || at(TokKind::Slash) ||
-                 at(TokKind::Percent))) {
-      BinOp Op = at(TokKind::Star)    ? BinOp::Mul
-                 : at(TokKind::Slash) ? BinOp::Div
-                                      : BinOp::Rem;
-      advance();
-      auto R = parseUnary();
-      if (!R)
-        return nullptr;
-      L = makeBinary(Op, std::move(L), std::move(R));
-    }
-    return L;
-  }
-
-  std::unique_ptr<Expr> parseUnary() {
+  Expr *parseUnary() {
     if (at(TokKind::Minus) || at(TokKind::Bang)) {
       UnOp Op = at(TokKind::Minus) ? UnOp::Neg : UnOp::Not;
       advance();
-      int Line = Cur.Line;
-      auto Operand = parseUnary();
+      int Line = Cur->Line;
+      Nest N(*this, ExprDepth, Line);
+      if (!N.ok())
+        return nullptr;
+      Expr *Operand = parseUnary();
       if (!Operand)
         return nullptr;
-      auto E = std::make_unique<Expr>();
-      E->Kind = ExprKind::Unary;
+      Expr *E = newExpr(ExprKind::Unary, Line, Operand->Depth + 1u);
       E->UOp = Op;
-      E->Line = Line;
-      E->Lhs = std::move(Operand);
+      E->Lhs = Operand;
       return E;
     }
     return parsePrimary();
   }
 
-  std::unique_ptr<Expr> parsePrimary() {
+  Expr *parsePrimary() {
     if (at(TokKind::Number)) {
       advance();
-      auto E = std::make_unique<Expr>();
-      E->Kind = ExprKind::Number;
-      E->Number = Cur.Value;
-      E->Line = Cur.Line;
+      Expr *E = newExpr(ExprKind::Number, Cur->Line, 0);
+      E->Number = Cur->Value;
       return E;
     }
     if (at(TokKind::LParen)) {
       advance();
-      auto E = parseExpr();
+      Nest N(*this, ExprDepth, Cur->Line);
+      if (!N.ok())
+        return nullptr;
+      Expr *E = parseExpr();
       if (!E || !expect(TokKind::RParen, "expected ')'"))
         return nullptr;
+      if (E->Depth + 1u > MaxNestingDepth) {
+        error(TooDeep, Cur->Line);
+        return nullptr;
+      }
+      ++E->Depth;
       return E;
     }
     if (at(TokKind::Identifier)) {
       advance();
-      Token Name = Cur;
+      const Token &Name = *Cur;
       if (at(TokKind::LParen)) {
         advance();
-        auto E = std::make_unique<Expr>();
-        E->Kind = ExprKind::Call;
+        Nest N(*this, ExprDepth, Cur->Line);
+        if (!N.ok())
+          return nullptr;
+        Expr *E = newExpr(ExprKind::Call, Name.Line, 1);
         E->Name = Name.Text;
-        E->Line = Name.Line;
+        size_t Mark = Args.size();
         if (!at(TokKind::RParen)) {
           while (true) {
-            auto Arg = parseExpr();
+            Expr *Arg = parseExpr();
             if (!Arg)
               return nullptr;
-            E->Args.push_back(std::move(Arg));
+            E->Depth = std::max<unsigned>(E->Depth, Arg->Depth + 1u);
+            Args.push_back(Arg);
             if (at(TokKind::Comma)) {
               advance();
               continue;
@@ -508,45 +522,75 @@ private:
         }
         if (!expect(TokKind::RParen, "expected ')' after arguments"))
           return nullptr;
+        if (E->Depth > MaxNestingDepth) {
+          error(TooDeep, Name.Line);
+          return nullptr;
+        }
+        E->Args = Arena.copy(std::span<Expr *const>(Args).subspan(Mark));
+        Args.resize(Mark);
         return E;
       }
       if (at(TokKind::LBracket)) {
         advance();
-        auto E = std::make_unique<Expr>();
-        E->Kind = ExprKind::Index;
+        Nest N(*this, ExprDepth, Cur->Line);
+        if (!N.ok())
+          return nullptr;
+        Expr *E = newExpr(ExprKind::Index, Name.Line, 0);
         E->Name = Name.Text;
-        E->Line = Name.Line;
         E->Lhs = parseExpr();
         if (!E->Lhs || !expect(TokKind::RBracket, "expected ']'"))
           return nullptr;
+        if (E->Lhs->Depth + 1u > MaxNestingDepth) {
+          error(TooDeep, Name.Line);
+          return nullptr;
+        }
+        E->Depth = static_cast<uint16_t>(E->Lhs->Depth + 1u);
         return E;
       }
-      auto E = std::make_unique<Expr>();
-      E->Kind = ExprKind::Var;
+      Expr *E = newExpr(ExprKind::Var, Name.Line, 0);
       E->Name = Name.Text;
-      E->Line = Name.Line;
       return E;
     }
     error("expected an expression (found " + tokKindName(peek().Kind) + ")");
     return nullptr;
   }
 
-  std::vector<Token> Tokens;
+  const std::vector<Token> &Tokens;
+  Program &Prog;
+  AstArena &Arena;
   size_t Pos = 0;
-  Token Cur;
-  std::string Err;
-  int ErrLine = 0;
+  const Token *Cur = nullptr;
+  unsigned StmtDepth = 0; ///< statements being parsed, innermost included
+  unsigned ExprDepth = 0; ///< parentheses, unary operators, calls and
+                          ///< subscripts being parsed
+  // Scratch stacks for the lists being gathered at every open level.
+  std::vector<Stmt *> Stmts;
+  std::vector<Expr *> Args;
+  std::vector<std::string_view> Params;
 };
 
 } // namespace
 
 MiniCParseResult gis::parseMiniC(std::string_view Source) {
-  LexResult Lexed = lexMiniC(Source);
+  MiniCParseResult R;
+  auto Prog = std::make_unique<Program>();
+  // The source copy and the nodes of a generated program fit in 24 bytes
+  // per source byte (12 did not); larger programs take further, doubling
+  // chunks.
+  Prog->Arena.reserve(std::min<size_t>(24 * Source.size() + 1024, 1 << 20));
+  std::span<char> Text = Prog->Arena.copy(std::span<const char>(Source));
+  LexResult Lexed = lexMiniC(std::string_view(Text.data(), Text.size()));
   if (!Lexed.ok()) {
-    MiniCParseResult R;
-    R.Error = Lexed.Error;
+    R.Error = std::move(Lexed.Error);
     R.Line = Lexed.Line;
     return R;
   }
-  return MiniCParser(std::move(Lexed.Tokens)).run();
+  MiniCParser P(Lexed.Tokens, *Prog);
+  if (!P.run()) {
+    R.Error = P.Err.empty() ? "parse error" : std::move(P.Err);
+    R.Line = P.ErrLine;
+    return R;
+  }
+  R.Prog = std::move(Prog);
+  return R;
 }

@@ -24,6 +24,10 @@
 ///               || && == != < > <= >= + - * / % and unary - !
 /// \endcode
 ///
+/// The parser bounds how deep the tree it builds nests (MaxNestingDepth),
+/// so parsing, code generation and teardown never recurse past a fixed
+/// depth whatever the input.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GIS_FRONTEND_PARSER_H
@@ -36,6 +40,17 @@
 #include <string_view>
 
 namespace gis {
+
+/// The deepest nesting a program may have, counted separately for
+/// statements (each statement inside another adds a level; a function
+/// body's statements are at level 1) and for expressions (each pair of
+/// parentheses, unary operator, call, subscript and each operand of a
+/// left-associative chain after its first adds a level; Expr::Depth).
+/// Deeper input is a diagnostic on the line that crosses the bound.  Like
+/// clang's default bracket depth it is far beyond any real program, and
+/// at the bound both the parser's and the code generator's recursion stay
+/// within a few hundred kilobytes of stack.
+constexpr unsigned MaxNestingDepth = 256;
 
 /// Result of parsing mini-C source.
 struct MiniCParseResult {

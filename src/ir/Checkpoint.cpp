@@ -14,7 +14,8 @@ namespace {
 
 /// Feeds every field functionsIdentical compares of \p I.
 void fingerprintInstr(Fingerprint &H, const Instruction &I) {
-  const std::vector<Reg> &Defs = I.defs(), &Uses = I.uses();
+  const DefList &Defs = I.defs();
+  const UseList &Uses = I.uses();
   H.add(static_cast<uint64_t>(I.opcode()) |
         static_cast<uint64_t>(I.cond()) << 8 |
         static_cast<uint64_t>(Defs.size()) << 16 |

@@ -36,7 +36,7 @@ BlockId Function::layoutSuccessor(BlockId Id) const {
   gis_unreachable("block not in layout");
 }
 
-InstrId Function::appendInstr(BlockId B, Instruction I) {
+InstrId Function::appendInstr(BlockId B, Instruction &&I) {
   InstrId Id = static_cast<InstrId>(Pool.size());
   for (Reg D : I.defs())
     noteReg(D);

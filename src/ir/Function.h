@@ -141,7 +141,7 @@ public:
   unsigned numInstrs() const { return static_cast<unsigned>(Pool.size()); }
 
   /// Appends \p I to block \p B; returns its id.
-  InstrId appendInstr(BlockId B, Instruction I);
+  InstrId appendInstr(BlockId B, Instruction &&I);
 
   /// Reserves pool room for \p N instructions (the parser's hint from the
   /// function's line count).

@@ -226,7 +226,7 @@ public:
     return emit(std::move(I));
   }
 
-  InstrId call(std::string Callee, std::vector<Reg> Args, Reg Result = Reg()) {
+  InstrId call(std::string Callee, UseList Args, Reg Result = Reg()) {
     Instruction I(Opcode::CALL);
     I.setCallee(std::move(Callee));
     I.uses() = std::move(Args);
@@ -255,7 +255,7 @@ public:
   InstrId last() const { return LastEmitted; }
 
 private:
-  InstrId emit(Instruction I) {
+  InstrId emit(Instruction &&I) {
     GIS_ASSERT(Insert != InvalidId, "no insertion block set");
     LastEmitted = F.appendInstr(Insert, std::move(I));
     return LastEmitted;

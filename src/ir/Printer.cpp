@@ -5,6 +5,7 @@
 #include "support/Format.h"
 
 #include <ostream>
+#include <span>
 
 using namespace gis;
 
@@ -37,7 +38,7 @@ void appendMemRef(std::string &Out, const Instruction &I) {
   Out += ']';
 }
 
-void appendRegList(std::string &Out, const std::vector<Reg> &Regs) {
+void appendRegList(std::string &Out, std::span<const Reg> Regs) {
   for (size_t I = 0, E = Regs.size(); I != E; ++I) {
     if (I)
       Out += ", ";

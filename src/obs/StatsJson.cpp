@@ -93,7 +93,6 @@ void obs::writePipelineJson(std::ostream &OS, const PipelineStats &S,
       [&W](const StatsScalar &R, const unsigned &V) { W.field(R.JsonKey, V); },
       S);
   if (WithRecordCounts) {
-    W.field("region_tasks", static_cast<uint64_t>(S.RegionTimes.size()));
     W.field("diagnostics", static_cast<uint64_t>(S.Diags.size()));
     W.field("decisions", static_cast<uint64_t>(S.Decisions.size()));
   }

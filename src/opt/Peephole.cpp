@@ -74,7 +74,7 @@ void rewriteToLI(Instruction &I, int64_t Value) {
 /// Rewrites \p I into "rd = LR src", keeping its single def.
 void rewriteToLR(Instruction &I, Reg Src) {
   I.setOpcode(Opcode::LR);
-  I.uses().assign(1, Src);
+  I.uses() = {Src};
   I.setImm(0);
 }
 
@@ -165,7 +165,7 @@ bool rewriteInstr(Instruction &I, const ConstMap &Consts) {
     // exact for any 64-bit constant.
     if (auto Vb = lookup(Consts, I.uses()[1])) {
       I.setOpcode(Opcode::CI);
-      I.uses().resize(1);
+      I.uses().erase(I.uses().begin() + 1, I.uses().end());
       I.setImm(*Vb);
       return true;
     }

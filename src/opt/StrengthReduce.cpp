@@ -36,7 +36,7 @@ void rewriteToLI(Instruction &I, int64_t Value) {
 
 void rewriteToLR(Instruction &I, Reg Src) {
   I.setOpcode(Opcode::LR);
-  I.uses().assign(1, Src);
+  I.uses() = {Src};
   I.setImm(0);
 }
 
@@ -51,7 +51,7 @@ void expandShiftOp(Function &F, BlockId B, size_t Pos, Reg X, unsigned K,
   Shift.defs().push_back(Tmp);
   Shift.uses().push_back(X);
   Shift.setImm(static_cast<int64_t>(K));
-  InstrId ShiftId = F.appendInstr(B, Shift);
+  InstrId ShiftId = F.appendInstr(B, std::move(Shift));
 
   // appendInstr put the shift at the end of the block; move it in front
   // of the multiply being rewritten.
@@ -99,13 +99,13 @@ unsigned gis::opt::runStrengthReduce(Function &F,
               ++Reduced;
             } else if (*C == -1) {
               I.setOpcode(Opcode::NEG);
-              I.uses().assign(1, X);
+              I.uses() = {X};
               I.setImm(0);
               ++Reduced;
             } else if (auto K = exactLog2(*C);
                        K && ShiftTime < MulTime) {
               I.setOpcode(Opcode::SL);
-              I.uses().assign(1, X);
+              I.uses() = {X};
               I.setImm(static_cast<int64_t>(*K));
               ++Reduced;
             } else if (auto KP = exactLog2(static_cast<int64_t>(

@@ -54,8 +54,8 @@ bool attemptOnce(const ClientOptions &Opts, const CompileRequest &Req,
   // EPIPE mid-write while the SHED frame already sits in its receive
   // buffer.  The response, if any, is authoritative.
   (void)writeAll(Fd, formatCompileRequest(Req));
-  std::string Line;
-  if (!readLine(Fd, Line)) {
+  std::string Line, BodyStart;
+  if (!readLine(Fd, Line, BodyStart)) {
     ::close(Fd);
     R.Kind = ResponseKind::ProtocolError;
     R.Text = "connection closed before a response arrived";
@@ -68,7 +68,7 @@ bool attemptOnce(const ClientOptions &Opts, const CompileRequest &Req,
   if (Tag == "OK") {
     unsigned long long Mem = 0, DiskN = 0, Miss = 0, Bytes = 0;
     if (!(SS >> Mem >> DiskN >> Miss >> Bytes) ||
-        !readExact(Fd, static_cast<size_t>(Bytes), R.Text)) {
+        !readExact(Fd, static_cast<size_t>(Bytes), R.Text, BodyStart)) {
       R.Kind = ResponseKind::ProtocolError;
       R.Text = "truncated OK response";
     } else {
@@ -90,7 +90,7 @@ bool attemptOnce(const ClientOptions &Opts, const CompileRequest &Req,
     unsigned long long Bytes = 0;
     SS >> Code >> Bytes;
     std::string Msg;
-    readExact(Fd, static_cast<size_t>(Bytes), Msg);
+    readExact(Fd, static_cast<size_t>(Bytes), Msg, BodyStart);
     R.Kind = ResponseKind::Error;
     R.Text = Code + ": " + Msg;
   } else {
@@ -145,8 +145,9 @@ Status persist::pingServer(const std::string &SocketPath) {
     return Status::error(ErrorCode::ServeRejected,
                          formatString("connect %s: %s", SocketPath.c_str(),
                                       std::strerror(errno)));
-  std::string Line;
-  bool Ok = writeAll(Fd, "PING\n") && readLine(Fd, Line) && Line == "PONG";
+  std::string Line, Rest;
+  bool Ok =
+      writeAll(Fd, "PING\n") && readLine(Fd, Line, Rest) && Line == "PONG";
   ::close(Fd);
   return Ok ? Status::ok()
             : Status::error(ErrorCode::ServeRejected,
@@ -160,14 +161,14 @@ Status persist::fetchServerStats(const std::string &SocketPath,
     return Status::error(ErrorCode::ServeRejected,
                          formatString("connect %s: %s", SocketPath.c_str(),
                                       std::strerror(errno)));
-  std::string Line;
-  bool Ok = writeAll(Fd, "STATS\n") && readLine(Fd, Line);
+  std::string Line, BodyStart;
+  bool Ok = writeAll(Fd, "STATS\n") && readLine(Fd, Line, BodyStart);
   if (Ok) {
     std::istringstream SS(Line);
     std::string Tag;
     unsigned long long A, B, C, Bytes = 0;
     Ok = (SS >> Tag >> A >> B >> C >> Bytes) && Tag == "OK" &&
-         readExact(Fd, static_cast<size_t>(Bytes), Json);
+         readExact(Fd, static_cast<size_t>(Bytes), Json, BodyStart);
   }
   ::close(Fd);
   return Ok ? Status::ok()

@@ -38,10 +38,11 @@ void appendHexKey(std::string &Out, const Key128 &K) {
 
 /// One "key=value" line per nonzero scalar (PipelineStats's scalar table,
 /// under its disk keys), then per nonzero counter.  Every scalar is
-/// persisted, plus the counter registry.  Deliberately not persisted --
-/// diagnostics, decision logs and per-region wall-clock timings -- are
-/// payloads a disk hit cannot replay faithfully; entries carrying them are
-/// never written (see DiskScheduleCache::insert).
+/// persisted -- the region-task count included -- plus the counter
+/// registry.  Not persisted: the per-region wall-clock timings, which a
+/// disk hit did not spend, and diagnostics and decision logs, payloads a
+/// hit cannot replay faithfully (DiskScheduleCache::insert writes no entry
+/// for a run that has them).
 void appendStats(std::string &Out, const PipelineStats &S) {
   auto Put = [&Out](std::string_view Key, uint64_t V) {
     if (!V) // sparse: most fields are zero for most functions

@@ -4,8 +4,10 @@
 
 #include "support/Format.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <sstream>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -30,11 +32,11 @@ bool persist::writeAll(int Fd, const std::string &Bytes) {
   return true;
 }
 
-bool persist::readLine(int Fd, std::string &Line) {
-  Line.clear();
-  char C;
-  while (Line.size() < 4096) {
-    ssize_t N = ::read(Fd, &C, 1);
+bool persist::readLine(int Fd, std::string &Line, std::string &Rest) {
+  char Buf[4096];
+  size_t Filled = 0;
+  while (Filled < sizeof(Buf)) {
+    ssize_t N = ::read(Fd, Buf + Filled, sizeof(Buf) - Filled);
     if (N < 0) {
       if (errno == EINTR)
         continue;
@@ -42,19 +44,26 @@ bool persist::readLine(int Fd, std::string &Line) {
     }
     if (N == 0)
       return false; // EOF before newline
-    if (C == '\n')
+    const char *Start = Buf + Filled;
+    Filled += static_cast<size_t>(N);
+    if (const void *NL = std::memchr(Start, '\n', static_cast<size_t>(N))) {
+      size_t LineBytes = static_cast<const char *>(NL) - Buf;
+      Line.assign(Buf, LineBytes);
+      Rest.assign(Buf + LineBytes + 1, Filled - LineBytes - 1);
       return true;
-    Line.push_back(C);
+    }
   }
   return false; // header line absurdly long
 }
 
-bool persist::readExact(int Fd, size_t N, std::string &Out) {
+bool persist::readExact(int Fd, size_t N, std::string &Out,
+                        std::string_view Rest) {
   Out.clear();
   if (N > MaxBodyBytes)
     return false;
   Out.resize(N);
-  size_t Off = 0;
+  size_t Off = std::min(N, Rest.size());
+  std::memcpy(Out.data(), Rest.data(), Off);
   while (Off < N) {
     ssize_t Got = ::read(Fd, &Out[Off], N - Off);
     if (Got < 0) {
@@ -78,6 +87,7 @@ std::string persist::formatCompileRequest(const CompileRequest &Req) {
 }
 
 Status persist::parseCompileRequest(int Fd, const std::string &HeaderLine,
+                                    std::string_view Rest,
                                     CompileRequest &Req) {
   std::istringstream SS(HeaderLine);
   std::string Fmt;
@@ -95,7 +105,7 @@ Status persist::parseCompileRequest(int Fd, const std::string &HeaderLine,
                                       Bytes, MaxBodyBytes));
   Req.IsAsm = Fmt == "asm";
   Req.DeadlineMs = static_cast<unsigned>(Deadline);
-  if (!readExact(Fd, static_cast<size_t>(Bytes), Req.Source))
+  if (!readExact(Fd, static_cast<size_t>(Bytes), Req.Source, Rest))
     return Status::error(ErrorCode::ServeRejected,
                          "connection closed mid-body");
   return Status::ok();

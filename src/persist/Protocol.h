@@ -40,6 +40,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace gis {
 namespace persist {
@@ -64,12 +65,17 @@ struct CompileRequest {
 /// Writes all of \p Bytes to \p Fd.
 bool writeAll(int Fd, const std::string &Bytes);
 
-/// Reads up to and including one '\n' into \p Line (newline stripped).
-/// Bounded at 4096 bytes: header lines are short by construction.
-bool readLine(int Fd, std::string &Line);
+/// Reads a frame's header line, up to and including its '\n', into \p Line
+/// (newline stripped).  It reads the socket in chunks, not a byte per
+/// call, so it may read past the newline: those bytes, the start of the
+/// frame's body, go to \p Rest, for readExact.  Bounded at 4096 bytes:
+/// header lines are short by construction.
+bool readLine(int Fd, std::string &Line, std::string &Rest);
 
-/// Reads exactly \p N bytes into \p Out.
-bool readExact(int Fd, size_t N, std::string &Out);
+/// Reads exactly \p N bytes into \p Out: the first ones from \p Rest (the
+/// body bytes a readLine read ahead), the others from \p Fd.
+bool readExact(int Fd, size_t N, std::string &Out,
+               std::string_view Rest = {});
 
 //===----------------------------------------------------------------------===
 // Framing
@@ -79,9 +85,10 @@ bool readExact(int Fd, size_t N, std::string &Out);
 std::string formatCompileRequest(const CompileRequest &Req);
 
 /// Parses a COMPILE header line (without "COMPILE " consumed) and reads
-/// the body from \p Fd.  Returns ServeRejected on malformed input.
+/// the body: \p Rest (what readLine read past the header), then \p Fd.
+/// Returns ServeRejected on malformed input.
 Status parseCompileRequest(int Fd, const std::string &HeaderLine,
-                           CompileRequest &Req);
+                           std::string_view Rest, CompileRequest &Req);
 
 std::string formatOkResponse(uint64_t MemHits, uint64_t DiskHits,
                              uint64_t Misses, const std::string &Body);

@@ -246,8 +246,8 @@ void CompileServer::workerLoop() {
 
 void CompileServer::serveConnection(int Fd, Clock::time_point Admitted,
                                     CompileEngine &Engine) {
-  std::string Header;
-  if (!readLine(Fd, Header)) {
+  std::string Header, BodyStart;
+  if (!readLine(Fd, Header, BodyStart)) {
     std::lock_guard<std::mutex> L(Mu);
     ++Counts.Errors;
     ::close(Fd);
@@ -286,7 +286,7 @@ void CompileServer::serveConnection(int Fd, Clock::time_point Admitted,
   }
 
   CompileRequest Req;
-  if (Status S = parseCompileRequest(Fd, Header.substr(8), Req);
+  if (Status S = parseCompileRequest(Fd, Header.substr(8), BodyStart, Req);
       !S.isOk()) {
     {
       std::lock_guard<std::mutex> L(Mu);

@@ -177,10 +177,11 @@ Status gis::allocateRegisters(Function &F, const MachineDescription &MD,
     NewList.reserve(Old.size() + (B == F.entry() ? EntrySpills.size() : 0));
     if (B == F.entry())
       for (const Instruction &Sp : EntrySpills)
-        NewList.push_back(F.appendInstr(B, Sp));
+        NewList.push_back(F.appendInstr(B, Instruction(Sp)));
 
     for (InstrId Id : Old) {
-      std::vector<Reg> NewUses, NewDefs;
+      UseList NewUses;
+      DefList NewDefs;
       std::vector<Instruction> Reloads, Spills;
       {
         const Instruction &I = F.instr(Id);

@@ -306,6 +306,7 @@ void scheduleRegionTask(TxContext &Ctx, const GlobalSchedOptions &GOpts,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
           .count();
   Ctx.Stats.RegionTimes.push_back({LoopIdx, WaveNo, Seconds});
+  ++Ctx.Stats.RegionTasks;
 
   if (!S.isOk()) {
     // Region-local rollback: restore the region's block lists, noted pool

@@ -214,7 +214,11 @@ struct PipelineStats {
   /// Waves of the region dependence forest scheduled by the global passes
   /// and the superblock phase (a wave's regions are mutually independent).
   unsigned RegionWaves = 0;
+  /// Region-scheduling tasks run (one RegionTimes record each): the count
+  /// is a scalar, so a disk hit replays it.
+  unsigned RegionTasks = 0;
   /// One record per region-scheduling task, in deterministic commit order.
+  /// Wall-clock timings are not persisted: a disk hit has none.
   std::vector<RegionTime> RegionTimes;
 
   // Transactional execution (see PipelineOptions::EnableTransactions).
@@ -338,6 +342,7 @@ constexpr void forEachStatsScalar(VisitT &&Visit, StatsT &...S) {
   Row({"oracle_mismatches", "oracle_mismatches"}, S.OracleMismatches...);
   Row({"engine_failures", "engine_failures"}, S.EngineFailures...);
   Row({"faults_injected", "faults_injected"}, S.FaultsInjected...);
+  Row({"region_tasks", "region_tasks"}, S.RegionTasks...);
 }
 
 /// The number of rows of the scalar table.

@@ -145,11 +145,11 @@ TailDuplicationStats gis::duplicateTails(Function &F, SuperblockTrace &Trace,
     Instruction Br(Opcode::B);
     Br.setTarget(Desired);
     if (F.terminatorOf(Clone[J]) == InvalidId) {
-      F.appendInstr(Clone[J], Br);
+      F.appendInstr(Clone[J], std::move(Br));
     } else {
       BlockId Fix =
           F.createBlockAfter(Clone[J], F.block(Clone[J]).label() + ".ft");
-      F.appendInstr(Fix, Br);
+      F.appendInstr(Fix, std::move(Br));
       ++Stats.TrampolineBlocks;
     }
   }
@@ -173,7 +173,7 @@ TailDuplicationStats gis::duplicateTails(Function &F, SuperblockTrace &Trace,
         BlockId Tr = F.createBlockAfter(P, F.block(P).label() + ".tramp");
         Instruction Br(Opcode::B);
         Br.setTarget(Clone[J]);
-        F.appendInstr(Tr, Br);
+        F.appendInstr(Tr, std::move(Br));
         ++Stats.TrampolineBlocks;
       }
     }

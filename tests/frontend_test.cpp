@@ -16,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <string>
 
 using namespace gis;
 
@@ -158,6 +160,185 @@ TEST(MiniCParserTest, Diagnostics) {
   EXPECT_FALSE(parseMiniC("int f() { return 1 }").ok());  // missing ';'
   EXPECT_FALSE(parseMiniC("int f() { x = ; }").ok());     // missing expr
   EXPECT_FALSE(parseMiniC("f() {}").ok());                // missing 'int'
+}
+
+// The daemon sends these strings to clients as "ERR frontend line N: ...",
+// so each distinct message is pinned with its line: one input per message
+// of the lexer, the parser and the code generator.  "expected '=' after
+// subscript" has no input: the parser takes the a[i] = e form only when
+// the balanced bracket group is followed by '='.
+TEST(MiniCParserTest, DiagnosticsArePinned) {
+  struct Case {
+    const char *Source;
+    const char *Error;
+    int Line;
+  };
+  const Case Cases[] = {
+      // Lexer.
+      {"int main() {\n  /* open\n}\n", "unterminated block comment", 4},
+      {"int main() {\n  return 99999999999999999999;\n}\n",
+       "integer out of range", 2},
+      {"int main() {\n  return 1 & 2;\n}\n", "expected '&&'", 2},
+      {"int main() {\n  return 1 | 2;\n}\n", "expected '||'", 2},
+      {"int main() {\n  return 1 @ 2;\n}\n", "unexpected character '@'", 2},
+      // Parser: every expect() message, then the two error() messages.
+      {"\nf() {}\n", "declarations start with 'int' (found identifier)", 2},
+      {"int\n(", "expected a name after 'int' (found '(')", 2},
+      {"int main() {\n  int 5;\n}\n",
+       "expected a name after 'int' (found number)", 2},
+      {"int a[\nb];\n", "expected array size (found identifier)", 2},
+      {"int main() {\n  int a[b];\n}\n",
+       "expected array size (found identifier)", 2},
+      {"int a[4\n;\n", "expected ']' (found ';')", 2},
+      {"int main() {\n  return a[1 2];\n}\n", "expected ']' (found number)",
+       2},
+      {"int a[4]\nint b[4];\n", "expected ';' (found 'int')", 2},
+      {"int main() {\n  return 1\n}\n", "expected ';' (found '}')", 3},
+      {"int f\n;\n", "expected '(' after function name (found ';')", 2},
+      {"int f(\nx) {}\n", "parameters are 'int NAME' (found identifier)", 2},
+      {"int f(int\n3) {}\n", "expected parameter name (found number)", 2},
+      {"int f(int a\n{}\n", "expected ')' (found '{')", 2},
+      {"int f()\nreturn 0;\n", "expected '{' (found 'return')", 2},
+      {"int main() {\n  if 1) return 0;\n}\n",
+       "expected '(' after 'if' (found number)", 2},
+      {"int main() {\n  while 1) return 0;\n}\n",
+       "expected '(' after 'while' (found number)", 2},
+      {"int main() {\n  for ;;) return 0;\n}\n",
+       "expected '(' after 'for' (found ';')", 2},
+      {"int main() {\n  for (x = 0) return 0;\n}\n",
+       "expected ';' in 'for' (found ')')", 2},
+      {"int main() {\n  for (; 1) return 0;\n}\n",
+       "expected second ';' in 'for' (found ')')", 2},
+      {"int main() {\n  return f(1;\n}\n",
+       "expected ')' after arguments (found ';')", 2},
+      {"int main() {\n  int x;\n", "unexpected end of input inside a block",
+       3},
+      {"int main() {\n  x = ;\n}\n", "expected an expression (found ';')", 2},
+      // Code generator.
+      {"int main() {\n  int x;\n  int x;\n}\n", "redeclaration of 'x'", 3},
+      {"int f(int a,\n      int a) {\n  return a;\n}\n",
+       "redeclaration of 'a'", 1},
+      {"int main() {\n  return y;\n}\n", "'y' is not a scalar variable", 2},
+      {"int a[4];\nint main() {\n  a = 1;\n}\n",
+       "'a' is not a scalar variable", 3},
+      {"int main() {\n  int x;\n  return x[0];\n}\n", "'x' is not an array",
+       3},
+      {"int main() {\n  int x;\n  x[0] = 1;\n}\n", "'x' is not an array", 3},
+      {"int main() {\n  break;\n}\n", "'break' outside a loop", 2},
+      {"int main() {\n  continue;\n}\n", "'continue' outside a loop", 2},
+      {"int a[1];\nint b[4611686018427387904];\n",
+       "array 'b' does not fit in the address space", 2},
+      {"int main() {\n  int b[2305843009213693952];\n}\n",
+       "array 'b' does not fit in the address space", 2},
+      // The nesting bound (MaxNestingDepth).
+      {"int main() {\n  return -!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-"
+       "!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-"
+       "!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-"
+       "!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-"
+       "!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-"
+       "!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-"
+       "!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-"
+       "!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-"
+       "!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-!-1;\n}\n",
+       "nesting deeper than 256 levels", 2},
+  };
+  for (const Case &C : Cases) {
+    CompileResult R = compileMiniC(C.Source);
+    EXPECT_FALSE(R.ok()) << C.Source;
+    EXPECT_EQ(R.Error, C.Error) << C.Source;
+    EXPECT_EQ(R.Line, C.Line) << C.Source;
+  }
+}
+
+namespace {
+
+/// main returning an expression \p N levels deep: "int main() {",
+/// "return", then one level per line (level K opens on line K + 2), the
+/// leaf "1", the closers, then \p Tail after main.
+std::string nestedExpr(unsigned N, const char *Open, const char *Close,
+                       const char *Tail = "") {
+  std::string S = "int main() {\nreturn\n";
+  for (unsigned K = 0; K != N; ++K)
+    S += Open;
+  S += "1";
+  for (unsigned K = 0; K != N; ++K)
+    S += Close;
+  return S + ";\n}\n" + Tail;
+}
+
+/// main with statements \p N levels deep: "int main() {", then one level
+/// per line (level K opens on line K + 1), the innermost "return 0;" and
+/// the closers.
+std::string nestedStmts(unsigned N, const char *Open, const char *Close) {
+  std::string S = "int main() {\n";
+  for (unsigned K = 1; K < N; ++K)
+    S += Open;
+  S += "return 0;\n";
+  for (unsigned K = 1; K < N; ++K)
+    S += Close;
+  return S + "}\n";
+}
+
+} // namespace
+
+// The parser bounds how deep the tree it builds nests, so no input makes
+// parsing, code generation or teardown recurse without bound (a daemon
+// worker's stack is finite).  Input at the bound compiles and runs; one
+// level more is a diagnostic on the line that crosses it.
+TEST(MiniCParserTest, NestingIsBounded) {
+  const unsigned Max = MaxNestingDepth;
+  const std::string TooDeep = "nesting deeper than 256 levels";
+  struct Shape {
+    const char *What;
+    std::function<std::string(unsigned)> Make;
+    int64_t Value;    ///< main's result at the bound
+    bool IsStatement; ///< level K opens on line K + 1, not K + 2
+  };
+  const Shape Shapes[] = {
+      {"parentheses", [](unsigned N) { return nestedExpr(N, "(\n", ")"); }, 1,
+       false},
+      {"unary operators", [](unsigned N) { return nestedExpr(N, "-\n", ""); },
+       1, false},
+      // N + 1 operands: the first adds no level.
+      {"a left-associative chain",
+       [](unsigned N) { return nestedExpr(N, "1 +\n", ""); },
+       static_cast<int64_t>(Max) + 1, false},
+      {"calls",
+       [](unsigned N) {
+         return nestedExpr(N, "f(\n", ")", "int f(int x) { return x; }\n");
+       },
+       1, false},
+      {"blocks", [](unsigned N) { return nestedStmts(N, "{\n", "}\n"); }, 0,
+       true},
+      {"if statements",
+       [](unsigned N) { return nestedStmts(N, "if (1)\n", ""); }, 0, true},
+      {"while loops",
+       [](unsigned N) { return nestedStmts(N, "while (1)\n", ""); }, 0, true},
+  };
+  for (const Shape &S : Shapes) {
+    CompileResult R = compileMiniC(S.Make(Max));
+    ASSERT_TRUE(R.ok()) << S.What << ": " << R.Error << " at line " << R.Line;
+    Interpreter I(*R.M);
+    ExecResult E = I.run(*R.M->findFunction("main"));
+    EXPECT_FALSE(E.Trapped) << S.What << ": " << E.TrapReason;
+    EXPECT_EQ(E.ReturnValue, S.Value) << S.What;
+
+    CompileResult Over = compileMiniC(S.Make(Max + 1));
+    EXPECT_FALSE(Over.ok()) << S.What;
+    EXPECT_EQ(Over.Error, TooDeep) << S.What;
+    EXPECT_EQ(Over.Line, static_cast<int>(Max) + (S.IsStatement ? 2 : 3))
+        << S.What;
+  }
+
+  // Far past the bound -- the inputs that used to overflow the stack: a
+  // diagnostic.
+  for (const std::string &Deep :
+       {nestedExpr(10000, "(", ")"), nestedExpr(20000, "1+", ""),
+        nestedStmts(10000, "{", "}")}) {
+    CompileResult R = compileMiniC(Deep);
+    EXPECT_FALSE(R.ok());
+    EXPECT_EQ(R.Error, TooDeep);
+  }
 }
 
 //===----------------------------------------------------------------------===

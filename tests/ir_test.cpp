@@ -199,9 +199,9 @@ TEST(VerifierTest, CatchesWrongRegisterClass) {
   Instruction I(Opcode::C);
   I.defs() = {Reg::gpr(0)}; // compare must define a CR
   I.uses() = {Reg::gpr(1), Reg::gpr(2)};
-  F.appendInstr(Entry, I);
+  F.appendInstr(Entry, std::move(I));
   Instruction R(Opcode::RET);
-  F.appendInstr(Entry, R);
+  F.appendInstr(Entry, std::move(R));
   F.recomputeCFG();
   EXPECT_FALSE(verifyFunction(F).empty());
 }

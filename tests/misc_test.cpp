@@ -138,7 +138,7 @@ TEST(VerifierCornerTest, STUWithWrongBase) {
   Instruction Stu(Opcode::STU);
   Stu.defs() = {Reg::gpr(5)}; // must equal the base (last use)
   Stu.uses() = {Reg::gpr(1), Reg::gpr(2)};
-  F.appendInstr(B, Stu);
+  F.appendInstr(B, std::move(Stu));
   F.appendInstr(B, Instruction(Opcode::RET));
   F.recomputeCFG();
   EXPECT_FALSE(verifyFunction(F).empty());
@@ -151,7 +151,7 @@ TEST(VerifierCornerTest, FCWithIntegerOperands) {
   Instruction FC(Opcode::FC);
   FC.defs() = {Reg::cr(0)};
   FC.uses() = {Reg::gpr(1), Reg::gpr(2)}; // must be FPRs
-  F.appendInstr(B, FC);
+  F.appendInstr(B, std::move(FC));
   F.appendInstr(B, Instruction(Opcode::RET));
   F.recomputeCFG();
   EXPECT_FALSE(verifyFunction(F).empty());
@@ -162,7 +162,7 @@ TEST(VerifierCornerTest, BranchWithoutTarget) {
   Function &F = M.createFunction("bad");
   BlockId B = F.createBlock("B0");
   Instruction Br(Opcode::B); // no target set
-  F.appendInstr(B, Br);
+  F.appendInstr(B, std::move(Br));
   F.recomputeCFG();
   // recomputeCFG would assert on an invalid target, so verify first.
   EXPECT_FALSE(verifyFunction(F).empty());

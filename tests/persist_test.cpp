@@ -421,9 +421,9 @@ void fillEveryScalar(PipelineStats &S) {
         &S.Opt.StrengthReduced, &S.Opt.ValuesNumbered, &S.Opt.DeadRemoved,
         &S.RegionWaves, &S.TransactionsRun, &S.RegionsRolledBack,
         &S.TransformsRolledBack, &S.VerifierFailures, &S.OracleMismatches,
-        &S.EngineFailures, &S.FaultsInjected})
+        &S.EngineFailures, &S.FaultsInjected, &S.RegionTasks})
     *Field = V++;
-  EXPECT_EQ(V - 1, 42u);
+  EXPECT_EQ(V - 1, 43u);
 }
 
 /// Expects \p Got to equal \p Want in each scalar, named one by one, and
@@ -472,6 +472,7 @@ void expectSameStats(const PipelineStats &Want, const PipelineStats &Got) {
   GIS_EXPECT_FIELD(OracleMismatches);
   GIS_EXPECT_FIELD(EngineFailures);
   GIS_EXPECT_FIELD(FaultsInjected);
+  GIS_EXPECT_FIELD(RegionTasks);
 #undef GIS_EXPECT_FIELD
   for (unsigned K = 0; K != obs::NumCounters; ++K) {
     auto Id = static_cast<obs::CounterId>(K);
@@ -481,7 +482,7 @@ void expectSameStats(const PipelineStats &Want, const PipelineStats &Got) {
 }
 
 // The stats block carries every scalar and the whole registry: each of the
-// 42 fields, set to a distinct value, and each counter survive serialize
+// 43 fields, set to a distinct value, and each counter survive serialize
 // -> deserialize.
 TEST(DiskCacheTest, EveryStatsScalarRoundTrips) {
   auto M = compileMiniCOrDie(kSource);
@@ -503,8 +504,9 @@ TEST(DiskCacheTest, EveryStatsScalarRoundTrips) {
 // A disk hit replays the statistics of the run that wrote the entry: a
 // superblock module compiled cold, then again by an engine with a fresh
 // memory tier over the same directory, reads the same PipelineStats for
-// every function -- every scalar, superblock ones included, and every
-// counter.
+// every function -- every scalar, superblock ones and the region-task
+// count included, and every counter -- and the engine's summary reports
+// the same region tasks.
 TEST(DiskCacheTest, DiskHitReplaysEveryStatistic) {
   const char *Source = R"(
 int main() {
@@ -536,8 +538,15 @@ int main() {
   ASSERT_EQ(Cold.PerFunction.size(), Warm.PerFunction.size());
   EXPECT_GT(Cold.Aggregate.TracesFormed, 0u);
   EXPECT_GT(Cold.Aggregate.SuperblocksScheduled, 0u);
+  EXPECT_GT(Cold.Aggregate.RegionTasks, 0u);
+  EXPECT_EQ(Cold.Aggregate.RegionTasks, Cold.Aggregate.RegionTimes.size());
+  EXPECT_TRUE(Warm.Aggregate.RegionTimes.empty()); // no time was spent
   for (size_t K = 0; K != Cold.PerFunction.size(); ++K)
     expectSameStats(Cold.PerFunction[K].Stats, Warm.PerFunction[K].Stats);
+  std::string Tasks = "region scheduling: " +
+                      std::to_string(Cold.Aggregate.RegionTasks) + " task(s)";
+  EXPECT_NE(Cold.summary().find(Tasks), std::string::npos) << Cold.summary();
+  EXPECT_NE(Warm.summary().find(Tasks), std::string::npos) << Warm.summary();
 }
 
 // Format version 1 byte for byte: header lines, the printed function,

@@ -118,6 +118,7 @@ TEST(RegionParallelStatsTest, WavesAndPerRegionTimesReported) {
   // At minimum: both inner loops in the first pass and the top region in
   // the second.
   EXPECT_GE(Stats.RegionTimes.size(), 3u);
+  EXPECT_EQ(Stats.RegionTasks, Stats.RegionTimes.size());
   bool SawTop = false, SawLoop = false;
   for (const RegionTime &RT : Stats.RegionTimes) {
     EXPECT_GE(RT.Seconds, 0.0);

@@ -80,6 +80,50 @@ std::string localSchedule(const std::string &Source) {
 }
 
 //===----------------------------------------------------------------------===
+// Framing
+//===----------------------------------------------------------------------===
+
+// readLine reads a header in chunks: what it reads past the newline is the
+// start of the body, and readExact takes it before reading the socket.
+// The header bound stays 4096 bytes, newline included.
+TEST(ServeTest, HeaderReadAheadFeedsTheBody) {
+  // Each frame on its own connection, as the protocol sends them.
+  std::vector<std::thread> Writers;
+  auto Connection = [&Writers](std::vector<std::string> Writes) {
+    int Fds[2];
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds), 0);
+    Writers.emplace_back([Fd = Fds[1], Writes] {
+      for (const std::string &W : Writes)
+        writeAll(Fd, W);
+      ::close(Fd);
+    });
+    return Fds[0];
+  };
+  std::string Body(10000, 'x');
+  Body[0] = 'a';
+  Body.back() = 'z';
+  int Fd = Connection({"OK 0 0 1 10000\n" + Body.substr(0, 100),
+                       Body.substr(100)});
+  std::string Line, Rest, Got;
+  ASSERT_TRUE(readLine(Fd, Line, Rest));
+  EXPECT_EQ(Line, "OK 0 0 1 10000");
+  ASSERT_TRUE(readExact(Fd, Body.size(), Got, Rest));
+  EXPECT_EQ(Got, Body);
+  ::close(Fd);
+
+  // A 4095-byte line fits the bound; one more byte does not.
+  Fd = Connection({std::string(4095, 'h') + "\nbody"});
+  ASSERT_TRUE(readLine(Fd, Line, Rest));
+  EXPECT_EQ(Line, std::string(4095, 'h'));
+  ::close(Fd);
+  Fd = Connection({std::string(4096, 'h') + "\n"});
+  EXPECT_FALSE(readLine(Fd, Line, Rest));
+  ::close(Fd);
+  for (std::thread &W : Writers)
+    W.join();
+}
+
+//===----------------------------------------------------------------------===
 // Basic serving
 //===----------------------------------------------------------------------===
 
@@ -185,6 +229,31 @@ TEST(ServeTest, AsmInputAndFrontendErrors) {
     EXPECT_EQ(E.Text, C.Want);
     EXPECT_EQ(Server.stats().Errors, ++Errors);
   }
+
+  CompileResponse Good =
+      compileOverSocket(clientFor(Server), makeRequest(kSource));
+  ASSERT_EQ(Good.Kind, ResponseKind::Ok);
+  EXPECT_EQ(Good.Text, localSchedule(kSource));
+}
+
+// Input nested past the front end's bound (20,000 parentheses, a 40 KB
+// request, used to overflow a worker's stack and kill the daemon): ERR
+// frontend with the line that crosses the bound, and the same daemon then
+// serves a valid request.
+TEST(ServeTest, DeeplyNestedRequestGetsFrontendError) {
+  TempDir D("gis-serve");
+  ServerOptions SO;
+  SO.SocketPath = D.Path + "/s";
+  CompileServer Server(MachineDescription::rs6k(), PipelineOptions{}, SO);
+  ASSERT_TRUE(Server.start().isOk());
+
+  std::string Deep = "int main() {\n  return " + std::string(20000, '(') +
+                     "1" + std::string(20000, ')') + ";\n}\n";
+  CompileResponse Bad =
+      compileOverSocket(clientFor(Server), makeRequest(Deep));
+  ASSERT_EQ(Bad.Kind, ResponseKind::Error);
+  EXPECT_EQ(Bad.Text, "frontend: line 2: nesting deeper than 256 levels");
+  EXPECT_EQ(Server.stats().Errors, 1u);
 
   CompileResponse Good =
       compileOverSocket(clientFor(Server), makeRequest(kSource));
@@ -416,8 +485,8 @@ TEST(ServeTest, PingStatsAndMalformedRequests) {
   ASSERT_EQ(
       ::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)), 0);
   ASSERT_TRUE(writeAll(Fd, "BOGUS request\n"));
-  std::string Line;
-  ASSERT_TRUE(readLine(Fd, Line));
+  std::string Line, Rest;
+  ASSERT_TRUE(readLine(Fd, Line, Rest));
   EXPECT_EQ(Line.rfind("ERR ", 0), 0u);
   ::close(Fd);
   EXPECT_GE(Server.stats().Errors, 1u);
