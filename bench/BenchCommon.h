@@ -7,7 +7,9 @@
 ///
 /// \file
 /// Helpers shared by the per-experiment benchmark binaries (one binary per
-/// paper table/figure; see DESIGN.md section 4).
+/// paper table/figure; see DESIGN.md section 4).  The cells of E3, E4, E5
+/// and E14 are computed here, so the tier-1 table that pins them
+/// (tests/eseries_test.cpp) measures exactly what the binaries print.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,9 +48,18 @@ buildWorkload(const Workload &W, const MachineDescription &MD,
   return M;
 }
 
-/// Runs a compiled workload and returns the simulated cycle count.
-inline uint64_t runWorkloadCycles(const Workload &W, const Module &M,
-                                  const MachineDescription &MD) {
+/// A workload interpreted with its dynamic trace and the entry function's
+/// block/edge profile.
+struct TracedRun {
+  std::vector<TraceEntry> Trace;
+  ProfileData Profile;
+};
+
+/// Interprets the compiled (possibly scheduled) module \p M of \p W.
+/// Only the entry function is profiled: branches in its callees reach
+/// the profile-oracle predictor without edge weights.
+inline TracedRun interpretWorkload(const Workload &W, const Module &M) {
+  TracedRun R;
   Interpreter I(M);
   I.enableTrace(true);
   if (W.Setup)
@@ -59,10 +70,19 @@ inline uint64_t runWorkloadCycles(const Workload &W, const Module &M,
              "workload argument count mismatch");
   for (size_t K = 0; K != W.Args.size(); ++K)
     I.setReg(Entry->params()[K], W.Args[K]);
-  ExecResult R = I.run(*Entry, W.MaxSteps);
-  GIS_ASSERT(!R.Trapped, "workload trapped");
+  ExecResult Res = I.run(*Entry, W.MaxSteps);
+  GIS_ASSERT(!Res.Trapped, "workload trapped");
+  R.Trace = I.trace();
+  R.Profile.record(*Entry, I.blockCounts());
+  R.Profile.recordEdges(*Entry, I.edgeCounts());
+  return R;
+}
+
+/// Runs a compiled workload and returns the simulated cycle count.
+inline uint64_t runWorkloadCycles(const Workload &W, const Module &M,
+                                  const MachineDescription &MD) {
   TimingSimulator Sim(MD);
-  return Sim.simulate(I.trace()).Cycles;
+  return Sim.simulate(interpretWorkload(W, M).Trace).Cycles;
 }
 
 /// Convenience: compile [+ schedule] + run, returning cycles.
@@ -94,6 +114,87 @@ inline PipelineOptions speculativeOptions() {
   PipelineOptions Opts;
   Opts.Level = SchedLevel::Speculative;
   return Opts;
+}
+
+/// E4's machine with \p FixedUnits fixed-point units (two branch units
+/// from width two on).
+inline MachineDescription machineOfWidth(unsigned FixedUnits) {
+  return MachineDescription::superscalar(FixedUnits, 1,
+                                         FixedUnits > 1 ? 2 : 1);
+}
+
+/// One priority-rule ordering of E5's ablation.
+struct OrderRow {
+  PriorityOrder Order;
+  const char *Name;
+};
+
+inline constexpr OrderRow PriorityOrders[] = {
+    {PriorityOrder::Paper, "class,D,CP (paper)"},
+    {PriorityOrder::DelayFirst, "D,class,CP"},
+    {PriorityOrder::CriticalFirst, "CP,class,D"},
+    {PriorityOrder::SourceOrder, "source order"},
+};
+
+/// E5's pipeline: speculative scheduling under rule ordering \p O.
+inline PipelineOptions withOrder(PriorityOrder O) {
+  PipelineOptions Opts = speculativeOptions();
+  Opts.Order = O;
+  return Opts;
+}
+
+/// E14's predictor models, in column order.
+inline constexpr PredictorKind PredictorKinds[] = {
+    PredictorKind::None, PredictorKind::AlwaysTaken,
+    PredictorKind::Bimodal2Bit, PredictorKind::ProfileOracle};
+inline constexpr const char *PredictorNames[] = {"none", "taken", "bimodal",
+                                                 "oracle"};
+
+/// One E14 row: a workload under one scheduling configuration, its
+/// cycles and mispredicts per predictor model, the profile-oracle's
+/// fallbacks, and the growth the superblock pass charged.
+struct SuperblockRow {
+  uint64_t Cycles[4] = {0, 0, 0, 0};
+  uint64_t Mispredicts[4] = {0, 0, 0, 0};
+  uint64_t OracleFallbacks = 0;
+  unsigned TailDupInstrs = 0;
+  unsigned Superblocks = 0;
+};
+
+/// Measures one E14 row: profiles a plain compile of \p W (profile-guided
+/// formation wants edge counts for the source CFG it carves traces from),
+/// schedules speculatively on \p MD with superblocks \p Superblocks, and
+/// prices the scheduled run's trace under every predictor, the oracle
+/// reading a fresh profile of that run (block ids moved).
+inline SuperblockRow measureSuperblockRow(const Workload &W,
+                                          const MachineDescription &MD,
+                                          bool Superblocks) {
+  auto Profiled = compileMiniCOrDie(W.Source);
+  TracedRun Prof = interpretWorkload(W, *Profiled);
+
+  auto M = compileMiniCOrDie(W.Source);
+  PipelineOptions Opts = speculativeOptions();
+  Opts.EnableSuperblocks = Superblocks;
+  Opts.Profile = &Prof.Profile;
+  PipelineStats Stats = scheduleModule(*M, MD, Opts);
+
+  SuperblockRow R;
+  R.TailDupInstrs = Stats.TailDupInstrs;
+  R.Superblocks = Stats.SuperblocksScheduled;
+  TracedRun Run = interpretWorkload(W, *M);
+  for (unsigned K = 0; K != 4; ++K) {
+    TimingSimulator Sim(MD);
+    BranchPredictorOptions PO;
+    PO.Kind = PredictorKinds[K];
+    PO.Profile = &Run.Profile;
+    Sim.setPredictor(PO);
+    TimingResult T = Sim.simulate(Run.Trace);
+    R.Cycles[K] = T.Cycles;
+    R.Mispredicts[K] = T.Mispredicts;
+    if (PredictorKinds[K] == PredictorKind::ProfileOracle)
+      R.OracleFallbacks = T.OracleFallbacks;
+  }
+  return R;
 }
 
 /// Wall-clock seconds of one call to \p Fn, repeated until at least ~20ms

@@ -4,9 +4,9 @@
 // per second over a multi-function random workload batch, one row per
 // {-O0, -O2} x {useful, speculative} configuration of the cold path
 // (DESIGN.md sections 14-15).  The results merge into BENCH_engine.json
-// as the "coldpath" section, and the run *fails* when the speculative -O0
-// rate -- the configuration gisc runs by default -- drops more than 10%
-// below the value the previous run recorded there.
+// as the "coldpath" section.  Absolute rates follow the host, so nothing
+// here gates on them; cold throughput is gated by the benchmark's
+// cold_batch workload (gisbench/), which calibrates for host speed.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,7 +18,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -77,8 +76,8 @@ struct MatrixPoint {
 };
 
 std::string jsonSection(const std::vector<MatrixPoint> &Points,
-                        unsigned Functions, double Gate,
-                        const obs::CounterSet &GateCounters) {
+                        unsigned Functions,
+                        const obs::CounterSet &SpecCounters) {
   std::string S = "{\n";
   S += "    \"batch_modules\": " + std::to_string(BatchModules) + ",\n";
   S += "    \"batch_functions\": " + std::to_string(Functions) + ",\n";
@@ -93,39 +92,29 @@ std::string jsonSection(const std::vector<MatrixPoint> &Points,
                   K + 1 == Points.size() ? "" : ",");
     S += Line;
   }
-  // Machinery totals of the gate configuration's batch (DESIGN.md
-  // section 15): how much work the cache, delta checkpoints and scoped
-  // verification saved.
-  S += "    ],\n    \"gate_counters\": {\n";
+  // Machinery totals of the speculative -O0 batch (DESIGN.md section 15):
+  // how much work delta checkpoints and scoped verification saved.
+  S += "    ],\n    \"counters\": {\n";
   const struct {
     const char *Key;
     obs::CounterId Id;
-  } GateKeys[] = {
-      {"disambig_cache_hits", obs::ColdDisambigCacheHits},
-      {"disambig_cache_misses", obs::ColdDisambigCacheMisses},
+  } Keys[] = {
       {"ckpt_bytes", obs::ColdCkptBytes},
       {"verify_blocks_scoped", obs::ColdVerifyBlocksScoped},
       {"verify_blocks_total", obs::ColdVerifyBlocksTotal},
   };
-  for (size_t K = 0; K != std::size(GateKeys); ++K) {
-    std::snprintf(Line, sizeof(Line), "      \"%s\": %llu%s\n",
-                  GateKeys[K].Key,
-                  static_cast<unsigned long long>(
-                      GateCounters.get(GateKeys[K].Id)),
-                  K + 1 == std::size(GateKeys) ? "" : ",");
+  for (size_t K = 0; K != std::size(Keys); ++K) {
+    std::snprintf(Line, sizeof(Line), "      \"%s\": %llu%s\n", Keys[K].Key,
+                  static_cast<unsigned long long>(SpecCounters.get(Keys[K].Id)),
+                  K + 1 == std::size(Keys) ? "" : ",");
     S += Line;
   }
-  std::snprintf(Line, sizeof(Line),
-                "    },\n    \"gate_funcs_per_sec\": %.1f,\n"
-                "    \"gate_drop_tolerance\": 0.10\n  }",
-                Gate);
-  S += Line;
+  S += "    }\n  }";
   return S;
 }
 
-/// Runs the matrix, prints the E13 table, merges the JSON section, and
-/// returns nonzero when the regression gate trips.
-int runE13() {
+/// Runs the matrix, prints the E13 table and merges the JSON section.
+void runE13() {
   std::vector<std::string> Sources = batchSources();
 
   std::printf("\nE13: cold-path scheduling throughput "
@@ -137,8 +126,7 @@ int runE13() {
 
   std::vector<MatrixPoint> Points;
   unsigned Functions = 0;
-  double GateValue = 0; // speculative -O0
-  obs::CounterSet GateCounters;
+  obs::CounterSet SpecCounters; // speculative -O0, gisc's default
   for (unsigned OptLevel : {0u, 2u}) {
     for (const char *Level : {"useful", "speculative"}) {
       const bool Spec = std::string(Level) == "speculative";
@@ -148,54 +136,28 @@ int runE13() {
       Functions = R.Functions;
       double Rate = R.funcsPerSec();
       Points.push_back({OptLevel, Level, Rate});
-      if (Spec && OptLevel == 0) {
-        GateValue = Rate;
-        GateCounters = R.Counters;
-      }
+      if (Spec && OptLevel == 0)
+        SpecCounters = R.Counters;
       std::printf("%6s%14s%14.1f\n", OptLevel ? "-O2" : "-O0", Level, Rate);
     }
   }
   rule(72);
 
-  const uint64_t Hits = GateCounters.get(obs::ColdDisambigCacheHits);
-  const uint64_t Misses = GateCounters.get(obs::ColdDisambigCacheMisses);
-  const uint64_t Scoped = GateCounters.get(obs::ColdVerifyBlocksScoped);
-  const uint64_t Total = GateCounters.get(obs::ColdVerifyBlocksTotal);
-  std::printf("\ncold-path machinery on the gate batch (speculative "
-              "-O0):\n"
-              "  disambig cache: %llu hits / %llu misses (%.0f%% hit rate)\n"
+  const uint64_t Scoped = SpecCounters.get(obs::ColdVerifyBlocksScoped);
+  const uint64_t Total = SpecCounters.get(obs::ColdVerifyBlocksTotal);
+  std::printf("\ncold-path machinery on the speculative -O0 batch:\n"
               "  delta checkpoints: %llu bytes recorded\n"
               "  scoped verification: %llu of %llu region blocks swept "
               "(%.0f%% skipped)\n",
-              static_cast<unsigned long long>(Hits),
-              static_cast<unsigned long long>(Misses),
-              Hits + Misses ? 100.0 * Hits / (Hits + Misses) : 0.0,
               static_cast<unsigned long long>(
-                  GateCounters.get(obs::ColdCkptBytes)),
+                  SpecCounters.get(obs::ColdCkptBytes)),
               static_cast<unsigned long long>(Scoped),
               static_cast<unsigned long long>(Total),
               Total ? 100.0 * (Total - Scoped) / Total : 0.0);
 
-  const char *Path = "BENCH_engine.json";
-  // The previously recorded gate value: the speculative -O0 funcs/s of
-  // the last run (0 when nothing is recorded yet).  The gate is checked
-  // before anything is written: a tripped gate leaves the recorded
-  // baseline in place, so rerunning cannot pass it by accident.
-  double Previous = recordedNumber(Path, "coldpath", "gate_funcs_per_sec");
-  if (Previous > 0 && GateValue < 0.9 * Previous) {
-    std::fprintf(stderr,
-                 "bench_coldpath: REGRESSION -- speculative -O0 cold rate "
-                 "%.1f funcs/s is more than 10%% below the recorded %.1f; "
-                 "%s left unchanged\n",
-                 GateValue, Previous, Path);
-    return 1;
-  }
-  mergeJsonSection(Path, "bench_coldpath", "coldpath",
-                   jsonSection(Points, Functions, GateValue, GateCounters));
-  std::printf("\nregression gate: %.1f funcs/s recorded (previous %.1f, "
-              "tolerance 10%%)\n",
-              GateValue, Previous);
-  return 0;
+  if (mergeJsonSection("BENCH_engine.json", "bench_coldpath", "coldpath",
+                       jsonSection(Points, Functions, SpecCounters)))
+    std::printf("\nwrote cold-path results to BENCH_engine.json\n");
 }
 
 void BM_ColdSchedule(benchmark::State &State) {
@@ -214,5 +176,6 @@ BENCHMARK(BM_ColdSchedule)->Unit(benchmark::kMillisecond);
 int main(int argc, char **argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return runE13();
+  runE13();
+  return 0;
 }

@@ -19,27 +19,9 @@ using namespace gis::bench;
 
 namespace {
 
-struct OrderRow {
-  PriorityOrder Order;
-  const char *Name;
-};
-
-const OrderRow Orders[] = {
-    {PriorityOrder::Paper, "class,D,CP (paper)"},
-    {PriorityOrder::DelayFirst, "D,class,CP"},
-    {PriorityOrder::CriticalFirst, "CP,class,D"},
-    {PriorityOrder::SourceOrder, "source order"},
-};
-
-PipelineOptions withOrder(PriorityOrder O) {
-  PipelineOptions Opts = speculativeOptions();
-  Opts.Order = O;
-  return Opts;
-}
-
 void BM_ScheduleWithOrder(benchmark::State &State) {
   const Workload W = specLikeWorkloads()[0];
-  const OrderRow &Row = Orders[static_cast<size_t>(State.range(0))];
+  const OrderRow &Row = PriorityOrders[static_cast<size_t>(State.range(0))];
   MachineDescription MD = MachineDescription::rs6k();
   for (auto _ : State) {
     auto M = buildWorkload(W, MD, withOrder(Row.Order));
@@ -53,14 +35,14 @@ void printTableFor(const MachineDescription &MD) {
   std::printf("\nmachine: %s\n", MD.name().c_str());
   rule(78);
   std::printf("%-10s", "PROGRAM");
-  for (const OrderRow &Row : Orders)
+  for (const OrderRow &Row : PriorityOrders)
     std::printf("%17s", Row.Name);
   std::printf("\n");
   rule(78);
   for (const Workload &W : specLikeWorkloads()) {
     uint64_t Base = workloadCycles(W, MD, baseOptions());
     std::printf("%-10s", W.Name.c_str());
-    for (const OrderRow &Row : Orders) {
+    for (const OrderRow &Row : PriorityOrders) {
       uint64_t Sched = workloadCycles(W, MD, withOrder(Row.Order));
       double RTI = 100.0 * (1.0 - double(Sched) / double(Base));
       std::printf("%16.1f%%", RTI);

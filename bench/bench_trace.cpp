@@ -25,46 +25,6 @@ using namespace gis::bench;
 
 namespace {
 
-/// Interprets the compiled (possibly scheduled) module and collects the
-/// entry function's block/edge profile alongside the dynamic trace.
-struct TracedRun {
-  std::vector<TraceEntry> Trace;
-  ProfileData Profile;
-  const Function *Entry = nullptr;
-};
-
-TracedRun interpretWorkload(const Workload &W, const Module &M) {
-  TracedRun R;
-  Interpreter I(M);
-  I.enableTrace(true);
-  if (W.Setup)
-    W.Setup(I, M);
-  Function *Entry = const_cast<Module &>(M).findFunction(W.EntryFunction);
-  GIS_ASSERT(Entry, "workload entry function missing");
-  for (size_t K = 0; K != W.Args.size(); ++K)
-    I.setReg(Entry->params()[K], W.Args[K]);
-  ExecResult Res = I.run(*Entry, W.MaxSteps);
-  GIS_ASSERT(!Res.Trapped, "workload trapped");
-  R.Trace = I.trace();
-  R.Profile.record(*Entry, I.blockCounts());
-  R.Profile.recordEdges(*Entry, I.edgeCounts());
-  R.Entry = Entry;
-  return R;
-}
-
-/// Cycle count of \p Trace under one predictor model; the profile of the
-/// same run feeds the profile-oracle predictor.
-TimingResult priceTrace(const std::vector<TraceEntry> &Trace,
-                        const MachineDescription &MD, PredictorKind Kind,
-                        const ProfileData &Profile) {
-  TimingSimulator Sim(MD);
-  BranchPredictorOptions PO;
-  PO.Kind = Kind;
-  PO.Profile = &Profile;
-  Sim.setPredictor(PO);
-  return Sim.simulate(Trace);
-}
-
 /// The superblock-signature workload: two diamonds on the *same*
 /// condition, so the second branch's direction is fully determined by the
 /// path into its join.  A bimodal predictor sees one branch fed by two
@@ -110,46 +70,6 @@ std::vector<Workload> benchWorkloads() {
   return W;
 }
 
-constexpr PredictorKind Kinds[] = {PredictorKind::None,
-                                   PredictorKind::AlwaysTaken,
-                                   PredictorKind::Bimodal2Bit,
-                                   PredictorKind::ProfileOracle};
-constexpr const char *KindNames[] = {"none", "taken", "bimodal", "oracle"};
-
-/// One workload measured under one scheduling configuration: cycles per
-/// predictor model, plus the growth the superblock pass charged.
-struct Row {
-  uint64_t Cycles[4] = {0, 0, 0, 0};
-  uint64_t Mispredicts[4] = {0, 0, 0, 0};
-  unsigned TailDupInstrs = 0;
-  unsigned Superblocks = 0;
-};
-
-Row measure(const Workload &W, const MachineDescription &MD,
-            bool Superblocks) {
-  // Profile a plain compile first: profile-guided formation wants edge
-  // counts for the *source* CFG it will carve traces from.
-  auto Profiled = compileMiniCOrDie(W.Source);
-  TracedRun Prof = interpretWorkload(W, *Profiled);
-
-  auto M = compileMiniCOrDie(W.Source);
-  PipelineOptions Opts = speculativeOptions();
-  Opts.EnableSuperblocks = Superblocks;
-  Opts.Profile = &Prof.Profile;
-  PipelineStats Stats = scheduleModule(*M, MD, Opts);
-
-  Row R;
-  R.TailDupInstrs = Stats.TailDupInstrs;
-  R.Superblocks = Stats.SuperblocksScheduled;
-  TracedRun Run = interpretWorkload(W, *M); // fresh profile: block ids moved
-  for (unsigned K = 0; K != 4; ++K) {
-    TimingResult T = priceTrace(Run.Trace, MD, Kinds[K], Run.Profile);
-    R.Cycles[K] = T.Cycles;
-    R.Mispredicts[K] = T.Mispredicts;
-  }
-  return R;
-}
-
 void BM_SuperblockPipeline(benchmark::State &State) {
   const Workload W = benchWorkloads()[static_cast<size_t>(State.range(0))];
   MachineDescription MD = MachineDescription::rs6k();
@@ -176,44 +96,55 @@ int printTable() {
 
   std::printf("\nE14: superblock formation priced by branch predictor "
               "(run-time cycles,\nspeculative pipeline, RS/6000)\n");
-  rule(96);
-  std::printf("%-10s%-8s%12s%12s%12s%12s%8s%8s\n", "WORKLOAD", "SBLKS",
-              "NONE", "TAKEN", "BIMODAL", "ORACLE", "DUP", "REGNS");
-  rule(96);
+  rule(104);
+  std::printf("%-10s%-8s%12s%12s%12s%12s%8s%8s%8s\n", "WORKLOAD", "SBLKS",
+              "NONE", "TAKEN", "BIMODAL", "ORACLE", "FALLBK", "DUP", "REGNS");
+  rule(104);
 
   std::string Json;
   double GateRatio = 0; // bimodal cycles, superblocks on / off, CORR row
   for (const Workload &W : benchWorkloads()) {
-    Row Off = measure(W, MD, /*Superblocks=*/false);
-    Row On = measure(W, MD, /*Superblocks=*/true);
-    for (const Row *R : {&Off, &On}) {
+    SuperblockRow Off = measureSuperblockRow(W, MD, /*Superblocks=*/false);
+    SuperblockRow On = measureSuperblockRow(W, MD, /*Superblocks=*/true);
+    for (const SuperblockRow *R : {&Off, &On}) {
       bool Sb = R == &On;
-      std::printf("%-10s%-8s%12llu%12llu%12llu%12llu%8u%8u\n",
+      std::printf("%-10s%-8s%12llu%12llu%12llu%12llu%8llu%8u%8u\n",
                   W.Name.c_str(), Sb ? "on" : "off",
                   static_cast<unsigned long long>(R->Cycles[0]),
                   static_cast<unsigned long long>(R->Cycles[1]),
                   static_cast<unsigned long long>(R->Cycles[2]),
                   static_cast<unsigned long long>(R->Cycles[3]),
+                  static_cast<unsigned long long>(R->OracleFallbacks),
                   R->TailDupInstrs, R->Superblocks);
-      for (unsigned K = 0; K != 4; ++K)
+      for (unsigned K = 0; K != 4; ++K) {
+        std::string Fallbacks;
+        if (PredictorKinds[K] == PredictorKind::ProfileOracle)
+          Fallbacks = formatString(
+              ", \"oracle_fallbacks\": %llu",
+              static_cast<unsigned long long>(R->OracleFallbacks));
         Json += formatString(
             "%s    {\"workload\": \"%s\", \"superblocks\": %s, "
             "\"predictor\": \"%s\",\n     \"cycles\": %llu, "
-            "\"mispredicts\": %llu}",
+            "\"mispredicts\": %llu%s}",
             Json.empty() ? "" : ",\n", W.Name.c_str(),
-            Sb ? "true" : "false", KindNames[K],
+            Sb ? "true" : "false", PredictorNames[K],
             static_cast<unsigned long long>(R->Cycles[K]),
-            static_cast<unsigned long long>(R->Mispredicts[K]));
+            static_cast<unsigned long long>(R->Mispredicts[K]),
+            Fallbacks.c_str());
+      }
     }
     if (W.Name == "CORR" && Off.Cycles[2] != 0)
       GateRatio = static_cast<double>(On.Cycles[2]) /
                   static_cast<double>(Off.Cycles[2]);
   }
-  rule(96);
-  std::printf("DUP is tail-duplicated instructions, REGNS the superblock "
-              "regions rescheduled.\nThe bimodal column prices "
-              "mispredictions the way real front ends pay them; the\n"
-              "CORR bimodal on/off ratio is the regression gate.\n");
+  rule(104);
+  std::printf("FALLBK is oracle predictions made without edge weights "
+              "(always taken): only the\nentry function is profiled, so "
+              "branches in its callees fall back.  DUP is\n"
+              "tail-duplicated instructions, REGNS the superblock regions "
+              "rescheduled.\nThe bimodal column prices mispredictions the "
+              "way real front ends pay them; the\nCORR bimodal on/off "
+              "ratio is the regression gate.\n");
 
   // Regression gate: the correlated-diamond workload must keep its
   // superblock win under the realistic (bimodal) predictor.  The gate

@@ -17,11 +17,6 @@ using namespace gis::bench;
 
 namespace {
 
-MachineDescription machineOfWidth(unsigned FixedUnits) {
-  return MachineDescription::superscalar(FixedUnits, 1,
-                                         FixedUnits > 1 ? 2 : 1);
-}
-
 void BM_ScheduleForWidth(benchmark::State &State) {
   const Workload W = specLikeWorkloads()[0]; // LI, the richest CFG
   MachineDescription MD =

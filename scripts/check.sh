@@ -81,14 +81,15 @@ ctest --test-dir "$ROOT/build-tsan" --output-on-failure -L 'parallel|obs|regallo
 
 echo "== slowpath-check build (GIS_SLOWPATH_CHECK=ON): perf-equiv suite + per-stage fault matrix =="
 # The cold path checks every per-cycle ready list and fast-forward of the
-# list scheduler against a full scan, every disambiguation-cache hit
-# against a fresh solve, every delta rollback (CFG edges included)
+# list scheduler against a full scan, the local pass's patched
+# disambiguation facts after every reorder against a fresh derivation,
+# every delta rollback (CFG edges included)
 # against a full snapshot and every reused LoopInfo against a fresh
 # compute, and runs the block-scoped and the full schedule verifier side
 # by side on every region task, fatal-erroring on any divergence (DESIGN.md
 # sections 14-15); the perf-equiv suite, whose golden table compiles
 # 1,632 programs, then checks the cold path pick by pick, not just end to
-# end.  The per-stage fault matrices (Stages/FaultMatrixTest) run without
+# end, and its E-series table pins every E3, E4, E5 and E14 cycle cell.  The per-stage fault matrices (Stages/FaultMatrixTest) run without
 # the differential oracle, so their prerename, unroll, rotate, local and
 # postalloc faults roll back through delta checkpoints, each compared
 # with its full-snapshot shadow.

@@ -2,7 +2,6 @@
 
 #include "analysis/DataDeps.h"
 
-#include "analysis/DisambigCache.h"
 #include "analysis/MemDisambig.h"
 #include "support/Assert.h"
 
@@ -40,7 +39,7 @@ bool intersects(SpanRange<Reg> A, SpanRange<Reg> B) {
 
 DataDeps DataDeps::compute(const Function &F, const SchedRegion &R,
                            const MachineDescription &MD,
-                           DisambigCache *Cache) {
+                           const DisambigFacts *Facts) {
   DataDeps DD;
   DD.InstrToNode.assign(F.numInstrs(), -1);
 
@@ -96,21 +95,10 @@ DataDeps DataDeps::compute(const Function &F, const SchedRegion &R,
   DD.Ancestors.assign(M, M);
 
   // Block-level reachability in the region's forward graph (region-node
-  // indices), from the shared memo when one is supplied: scheduling never
-  // changes region shape, so the local pass, the global pass and every
-  // region task of a function share one closure.
-  std::shared_ptr<const std::vector<BitSet>> ReachShared;
-  std::vector<BitSet> ReachLocal;
-  const std::vector<BitSet> *Reach;
-  if (Cache) {
-    ReachShared = Cache->reachability(R.forwardGraph());
-    Reach = ReachShared.get();
-  } else {
-    ReachLocal = allPairsReachability(R.forwardGraph());
-    Reach = &ReachLocal;
-  }
+  // indices).
+  const std::vector<BitSet> Reach = allPairsReachability(R.forwardGraph());
 
-  MemDisambiguator Disambig(F, R, Cache);
+  MemDisambiguator Disambig(F, R, Facts);
 
   auto MemConflict = [&](unsigned A, unsigned B) {
     if (!TouchesMemory[A] || !TouchesMemory[B])
@@ -150,10 +138,10 @@ DataDeps DataDeps::compute(const Function &F, const SchedRegion &R,
   // 2r+1 those that use it -- stored flat and sized by the fact counts, so
   // memory stays linear in the region's register facts.
   const size_t NumFacts = DD.FactRegs.size();
-  const Reg *Facts = DD.FactRegs.data();
+  const Reg *RegFacts = DD.FactRegs.data();
   std::vector<uint64_t> ByReg(NumFacts);
   for (size_t P = 0; P != NumFacts; ++P)
-    ByReg[P] = uint64_t(Facts[P].key()) << 32 | P;
+    ByReg[P] = uint64_t(RegFacts[P].key()) << 32 | P;
   std::sort(ByReg.begin(), ByReg.end());
   std::vector<unsigned> FactReg(NumFacts);
   unsigned NumRegs = 0;
@@ -218,7 +206,7 @@ DataDeps DataDeps::compute(const Function &F, const SchedRegion &R,
     for (unsigned A : Cands) {
       unsigned AR = DD.Nodes[A].RegionNode;
       // Only pairs in the same block or with B's block reachable from A's.
-      if (AR != BR && !(*Reach)[AR].test(BR))
+      if (AR != BR && !Reach[AR].test(BR))
         continue;
       if (DD.Ancestors.test(B, A))
         continue; // transitive: already ordered

@@ -44,7 +44,7 @@
 
 namespace gis {
 
-class DisambigCache;
+struct DisambigFacts;
 
 /// Kind of a data dependence edge (paper Section 4.2).
 enum class DepKind : uint8_t {
@@ -88,12 +88,12 @@ public:
   };
 
   /// Builds the DDG for region \p R of function \p F, with flow-edge
-  /// delays taken from \p MD.  With \p Cache the all-pairs reachability
-  /// closure and the disambiguator's function-wide facts come from the
-  /// shared memo (DESIGN.md section 15) instead of being re-solved.
+  /// delays taken from \p MD.  \p Facts are the calling phase's
+  /// disambiguation facts of \p F (DESIGN.md section 15); without them the
+  /// disambiguator derives its own.
   static DataDeps compute(const Function &F, const SchedRegion &R,
                           const MachineDescription &MD,
-                          DisambigCache *Cache = nullptr);
+                          const DisambigFacts *Facts = nullptr);
 
   const std::vector<Node> &ddgNodes() const { return Nodes; }
   unsigned numNodes() const { return static_cast<unsigned>(Nodes.size()); }

@@ -3,20 +3,66 @@
 #include "analysis/MemDisambig.h"
 
 #include "analysis/CFG.h"
+#include "support/Assert.h"
 #include "support/FaultInjection.h"
 
 using namespace gis;
 
-MemDisambiguator::MemDisambiguator(const Function &F, const SchedRegion &R,
-                                   DisambigCache *Cache)
-    : F(F), R(R) {
-  if (Cache) {
-    SharedFacts = Cache->facts(F);
-    Facts = SharedFacts.get();
-  } else {
-    OwnFacts = DisambigFacts::build(F, /*BuildDom=*/false);
-    Facts = OwnFacts.get();
+DisambigFacts DisambigFacts::build(const Function &F, bool BuildDom) {
+  DisambigFacts Facts;
+  Facts.BlockOf.assign(F.numInstrs(), InvalidId);
+  Facts.PosOf.assign(F.numInstrs(), 0);
+  for (BlockId B = 0; B != F.numBlocks(); ++B) {
+    const std::vector<InstrId> &Instrs = F.block(B).instrs();
+    for (unsigned Pos = 0; Pos != Instrs.size(); ++Pos) {
+      Facts.BlockOf[Instrs[Pos]] = B;
+      Facts.PosOf[Instrs[Pos]] = Pos;
+    }
   }
+
+  // Single static definitions over the whole function.
+  Facts.SingleDef.reserve(F.numInstrs());
+  for (InstrId I = 0; I != F.numInstrs(); ++I) {
+    if (Facts.BlockOf[I] == InvalidId)
+      continue; // orphaned instruction (cloned, not yet placed)
+    for (Reg D : F.instr(I).defs()) {
+      auto [It, Inserted] = Facts.SingleDef.emplace(D.key(), I);
+      if (!Inserted)
+        It->second = InvalidId; // multiple definitions
+    }
+  }
+
+  if (BuildDom)
+    Facts.Dom = std::make_unique<DomTree>(buildCFG(F));
+  return Facts;
+}
+
+void DisambigFacts::updatePositions(const Function &F, BlockId B) {
+  const std::vector<InstrId> &Instrs = F.block(B).instrs();
+  for (unsigned Pos = 0; Pos != Instrs.size(); ++Pos) {
+    GIS_ASSERT(Instrs[Pos] < PosOf.size(),
+               "updatePositions on a function with new instructions");
+    PosOf[Instrs[Pos]] = Pos;
+  }
+#ifdef GIS_SLOWPATH_CHECK
+  DisambigFacts Fresh = build(F, /*BuildDom=*/false);
+  if (Fresh.BlockOf != BlockOf || Fresh.PosOf != PosOf ||
+      Fresh.SingleDef != SingleDef)
+    fatalError(__FILE__, __LINE__,
+               "slow-path check: patched disambiguation facts diverge from "
+               "a fresh derivation");
+#endif
+}
+
+MemDisambiguator::MemDisambiguator(const Function &F, const SchedRegion &R,
+                                   const DisambigFacts *PhaseFacts)
+    : F(F), R(R), Facts(PhaseFacts) {
+  if (!Facts)
+    Facts = &OwnFacts.emplace(DisambigFacts::build(F, /*BuildDom=*/false));
+  // No phase adds instructions while its facts are live; a size mismatch
+  // means the facts belong to another function state.
+  GIS_ASSERT(Facts->BlockOf.size() == F.numInstrs(),
+             "disambiguation facts derived from a different function state");
 
   // Definition counts inside the region's real blocks (region-dependent,
   // so never shared).
@@ -28,8 +74,6 @@ MemDisambiguator::MemDisambiguator(const Function &F, const SchedRegion &R,
         ++RegionDefs[D.key()];
   }
 
-  AddrState.assign(F.numInstrs(), 0);
-  AddrMemo.resize(F.numInstrs());
   CheckFault = FaultInjector::instance().armed();
 }
 
@@ -96,7 +140,7 @@ MemDisambiguator::resolveReg(Reg Base, InstrId User, unsigned Depth) const {
 }
 
 std::optional<MemDisambiguator::Address>
-MemDisambiguator::resolveAddressUncached(InstrId Access) const {
+MemDisambiguator::resolveAddress(InstrId Access) const {
   const Instruction &I = F.instr(Access);
   if (!I.touchesMemory() || I.isCall() || I.isSpillCode())
     return std::nullopt;
@@ -107,28 +151,13 @@ MemDisambiguator::resolveAddressUncached(InstrId Access) const {
   return A;
 }
 
-std::optional<MemDisambiguator::Address>
-MemDisambiguator::resolveAddress(InstrId Access) const {
-  if (AddrState[Access] == 0) {
-    auto A = resolveAddressUncached(Access);
-    if (A) {
-      AddrState[Access] = 1;
-      AddrMemo[Access] = *A;
-    } else {
-      AddrState[Access] = 2;
-    }
-  }
-  if (AddrState[Access] == 2)
-    return std::nullopt;
-  return AddrMemo[Access];
-}
-
 bool MemDisambiguator::provablyDisjoint(InstrId A, InstrId B) const {
   bool Result = provablyDisjointImpl(A, B);
   // "disambig-cache" fault: hand the dependence builder a poisoned alias
-  // answer, as a corrupted cache entry would.  Checked only when the
-  // injector is armed so unarmed runs pay nothing per pair; fired *after*
-  // any slow-path cross-check so CHECK builds validate the real answer.
+  // answer, as corrupted disambiguation facts would.  The stage keeps the
+  // name of the cache the facts once lived in, which GIS_FAULT_INJECT
+  // users key on.  Checked only when the injector is armed so unarmed runs
+  // pay nothing per pair.
   if (CheckFault && FaultInjector::instance().shouldFire("disambig-cache"))
     return !Result;
   return Result;

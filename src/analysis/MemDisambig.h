@@ -23,18 +23,15 @@
 /// Anything unresolved is treated as aliasing.
 ///
 /// The function-wide inputs (block/position maps, single static
-/// definitions, the dominator tree) can be shared across regions and
-/// passes through a DisambigCache; without one the disambiguator derives
-/// them stand-alone, exactly as before.  Resolved addresses are memoized
-/// per instance: the pairwise conflict loop asks for each access O(n)
-/// times.
+/// definitions, the dominator tree) are a DisambigFacts value that each
+/// scheduling phase derives once and passes down (DESIGN.md section 15);
+/// without one the disambiguator derives them stand-alone.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GIS_ANALYSIS_MEMDISAMBIG_H
 #define GIS_ANALYSIS_MEMDISAMBIG_H
 
-#include "analysis/DisambigCache.h"
 #include "analysis/Dominators.h"
 #include "analysis/Region.h"
 #include "ir/Function.h"
@@ -42,18 +39,45 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 namespace gis {
+
+/// Function-wide facts behind MemDisambiguator's address resolution, a
+/// plain value of one scheduling phase: a region wave derives them from
+/// the wave-start function next to its liveness, the local pass on entry.
+struct DisambigFacts {
+  /// Owning block of every instruction (InvalidId for orphans).
+  std::vector<BlockId> BlockOf;
+  /// Position of every instruction inside its block's list.
+  std::vector<unsigned> PosOf;
+  /// Single static definition of each register, or InvalidId when the
+  /// register has zero or multiple definitions.
+  std::unordered_map<uint32_t, InstrId> SingleDef;
+  /// Function dominator tree; null when derived without it (the
+  /// disambiguator then builds one on its first cross-block query).
+  std::unique_ptr<DomTree> Dom;
+
+  /// Derives the facts from \p F.  \p BuildDom also builds the dominator
+  /// tree.
+  static DisambigFacts build(const Function &F, bool BuildDom = true);
+
+  /// Patches PosOf after the list of block \p B of \p F was reordered.
+  /// An intra-block reorder changes only positions: BlockOf, SingleDef
+  /// and dominance stay exact.  Under GIS_SLOWPATH_CHECK the patched
+  /// facts are compared with a fresh derivation; a divergence is fatal.
+  void updatePositions(const Function &F, BlockId B);
+};
 
 /// Proves non-aliasing between memory instructions of one region.
 class MemDisambiguator {
 public:
   /// \p F must have up-to-date CFG edges.  The region scopes the
-  /// "no definition of the base register" reasoning.  With \p Cache the
-  /// function-wide facts come from (and are installed into) the shared
-  /// memo instead of being rebuilt per region.
+  /// "no definition of the base register" reasoning.  \p Facts, when
+  /// given, are the calling phase's facts of \p F; without them the
+  /// disambiguator derives its own.
   MemDisambiguator(const Function &F, const SchedRegion &R,
-                   DisambigCache *Cache = nullptr);
+                   const DisambigFacts *Facts = nullptr);
 
   /// True if memory instructions \p A and \p B provably access different
   /// locations.  Either instruction may be a load or store; calls are
@@ -71,32 +95,26 @@ private:
 
   bool provablyDisjointImpl(InstrId A, InstrId B) const;
   std::optional<Address> resolveAddress(InstrId Access) const;
-  std::optional<Address> resolveAddressUncached(InstrId Access) const;
   std::optional<Address> resolveReg(Reg R, InstrId User, unsigned Depth) const;
 
   /// True if \p Def (the single definition of some register) dominates the
   /// use site \p User.
   bool defDominatesUse(InstrId Def, InstrId User) const;
 
-  /// The function-wide dominator tree: the shared one when cached, else
-  /// built on the first cross-block query (same-block queries, the common
-  /// case, use positions only).
+  /// The function-wide dominator tree: the facts' one when they carry it,
+  /// else built on the first cross-block query (same-block queries, the
+  /// common case, use positions only).
   const DomTree &funcDom() const;
 
   const Function &F;
   const SchedRegion &R;
-  /// Shared (cached) or owned facts; Facts points at whichever is live.
-  std::shared_ptr<const DisambigFacts> SharedFacts;
-  std::shared_ptr<DisambigFacts> OwnFacts;
-  const DisambigFacts *Facts = nullptr;
+  /// Stand-alone facts, derived when the caller passes none.
+  std::optional<DisambigFacts> OwnFacts;
+  const DisambigFacts *Facts;
   mutable std::unique_ptr<DomTree> LazyDom;
   /// Number of definitions of each register inside the region's real
   /// blocks.
   std::unordered_map<uint32_t, unsigned> RegionDefs;
-  /// resolveAddress memo, indexed by InstrId: 0 unresolved yet,
-  /// 1 resolved (AddrMemo holds it), 2 resolves to nothing.
-  mutable std::vector<uint8_t> AddrState;
-  mutable std::vector<Address> AddrMemo;
   /// Snapshot of FaultInjector::armed() at construction: keeps the
   /// fault-injection probe off the per-pair hot path in normal runs.
   bool CheckFault = false;

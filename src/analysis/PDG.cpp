@@ -27,12 +27,12 @@ const char *gis::motionKindName(MotionKind K) {
 }
 
 PDG PDG::build(const Function &F, const SchedRegion &R,
-               const MachineDescription &MD, DisambigCache *Cache) {
+               const MachineDescription &MD, const DisambigFacts *Facts) {
   PDG P;
   P.Region = std::make_shared<SchedRegion>(R);
   P.CDeps = std::make_shared<ControlDeps>(ControlDeps::compute(*P.Region));
   P.DDeps = std::make_shared<DataDeps>(
-      DataDeps::compute(F, *P.Region, MD, Cache));
+      DataDeps::compute(F, *P.Region, MD, Facts));
   return P;
 }
 

@@ -57,11 +57,11 @@ struct MotionClass {
 class PDG {
 public:
   /// Builds the full PDG for region \p R of \p F under machine \p MD.
-  /// \p Cache (optional) memoizes the dependence builder's reachability
-  /// and disambiguation inputs across regions and passes.
+  /// \p Facts (optional) are the calling phase's disambiguation facts of
+  /// \p F, shared across its regions (DataDeps::compute).
   static PDG build(const Function &F, const SchedRegion &R,
                    const MachineDescription &MD,
-                   DisambigCache *Cache = nullptr);
+                   const DisambigFacts *Facts = nullptr);
 
   const SchedRegion &region() const { return *Region; }
   const ControlDeps &controlDeps() const { return *CDeps; }

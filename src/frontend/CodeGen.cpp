@@ -13,6 +13,7 @@
 #include <cstring>
 #include <optional>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 using namespace gis;
@@ -809,15 +810,33 @@ CompileResult gis::generateIR(const Program &Prog) {
   CompileResult Result;
   auto M = std::make_unique<Module>();
   CodeGenError Err;
+  // Names defined so far: a second definition is an error, not a shadow
+  // every use would silently skip.
+  std::unordered_set<std::string_view> Defined;
+  Defined.reserve(Prog.GlobalArrays.size() + Prog.Functions.size());
 
-  for (const GlobalArrayDecl &G : Prog.GlobalArrays)
+  for (const GlobalArrayDecl &G : Prog.GlobalArrays) {
+    if (!Defined.insert(G.Name).second) {
+      Result.Error = "redefinition of global array '" + std::string(G.Name) +
+                     "'";
+      Result.Line = G.Line;
+      return Result;
+    }
     if (!M->allocateGlobal(std::string(G.Name), G.Size)) {
       Result.Error = tooLarge(G.Name);
       Result.Line = G.Line;
       return Result;
     }
+  }
 
+  Defined.clear(); // functions and arrays are separate namespaces
   for (const FuncDecl &Decl : Prog.Functions) {
+    if (!Defined.insert(Decl.Name).second) {
+      Result.Error = "redefinition of function '" + std::string(Decl.Name) +
+                     "'";
+      Result.Line = Decl.Line;
+      return Result;
+    }
     Function &F = M->createFunction(std::string(Decl.Name));
     FunctionCodeGen Gen(*M, F, Decl, Err);
     if (!Gen.run()) {

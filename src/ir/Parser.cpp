@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <optional>
 #include <unordered_map>
+#include <unordered_set>
 
 using namespace gis;
 
@@ -246,6 +247,8 @@ private:
       return fail("malformed global size");
     if (Size < 0)
       return fail("negative global size");
+    if (!GlobalNames.insert(Name).second)
+      return fail("duplicate global '" + std::string(Name) + "'");
     if (!M->allocateGlobal(std::string(Name), Size))
       return fail("global '" + std::string(Name) +
                   "' does not fit in the address space");
@@ -259,6 +262,8 @@ private:
     std::string_view Name = C.ident();
     if (Name.empty())
       return fail("malformed function header (expected 'func NAME {')");
+    if (!FuncNames.insert(Name).second)
+      return fail("duplicate function '" + std::string(Name) + "'");
     CurFunc = &M->createFunction(std::string(Name));
     // The body's lines bound its instruction count; the printer closes a
     // function with "}" at the start of a line.
@@ -574,6 +579,9 @@ private:
   /// Per-function label bookkeeping for forward branch references.
   std::unordered_map<std::string_view, BlockId> Labels;
   std::vector<PendingBranch> Pending;
+  /// Names defined so far: a second definition is a diagnostic, not a
+  /// shadow every use would silently skip.
+  std::unordered_set<std::string_view> FuncNames, GlobalNames;
   int CurLine = 1;
   std::string Err;
   int ErrLine = 0;

@@ -69,16 +69,18 @@ bool BranchPredictor::observe(const Function &F, BlockId B, InstrId Instr,
   case PredictorKind::ProfileOracle: {
     // Best static prediction: the branch's majority direction over the
     // recorded edge profile.  Unknown block (hand-built trace) or no
-    // profile data degrades to always-taken.
+    // profile data degrades to always-taken, counted as a fallback.
+    uint64_t TakenW = 0, FallW = 0;
     if (Opts.Profile && B != InvalidId && B < F.numBlocks()) {
       const Instruction &I = F.instr(Instr);
-      uint64_t TakenW = Opts.Profile->edgeFrequency(F, B, I.target());
+      TakenW = Opts.Profile->edgeFrequency(F, B, I.target());
       BlockId Fall = fallthroughOf(F, B);
-      uint64_t FallW =
-          Fall == InvalidId ? 0 : Opts.Profile->edgeFrequency(F, B, Fall);
-      if (TakenW || FallW)
-        Predicted = TakenW >= FallW;
+      FallW = Fall == InvalidId ? 0 : Opts.Profile->edgeFrequency(F, B, Fall);
     }
+    if (TakenW || FallW)
+      Predicted = TakenW >= FallW;
+    else
+      ++Stats.OracleFallbacks;
     break;
   }
   }

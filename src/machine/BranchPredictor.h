@@ -51,14 +51,18 @@ struct BranchPredictorOptions {
   unsigned MispredictPenalty = 3;
   /// Bimodal table entries; must be a power of two.
   unsigned BimodalTableSize = 256;
-  /// Edge profile for ProfileOracle (borrowed; may be null, in which case
-  /// the oracle degrades to AlwaysTaken for unprofiled branches).
+  /// Edge profile for ProfileOracle (borrowed; may be null).  A branch
+  /// the profile has no edge weights for is predicted taken and counted
+  /// in BranchPredictorStats::OracleFallbacks.
   const ProfileData *Profile = nullptr;
 };
 
 struct BranchPredictorStats {
   uint64_t Branches = 0;    ///< conditional branches observed
   uint64_t Mispredicts = 0; ///< wrong predictions among them
+  /// ProfileOracle predictions made without edge weights (always taken):
+  /// the oracle is an upper bound only where this stays 0.
+  uint64_t OracleFallbacks = 0;
 };
 
 /// One predictor instance; carries the bimodal table state across a trace.

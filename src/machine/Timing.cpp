@@ -117,6 +117,7 @@ TimingSimulator::simulate(const std::vector<TraceEntry> &Trace) const {
 
   Result.Branches = Pred.stats().Branches;
   Result.Mispredicts = Pred.stats().Mispredicts;
+  Result.OracleFallbacks = Pred.stats().OracleFallbacks;
   Result.Cycles = std::max(Completion, PrevIssue);
   return Result;
 }

@@ -51,6 +51,9 @@ struct TimingResult {
   uint64_t Branches = 0;          ///< conditional branches in the trace
   uint64_t Mispredicts = 0;       ///< mispredicted among them
   uint64_t BranchStallCycles = 0; ///< refetch penalty cycles charged
+  /// Profile-oracle predictions made without edge weights
+  /// (BranchPredictorStats::OracleFallbacks).
+  uint64_t OracleFallbacks = 0;
 
   /// Instructions per cycle.
   double ipc() const {

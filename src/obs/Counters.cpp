@@ -40,8 +40,8 @@ constexpr CounterInfo Infos[NumCounters] = {
     {"coldpath.liveness_delta", "always 0 (no delta liveness)"},
     {"coldpath.liveness_full", "region liveness re-solves"},
     {"coldpath.ready_fastforwards", "empty ready-list ranges skipped"},
-    {"coldpath.disambig_cache_hits", "disambig cache hits"},
-    {"coldpath.disambig_cache_misses", "disambig cache misses"},
+    {"coldpath.disambig_cache_hits", "always 0 (no disambiguation cache)"},
+    {"coldpath.disambig_cache_misses", "always 0 (no disambiguation cache)"},
     {"coldpath.ckpt_bytes", "bytes recorded by delta checkpoints"},
     {"coldpath.verify_blocks_scoped", "blocks verified by scoped sweeps"},
     {"coldpath.verify_blocks_total", "blocks in scoped-verified functions"},

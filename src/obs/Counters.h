@@ -87,24 +87,26 @@ enum class CounterId : unsigned {
 
   // Cold-path accounting (DESIGN.md section 14).  Arena bytes and node
   // counts describe the graphs built; liveness_full counts region liveness
-  // re-solves after motions and renames.  Region liveness is always
-  // re-solved whole, so ColdLivenessDelta reads 0; it stays in the
-  // registry because the benchmark's sched.liveness_delta_ratio probe
-  // (gisbench/src/Probes.cpp) compiles against it.
-  ColdArenaBytes,    ///< bytes reserved by DDG arenas (all regions)
-  ColdDdgNodes,      ///< DDG nodes built (all regions)
-  ColdLivenessDelta, ///< always 0: kept for the benchmark probe above
-  ColdLivenessFull,  ///< region liveness re-solves
-  ColdFastForwards,  ///< empty ready-list cycle ranges skipped
+  // re-solves after motions and renames.  Three ids read 0 and stay in the
+  // registry only because the benchmark's probes (gisbench/src/Probes.cpp)
+  // compile against them:
+  //  - ColdLivenessDelta (sched.liveness_delta_ratio): region liveness is
+  //    always re-solved whole;
+  //  - ColdDisambigCacheHits and ColdDisambigCacheMisses
+  //    (sched.disambig_hit_ratio): disambiguation facts are a per-phase
+  //    value and reachability is solved per graph, so nothing is cached.
+  ColdArenaBytes,          ///< bytes reserved by DDG arenas (all regions)
+  ColdDdgNodes,            ///< DDG nodes built (all regions)
+  ColdLivenessDelta,       ///< always 0: kept for the benchmark probe above
+  ColdLivenessFull,        ///< region liveness re-solves
+  ColdFastForwards,        ///< empty ready-list cycle ranges skipped
+  ColdDisambigCacheHits,   ///< always 0: kept for the benchmark probe above
+  ColdDisambigCacheMisses, ///< always 0: kept for the benchmark probe above
 
-  // Cold-path machinery, round two (DESIGN.md section 15):
-  // the shared disambiguation cache, delta checkpoints, and the
-  // block-scoped verifier.  The hit/miss pair exposes how often the
-  // reachability/facts cache answered without a fresh solve; ckpt bytes
-  // are what the delta checkpoints actually saved (vs. three full
-  // function copies before); the verify pair shows scoped coverage.
-  ColdDisambigCacheHits,   ///< disambig cache answers served from cache
-  ColdDisambigCacheMisses, ///< disambig cache fresh solves
+  // Cold-path machinery, round two (DESIGN.md section 15): delta
+  // checkpoints and the block-scoped verifier.  Ckpt bytes are what the
+  // delta checkpoints actually saved (vs. three full function copies
+  // before); the verify pair shows scoped coverage.
   ColdCkptBytes,           ///< bytes recorded by delta checkpoints
   ColdVerifyBlocksScoped,  ///< blocks actually verified by scoped sweeps
   ColdVerifyBlocksTotal,   ///< blocks in functions verified by scoped sweeps

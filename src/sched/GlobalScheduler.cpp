@@ -3,6 +3,7 @@
 #include "sched/GlobalScheduler.h"
 
 #include "analysis/Liveness.h"
+#include "analysis/MemDisambig.h"
 #include "ir/Checkpoint.h"
 #include "obs/Trace.h"
 #include "sched/Heuristics.h"
@@ -19,6 +20,7 @@ GlobalSchedStats GlobalScheduler::scheduleRegion(Function &F,
                                                  const SchedRegion &R,
                                                  Status *Err,
                                                  const Liveness *WaveLV,
+                                                 const DisambigFacts *WaveFacts,
                                                  const obs::SchedSink &Sink,
                                                  PDG *OutPDG,
                                                  RegionSnapshot *Snap) {
@@ -41,7 +43,10 @@ GlobalSchedStats GlobalScheduler::scheduleRegion(Function &F,
   // Built on F before any motion; the export hands the verifier the exact
   // graph this pass scheduled against (content-identical to rebuilding on
   // the pre-pass function, since the PDG is immutable once built).
-  PDG P = PDG::build(F, R, MD, Opts.Cache);
+  std::optional<DisambigFacts> EntryFacts;
+  if (!WaveFacts)
+    WaveFacts = &EntryFacts.emplace(DisambigFacts::build(F));
+  PDG P = PDG::build(F, R, MD, WaveFacts);
   if (OutPDG)
     *OutPDG = P;
   const DataDeps &DD = P.dataDeps();

@@ -32,7 +32,6 @@
 
 namespace gis {
 
-class DisambigCache;
 class Liveness;
 class RegionSnapshot;
 
@@ -57,10 +56,6 @@ struct GlobalSchedOptions {
   /// Optional execution profile: speculative candidates from hotter
   /// blocks win ties (paper Section 1).  Borrowed pointer; may be null.
   const ProfileData *Profile = nullptr;
-  /// Shared memo for the dependence builder's reachability closures and
-  /// disambiguation facts (DESIGN.md section 15).  Borrowed; may be null
-  /// (every region then re-solves from scratch).
-  DisambigCache *Cache = nullptr;
 };
 
 /// Statistics of one scheduling run.  Runs are summed through
@@ -97,7 +92,9 @@ public:
   /// nothing outside the region, so each region of a wave sees the
   /// wave-start state whatever its siblings committed (sched/Pipeline.cpp).
   /// \p WaveLV is whole-function liveness of \p F as the wave started;
-  /// when null, it is computed on entry.
+  /// when null, it is computed on entry.  \p WaveFacts are the wave's
+  /// disambiguation facts, derived from the same wave-start function
+  /// (DESIGN.md section 15); when null, they are derived on entry.
   ///
   /// \p Sink optionally collects observability counters and per-pick
   /// decision records (src/obs/).  The buffers belong to the caller; each
@@ -115,6 +112,7 @@ public:
   GlobalSchedStats scheduleRegion(Function &F, const SchedRegion &R,
                                   Status *Err = nullptr,
                                   const Liveness *WaveLV = nullptr,
+                                  const DisambigFacts *WaveFacts = nullptr,
                                   const obs::SchedSink &Sink = {},
                                   PDG *OutPDG = nullptr,
                                   RegionSnapshot *Snap = nullptr);

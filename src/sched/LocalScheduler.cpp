@@ -2,8 +2,8 @@
 
 #include "sched/LocalScheduler.h"
 
-#include "analysis/DisambigCache.h"
 #include "analysis/LoopInfo.h"
+#include "analysis/MemDisambig.h"
 #include "analysis/Region.h"
 #include "ir/Checkpoint.h"
 #include "obs/Trace.h"
@@ -20,7 +20,7 @@ namespace {
 /// instructions as the only candidates.
 void scheduleRegionBlocks(Function &F, const MachineDescription &MD,
                           const SchedRegion &R, LocalSchedStats &Stats,
-                          const obs::SchedSink &Sink, DisambigCache *Cache,
+                          const obs::SchedSink &Sink, DisambigFacts &Facts,
                           DeltaCheckpoint *Ckpt);
 
 } // namespace
@@ -28,15 +28,12 @@ void scheduleRegionBlocks(Function &F, const MachineDescription &MD,
 LocalSchedStats gis::scheduleLocal(Function &F, const MachineDescription &MD,
                                    const LoopInfo &LI,
                                    const obs::SchedSink &Sink,
-                                   DisambigCache *Cache,
                                    DeltaCheckpoint *Ckpt) {
   LocalSchedStats Stats;
   F.recomputeCFG();
-  // Earlier phases moved code since the cache last saw this function;
-  // start a fresh facts epoch.  Within this pass the facts stay valid:
-  // intra-block reorders patch positions in place below.
-  if (Cache)
-    Cache->noteFunctionChanged();
+  // The pass's disambiguation facts, shared by all its regions.  They stay
+  // exact: intra-block reorders patch positions in place below.
+  DisambigFacts Facts = DisambigFacts::build(F);
 
   // Regions proper require reducible control flow; otherwise fall back to
   // degenerate one-block regions (the scheduling result is identical: the
@@ -44,7 +41,7 @@ LocalSchedStats gis::scheduleLocal(Function &F, const MachineDescription &MD,
   if (!LI.isReducible()) {
     for (BlockId B : F.layout())
       scheduleRegionBlocks(F, MD, SchedRegion::buildSingleBlock(F, B), Stats,
-                           Sink, Cache, Ckpt);
+                           Sink, Facts, Ckpt);
     return Stats;
   }
 
@@ -58,7 +55,7 @@ LocalSchedStats gis::scheduleLocal(Function &F, const MachineDescription &MD,
 
   for (int RegionId : RegionIds) {
     SchedRegion R = SchedRegion::build(F, LI, RegionId);
-    scheduleRegionBlocks(F, MD, R, Stats, Sink, Cache, Ckpt);
+    scheduleRegionBlocks(F, MD, R, Stats, Sink, Facts, Ckpt);
   }
   return Stats;
 }
@@ -67,9 +64,9 @@ namespace {
 
 void scheduleRegionBlocks(Function &F, const MachineDescription &MD,
                           const SchedRegion &R, LocalSchedStats &Stats,
-                          const obs::SchedSink &Sink, DisambigCache *Cache,
+                          const obs::SchedSink &Sink, DisambigFacts &Facts,
                           DeltaCheckpoint *Ckpt) {
-  DataDeps DD = DataDeps::compute(F, R, MD, Cache);
+  DataDeps DD = DataDeps::compute(F, R, MD, &Facts);
 
   std::vector<unsigned> CurNode(DD.numNodes());
   for (unsigned N = 0; N != DD.numNodes(); ++N)
@@ -136,8 +133,7 @@ void scheduleRegionBlocks(Function &F, const MachineDescription &MD,
       if (Ckpt)
         Ckpt->noteBlock(ANode.Block); // save the pre-reorder list first
       BB.instrs() = std::move(NewContents);
-      if (Cache)
-        Cache->notePosChanged(F, ANode.Block);
+      Facts.updatePositions(F, ANode.Block);
     }
   }
 }

@@ -24,7 +24,6 @@
 namespace gis {
 
 class DeltaCheckpoint;
-class DisambigCache;
 class LoopInfo;
 
 /// Statistics of a local scheduling pass.
@@ -43,17 +42,15 @@ struct LocalSchedStats {
 /// region by region (the pipeline passes the one it keeps current across
 /// CFG transforms; other callers pass LoopInfo::compute(F)).
 /// \p Sink optionally collects observability counters and decision records
-/// (src/obs/); local picks carry stage tag "local".  \p Cache (optional)
-/// shares the dependence builder's reachability/disambiguation inputs
-/// across this pass's regions -- the pass bumps the cache epoch on entry
-/// and patches positions after each intra-block reorder (DESIGN.md
+/// (src/obs/); local picks carry stage tag "local".  The pass derives its
+/// disambiguation facts once on entry, shares them across its regions and
+/// patches positions after each intra-block reorder (DESIGN.md
 /// section 15).
 /// \p Ckpt (optional) receives a first-touch record of every block list
 /// this pass rewrites, for delta rollback.
 LocalSchedStats scheduleLocal(Function &F, const MachineDescription &MD,
                               const LoopInfo &LI,
                               const obs::SchedSink &Sink = {},
-                              DisambigCache *Cache = nullptr,
                               DeltaCheckpoint *Ckpt = nullptr);
 
 } // namespace gis

@@ -2,8 +2,8 @@
 
 #include "sched/Pipeline.h"
 
-#include "analysis/DisambigCache.h"
 #include "analysis/Liveness.h"
+#include "analysis/MemDisambig.h"
 #include "analysis/RegPressure.h"
 #include "analysis/Region.h"
 #include "interp/DifferentialOracle.h"
@@ -51,8 +51,6 @@ struct TxContext {
   const MachineDescription &MD;
   const PipelineOptions &Opts;
   PipelineStats &Stats;
-  /// The run's shared disambiguation cache (DESIGN.md section 15).
-  DisambigCache &Cache;
 };
 
 /// The guard configuration of the run's whole-function transactions.
@@ -189,7 +187,7 @@ void checkReusedLoopInfo(const Function &F, const LoopInfo &LI) {
 // failed task rolls back only its own blocks and its siblings still
 // commit.  Every task sees the wave as it started: its region liveness
 // freezes the out-of-region boundary from the wave-start function, and the
-// disambiguation facts are derived once per wave.  A task allocates fresh
+// wave's disambiguation facts are derived once from that function.  A task allocates fresh
 // registers from the function's counters, which its rollback restores.
 
 /// Forest height of every loop (leaves are 0); children therefore always
@@ -203,7 +201,8 @@ std::vector<unsigned> loopHeights(const LoopInfo &LI) {
 }
 
 /// Schedules region \p R in place as one region-local transaction of wave
-/// \p WaveNo; \p WaveLV is the wave-start whole-function liveness.
+/// \p WaveNo; \p WaveLV and \p WaveFacts are the wave-start
+/// whole-function liveness and disambiguation facts.
 /// Rollback is guarded by a first-touch region snapshot that the scheduler
 /// notes its renames into, and semantic verification by the block-scoped
 /// verifier on the scheduler's own PDG, reading the pre-pass state from
@@ -211,7 +210,7 @@ std::vector<unsigned> loopHeights(const LoopInfo &LI) {
 /// oracle needs the complete pre-pass function and takes one full copy.
 void scheduleRegionTask(TxContext &Ctx, const GlobalSchedOptions &GOpts,
                         const SchedRegion &R, const Liveness &WaveLV,
-                        unsigned WaveNo) {
+                        const DisambigFacts &WaveFacts, unsigned WaveNo) {
   const int LoopIdx = R.loopIndex();
   obs::TraceSpan RegionSpan("region", "region", "loop",
                             static_cast<int64_t>(LoopIdx), "wave",
@@ -253,7 +252,8 @@ void scheduleRegionTask(TxContext &Ctx, const GlobalSchedOptions &GOpts,
   Status S;
   PDG P;
   Delta.Global = GS.scheduleRegion(Ctx.F, R, Transactional ? &S : nullptr,
-                                    &WaveLV, Sink, Verify ? &P : nullptr,
+                                    &WaveLV, &WaveFacts, Sink,
+                                    Verify ? &P : nullptr,
                                     Snap ? &*Snap : nullptr);
   if (Transactional) {
     ++Ctx.Stats.TransactionsRun;
@@ -346,19 +346,17 @@ void scheduleWave(TxContext &Ctx, std::vector<SchedRegion> Regions) {
   });
   if (Regions.empty())
     return;
-  // Whole-function liveness of the wave-start function, computed once per
-  // wave; each task freezes its region's out-of-region boundary from it.
+  // Whole-function liveness and disambiguation facts of the wave-start
+  // function, derived once per wave: each task freezes its region's
+  // out-of-region boundary from the liveness and builds its dependence
+  // graph from the facts, whatever its siblings committed.
   const Liveness WaveLV = Liveness::compute(Ctx.F);
+  const DisambigFacts WaveFacts = DisambigFacts::build(Ctx.F);
 
   const unsigned WaveNo = Ctx.Stats.RegionWaves;
   obs::TraceSpan WaveSpan("wave", "region", "wave",
                           static_cast<int64_t>(WaveNo), "tasks",
                           static_cast<int64_t>(Regions.size()));
-
-  // Earlier transforms (unroll, rotate, prior waves' commits) moved code
-  // since the cache last saw this function; start one facts epoch for the
-  // whole wave, so every task reads the facts of the wave-start function.
-  Ctx.Cache.noteWaveStart(Ctx.F);
 
   GlobalSchedOptions GOpts;
   GOpts.Level = Ctx.Opts.Level;
@@ -366,10 +364,9 @@ void scheduleWave(TxContext &Ctx, std::vector<SchedRegion> Regions) {
   GOpts.EnableRenaming = Ctx.Opts.EnableRenaming;
   GOpts.Order = Ctx.Opts.Order;
   GOpts.Profile = Ctx.Opts.Profile;
-  GOpts.Cache = &Ctx.Cache;
 
   for (const SchedRegion &R : Regions)
-    scheduleRegionTask(Ctx, GOpts, R, WaveLV, WaveNo);
+    scheduleRegionTask(Ctx, GOpts, R, WaveLV, WaveFacts, WaveNo);
   ++Ctx.Stats.RegionWaves;
 }
 
@@ -390,8 +387,7 @@ PipelineStats gis::scheduleRegionWave(Function &F, const MachineDescription &MD,
                                       const PipelineOptions &Opts,
                                       std::vector<SchedRegion> Regions) {
   PipelineStats Stats;
-  DisambigCache DCache;
-  TxContext Ctx{F, MD, Opts, Stats, DCache};
+  TxContext Ctx{F, MD, Opts, Stats};
   scheduleWave(Ctx, std::move(Regions));
   return Stats;
 }
@@ -399,10 +395,7 @@ PipelineStats gis::scheduleRegionWave(Function &F, const MachineDescription &MD,
 PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
                                     const PipelineOptions &Opts) {
   PipelineStats Stats;
-  // One disambiguation cache per pipeline run, shared by both global
-  // passes, the local pass and every region task (DESIGN.md section 15).
-  DisambigCache DCache;
-  TxContext Ctx{F, MD, Opts, Stats, DCache};
+  TxContext Ctx{F, MD, Opts, Stats};
   obs::Tracer &Tr = obs::Tracer::instance();
   obs::TraceSpan PipeSpan("pipeline", "pipeline", nullptr, 0, nullptr, 0,
                           Tr.enabled() ? std::string(F.name())
@@ -696,7 +689,7 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
           Sink.Counters = &Delta.Counters;
           if (Opts.CollectDecisions)
             Sink.Decisions = &Delta.Decisions;
-          Delta.Local = scheduleLocal(F, MD, LI, Sink, &DCache, &Ck);
+          Delta.Local = scheduleLocal(F, MD, LI, Sink, &Ck);
           return Status::ok();
         },
         /*RegionScoped=*/false);
@@ -746,13 +739,6 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
   for (obs::Decision &D : Stats.Decisions)
     if (D.Fn.empty())
       D.Fn = F.name();
-  // Cache effectiveness of the whole run.  Bumped once at the end (the
-  // cache is shared across stages, so per-stage deltas would double
-  // count); request totals are deterministic -- one facts and one
-  // reachability request per region build -- so these are exact like the
-  // rest of the registry.
-  Stats.Counters.bump(obs::ColdDisambigCacheHits, DCache.hits());
-  Stats.Counters.bump(obs::ColdDisambigCacheMisses, DCache.misses());
   return Stats;
 }
 

@@ -29,9 +29,10 @@
 /// instead of IR corruption, so crash recovery of the disk cache is tested
 /// with the same deterministic fail-at-Nth machinery.
 ///
-/// The cold path's caches and checkpoints (DESIGN.md section 15) register
-/// two more: "disambig-cache" flips one provablyDisjoint answer of the
-/// memory disambiguator (a poisoned cached alias fact; the fabricated
+/// The cold path (DESIGN.md section 15) registers two more:
+/// "disambig-cache" flips one provablyDisjoint answer of the memory
+/// disambiguator (a poisoned alias fact; the stage keeps the name of the
+/// cache the disambiguation facts once lived in; the fabricated
 /// independence edge can admit an illegal motion, which the verifier or
 /// the interpreter oracle must catch before commit), and "ckpt-delta"
 /// drops one record from a delta checkpoint right before rollback (a

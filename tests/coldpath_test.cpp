@@ -10,8 +10,9 @@
 //    in the same order, same transitive closure, and -- with the
 //    "disambig-cache" fault armed -- the same sequence of disambiguator
 //    questions;
-//  - a 200-seed differential fuzz cross-checks every cached memory
-//    disambiguation answer against a stand-alone solve;
+//  - a 200-seed differential fuzz cross-checks every memory
+//    disambiguation answer read from a phase's shared facts against a
+//    stand-alone solve;
 //  - another pins the block-scoped schedule verifier to the whole-function
 //    sweep, verdict and diagnostics alike (including seeded-illegal
 //    schedules);
@@ -23,10 +24,11 @@
 //
 // Under -DGIS_SLOWPATH_CHECK=ON the pipeline additionally cross-checks
 // every per-cycle ready list and fast-forward of the list scheduler
-// against a full scan, every disambiguation-cache hit against a fresh
-// solve, every scoped verdict against the full verifier, every delta
-// rollback against a full snapshot and every reused LoopInfo against a
-// fresh compute, fatal-erroring on divergence;
+// against a full scan, the local pass's patched disambiguation facts
+// against a fresh derivation after every reorder, every scoped verdict
+// against the full verifier, every delta rollback against a full
+// snapshot and every reused LoopInfo against a fresh compute,
+// fatal-erroring on divergence;
 // scripts/check.sh builds this configuration for the "perf-equiv" label,
 // so the golden table then also runs with every cross-check on.
 //
@@ -35,7 +37,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/DataDeps.h"
-#include "analysis/DisambigCache.h"
 #include "analysis/Graph.h"
 #include "analysis/LoopInfo.h"
 #include "analysis/MemDisambig.h"
@@ -175,7 +176,7 @@ struct ReferenceDDG {
 
 ReferenceDDG allPairsDataDeps(const Function &F, const SchedRegion &R,
                               const MachineDescription &MD,
-                              DisambigCache *Cache) {
+                              const DisambigFacts *Facts) {
   struct RefNode {
     InstrId Instr;
     unsigned RegionNode;
@@ -202,14 +203,8 @@ ReferenceDDG allPairsDataDeps(const Function &F, const SchedRegion &R,
   unsigned M = static_cast<unsigned>(Nodes.size());
   ReferenceDDG Ref;
   Ref.Ancestors.assign(M, BitSet(M));
-  std::shared_ptr<const std::vector<BitSet>> ReachShared;
-  std::vector<BitSet> ReachLocal;
-  if (Cache)
-    ReachShared = Cache->reachability(R.forwardGraph());
-  else
-    ReachLocal = allPairsReachability(R.forwardGraph());
-  const std::vector<BitSet> &Reach = Cache ? *ReachShared : ReachLocal;
-  MemDisambiguator Disambig(F, R, Cache);
+  const std::vector<BitSet> Reach = allPairsReachability(R.forwardGraph());
+  MemDisambiguator Disambig(F, R, Facts);
 
   auto Intersects = [](const std::vector<Reg> &A, const std::vector<Reg> &B) {
     for (Reg X : A)
@@ -295,8 +290,10 @@ std::vector<SchedRegion> pipelineRegions(const Function &F) {
 }
 
 // Over the 200-seed corpus at -O0 and -O2 (every fourth seed also after
-// scheduling, which adds unrolled, rotated and renamed shapes), with and
-// without a shared DisambigCache: both builders agree on every region.
+// scheduling, which adds unrolled, rotated and renamed shapes), with
+// stand-alone facts and with one DisambigFacts shared across the
+// function's regions (a phase's usage): both builders agree on every
+// region.
 // Then each builder runs with the Nth provablyDisjoint answer flipped,
 // N = 1..4; they can only still agree if they ask the disambiguator the
 // same questions in the same order.
@@ -325,14 +322,14 @@ TEST(ColdpathDDG, DependentPairBuilderMatchesAllPairsReference) {
           std::string Where = "seed " + std::to_string(Seed) + " -O" +
                               std::to_string(OptLevel) +
                               (Scheduled ? " scheduled " : " ") + F.name();
-          DisambigCache Cache;
+          const DisambigFacts Facts = DisambigFacts::build(F);
           std::vector<SchedRegion> Rs = pipelineRegions(F);
           for (size_t RI = 0; RI != Rs.size(); ++RI) {
             const SchedRegion &R = Rs[RI];
             std::string Tag = Where + " region " + std::to_string(RI);
-            for (DisambigCache *C : {static_cast<DisambigCache *>(nullptr),
-                                     &Cache}) {
-              std::string CTag = Tag + (C ? " cached" : " uncached");
+            for (const DisambigFacts *C :
+                 {static_cast<const DisambigFacts *>(nullptr), &Facts}) {
+              std::string CTag = Tag + (C ? " phase facts" : " stand-alone");
               DataDeps DD = DataDeps::compute(F, R, MD, C);
               expectSameDDG(DD, allPairsDataDeps(F, R, MD, C), CTag);
               ++Regions;
@@ -392,7 +389,7 @@ TEST(ColdpathSlowpathCheck, CrosscheckedSweepCompletes) {
 }
 
 //===----------------------------------------------------------------------===
-// Cached memory disambiguation: every cached answer equals a fresh solve
+// Phase disambiguation facts: every answer equals a stand-alone solve
 //===----------------------------------------------------------------------===
 
 /// The region's real blocks in topological order (the block set a region
@@ -426,34 +423,28 @@ std::vector<InstrId> regionMemInstrs(const Function &F, const SchedRegion &R,
   return Mem;
 }
 
-/// Asserts that the cache-backed disambiguator and reachability closure
-/// agree with stand-alone solves on the current function state.
+/// Asserts that a disambiguator reading the phase facts \p Facts answers
+/// every pair of the region's memory instructions like one that derives
+/// its own facts from the current function state.
 void expectDisambigAgrees(const Function &F, const SchedRegion &R,
-                          DisambigCache &Cache, const std::string &Tag) {
-  MemDisambiguator Cached(F, R, &Cache);
+                          const DisambigFacts &Facts, const std::string &Tag) {
+  MemDisambiguator Phase(F, R, &Facts);
   MemDisambiguator Fresh(F, R, nullptr);
   std::vector<InstrId> Mem = regionMemInstrs(F, R, 24);
   for (size_t I = 0; I < Mem.size(); ++I)
     for (size_t J = I + 1; J < Mem.size(); ++J)
-      ASSERT_EQ(Cached.provablyDisjoint(Mem[I], Mem[J]),
+      ASSERT_EQ(Phase.provablyDisjoint(Mem[I], Mem[J]),
                 Fresh.provablyDisjoint(Mem[I], Mem[J]))
           << Tag << " pair " << Mem[I] << "," << Mem[J];
-
-  std::shared_ptr<const std::vector<BitSet>> CR =
-      Cache.reachability(R.forwardGraph());
-  std::vector<BitSet> FR = allPairsReachability(R.forwardGraph());
-  ASSERT_EQ(CR->size(), FR.size()) << Tag;
-  for (size_t N = 0; N != FR.size(); ++N)
-    ASSERT_TRUE((*CR)[N] == FR[N]) << Tag << " node " << N;
 }
 
-// Differential property over the random corpus: a DisambigCache shared
-// across all regions of a function (the pipeline's usage) never changes a
-// provablyDisjoint answer or a reachability bit, before or after code
-// motion.  Both invalidation paths are exercised: an intra-block reorder
-// repaired with notePosChanged, and a cross-block move repaired with a
-// full epoch bump (noteFunctionChanged).
-TEST(ColdpathDisambig, CachedAnswersMatchFreshSolveOver200Seeds) {
+// Differential property over the random corpus: facts derived once per
+// function and shared across all its regions (a phase's usage) answer
+// every provablyDisjoint question like a stand-alone solve -- at the
+// start, after an intra-block reorder patched with updatePositions (the
+// local pass), and after a cross-block move with the facts derived again
+// (the next region wave).
+TEST(ColdpathDisambig, PhaseFactsMatchStandAloneSolveOver200Seeds) {
   for (uint64_t Seed = 1; Seed <= 200; ++Seed) {
     std::unique_ptr<Module> M = compileMiniCOrDie(generateRandomMiniC(Seed));
     for (const std::unique_ptr<Function> &FP : M->functions()) {
@@ -464,9 +455,9 @@ TEST(ColdpathDisambig, CachedAnswersMatchFreshSolveOver200Seeds) {
         continue;
       std::string Tag = "seed " + std::to_string(Seed);
 
-      DisambigCache Cache;
+      DisambigFacts Facts = DisambigFacts::build(F);
       for (int Id : allRegionIds(LI))
-        expectDisambigAgrees(F, SchedRegion::build(F, LI, Id), Cache, Tag);
+        expectDisambigAgrees(F, SchedRegion::build(F, LI, Id), Facts, Tag);
 
       // Intra-block reorder: rotate the first block with two or more
       // non-terminator instructions, then patch positions in place.
@@ -479,15 +470,15 @@ TEST(ColdpathDisambig, CachedAnswersMatchFreshSolveOver200Seeds) {
           continue;
         std::rotate(List.begin(), List.begin() + 1,
                     List.begin() + static_cast<long>(Last));
-        Cache.notePosChanged(F, B);
+        Facts.updatePositions(F, B);
         break;
       }
       for (int Id : allRegionIds(LI))
-        expectDisambigAgrees(F, SchedRegion::build(F, LI, Id), Cache,
+        expectDisambigAgrees(F, SchedRegion::build(F, LI, Id), Facts,
                              Tag + " after reorder");
 
-      // Cross-block motion (upward, like the scheduler): BlockOf and the
-      // single-def map go stale, so only the epoch bump recovers.
+      // Cross-block motion (upward, like the scheduler): BlockOf and PosOf
+      // go stale, so the next phase derives its facts again.
       const std::vector<BlockId> &Layout = F.layout();
       bool Moved = false;
       for (size_t K = 1; K < Layout.size() && !Moved; ++K) {
@@ -505,9 +496,9 @@ TEST(ColdpathDisambig, CachedAnswersMatchFreshSolveOver200Seeds) {
       }
       if (!Moved)
         continue;
-      Cache.noteFunctionChanged();
+      Facts = DisambigFacts::build(F);
       for (int Id : allRegionIds(LI))
-        expectDisambigAgrees(F, SchedRegion::build(F, LI, Id), Cache,
+        expectDisambigAgrees(F, SchedRegion::build(F, LI, Id), Facts,
                              Tag + " after move");
     }
   }
@@ -539,8 +530,6 @@ TEST(ColdpathScopedVerify, VerdictsMatchFullVerifierOver200Seeds) {
 
       GlobalSchedOptions GOpts;
       GOpts.Level = (Seed % 2) ? SchedLevel::Speculative : SchedLevel::Useful;
-      DisambigCache Cache;
-      GOpts.Cache = &Cache;
 
       for (int Id : allRegionIds(LI)) {
         SchedRegion R = SchedRegion::build(F, LI, Id);
@@ -549,12 +538,13 @@ TEST(ColdpathScopedVerify, VerdictsMatchFullVerifierOver200Seeds) {
         const Function Before = F;
         ScopedVerifyContext VCtx = ScopedVerifyContext::capture(F, R);
         RegionSnapshot Snap(F, regionRealBlocks(R));
-        Cache.noteFunctionChanged(); // same discipline as a region wave
+        // Facts of the unscheduled function, as a region wave derives them.
+        const DisambigFacts Facts = DisambigFacts::build(F);
 
         GlobalScheduler GS(MD, GOpts);
         Status S;
         PDG P;
-        GS.scheduleRegion(F, R, &S, nullptr, {}, &P, &Snap);
+        GS.scheduleRegion(F, R, &S, nullptr, &Facts, {}, &P, &Snap);
         if (!S.isOk()) {
           F = Before;
           continue;
@@ -607,7 +597,7 @@ TEST(ColdpathCheckpoint, DeltaRestoreIsByteIdenticalToPreTransaction) {
 
       DeltaCheckpoint Ck(F);
       preRenameLocals(F, &Ck);
-      scheduleLocal(F, MD, LoopInfo::compute(F), {}, /*Cache=*/nullptr, &Ck);
+      scheduleLocal(F, MD, LoopInfo::compute(F), {}, &Ck);
       LoopInfo LI = LoopInfo::compute(F);
       for (unsigned L = 0; L != LI.numLoops(); ++L)
         if (canUnrollOnce(F, LI, L)) {
@@ -685,7 +675,7 @@ TEST(ColdpathRegionSnapshot, RestoreAfterSpeculativeScheduleIsIdentical) {
         RegionSnapshot Snap(F, regionRealBlocks(R));
         Status S;
         GlobalSchedStats GS = GlobalScheduler(MD, GOpts).scheduleRegion(
-            F, R, &S, nullptr, {}, nullptr, &Snap);
+            F, R, &S, nullptr, nullptr, {}, nullptr, &Snap);
         ++Regions;
         Renamed += GS.Renames != 0;
         EXPECT_TRUE(Snap.viewMatchesManifest(F)) << Tag;
@@ -764,15 +754,16 @@ TEST_F(ColdpathFaultTest, DeltaRollbackMatchesSnapshotRollbackAcrossJobs) {
 }
 
 //===----------------------------------------------------------------------===
-// Fault injection at the disambiguation-cache and delta-checkpoint stages
+// Fault injection at the disambiguation and delta-checkpoint stages
 //===----------------------------------------------------------------------===
 
-// "disambig-cache" flips one provablyDisjoint answer: a fabricated
-// independence edge that can admit an illegal motion past the dependence
-// builder.  The corrupted fact also poisons the PDG the verifier reuses,
-// so containment falls to the in-pipeline differential oracle -- whatever
-// escapes must be rolled back, and every run ends with well-formed IR and
-// unchanged behaviour.
+// "disambig-cache" (the stage keeps the name of the cache the
+// disambiguation facts once lived in) flips one provablyDisjoint answer:
+// a fabricated independence edge that can admit an illegal motion past
+// the dependence builder.  The corrupted fact also poisons the PDG the
+// verifier reuses, so containment falls to the in-pipeline differential
+// oracle -- whatever escapes must be rolled back, and every run ends with
+// well-formed IR and unchanged behaviour.
 TEST_F(ColdpathFaultTest, DisambigCacheCorruptionNeverEscapes) {
   unsigned Fired = 0;
   for (uint64_t Seed = 1; Seed <= 40 && Fired == 0; ++Seed) {
@@ -826,8 +817,8 @@ TEST_F(ColdpathFaultTest, RegionSnapshotLostNoteIsFailStop) {
         RegionSnapshot Snap(F, regionRealBlocks(R));
         Status S;
         PDG P;
-        GlobalScheduler(MD, GOpts).scheduleRegion(F, R, &S, nullptr, {}, &P,
-                                                  &Snap);
+        GlobalScheduler(MD, GOpts).scheduleRegion(F, R, &S, nullptr, nullptr,
+                                                  {}, &P, &Snap);
         if (!S.isOk() || !Snap.dropOneNoteForTest(F)) {
           F = Before;
           continue;

@@ -519,6 +519,26 @@ TEST(CodeGenTest, RejectsArraysOutsideTheAddressSpace) {
                   .ok());
 }
 
+// A second definition of a function or global array is an error with the
+// line of that definition; every use used to resolve to the first one.
+TEST(CodeGenTest, RejectsDuplicateDefinitions) {
+  CompileResult R = compileMiniC("int f(int x) { return x; }\n"
+                                 "int f(int x) { return x + 1; }\n"
+                                 "int main() { return f(1); }\n");
+  EXPECT_FALSE(R.ok());
+  EXPECT_EQ(R.Error, "redefinition of function 'f'");
+  EXPECT_EQ(R.Line, 2);
+  R = compileMiniC("int a[4];\nint a[8];\n"
+                   "int main() { a[5] = 3; return a[5]; }\n");
+  EXPECT_FALSE(R.ok());
+  EXPECT_EQ(R.Error, "redefinition of global array 'a'");
+  EXPECT_EQ(R.Line, 2);
+  // Functions and arrays are separate namespaces.
+  EXPECT_TRUE(compileMiniC("int f[4];\nint f() { return 0; }\n"
+                           "int main() { return f(); }\n")
+                  .ok());
+}
+
 TEST(CodeGenTest, GeneratedIRIsWellFormed) {
   auto M = compileMiniCOrDie(R"(
 int f(int a, int b) {

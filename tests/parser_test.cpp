@@ -486,6 +486,9 @@ TEST(ParserTest, DiagnosticsArePinned) {
       {"func f {\nB0:\n  B L9\nB1:\n  B B0\n}\n", "unknown branch target 'L9'",
        3},
       {"func f {\nB0:\n  NOP\nB0 :\n}\n", "duplicate block label 'B0'", 4},
+      {"func main {\nB0:\n  RET\n}\nfunc main {\nB0:\n  RET\n}\n",
+       "duplicate function 'main'", 5},
+      {"global a[4]\nglobal b[2]\nglobal a[8]\n", "duplicate global 'a'", 3},
       {"func f {\nB0:\n  Li r1 = 1\n}\n", "unknown mnemonic 'Li'", 3},
       {"func f {\nB0:\n  LIX r1 = 1\n}\n", "unknown mnemonic 'LIX'", 3},
       {"func f {\nB0:\n  RELOADFF f1 = slot[0]\n}\n",

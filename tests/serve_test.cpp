@@ -236,6 +236,48 @@ TEST(ServeTest, AsmInputAndFrontendErrors) {
   EXPECT_EQ(Good.Text, localSchedule(kSource));
 }
 
+// A second definition of a function or global, in mini-C or in asm: ERR
+// frontend with the line of that definition, and the same daemon then
+// serves a valid request.
+TEST(ServeTest, DuplicateDefinitionsGetFrontendErrors) {
+  TempDir D("gis-serve");
+  ServerOptions SO;
+  SO.SocketPath = D.Path + "/s";
+  CompileServer Server(MachineDescription::rs6k(), PipelineOptions{}, SO);
+  ASSERT_TRUE(Server.start().isOk());
+
+  struct DupCase {
+    const char *Source;
+    bool IsAsm;
+    const char *Want;
+  };
+  const DupCase Cases[] = {
+      {"int f(int x) { return x; }\nint f(int x) { return x + 1; }\n"
+       "int main() { return f(1); }\n",
+       false, "frontend: line 2: redefinition of function 'f'"},
+      {"int a[4];\nint a[8];\nint main() { a[5] = 3; return a[5]; }\n",
+       false, "frontend: line 2: redefinition of global array 'a'"},
+      {"func main {\nB0:\n  RET\n}\nfunc main {\nB0:\n  RET\n}\n", true,
+       "frontend: line 5: duplicate function 'main'"},
+      {"global a[4]\nglobal a[8]\n", true,
+       "frontend: line 2: duplicate global 'a'"},
+  };
+  unsigned Errors = 0;
+  for (const DupCase &C : Cases) {
+    CompileRequest Req = makeRequest(C.Source);
+    Req.IsAsm = C.IsAsm;
+    CompileResponse E = compileOverSocket(clientFor(Server), Req);
+    ASSERT_EQ(E.Kind, ResponseKind::Error) << C.Source;
+    EXPECT_EQ(E.Text, C.Want);
+    EXPECT_EQ(Server.stats().Errors, ++Errors);
+  }
+
+  CompileResponse Good =
+      compileOverSocket(clientFor(Server), makeRequest(kSource));
+  ASSERT_EQ(Good.Kind, ResponseKind::Ok);
+  EXPECT_EQ(Good.Text, localSchedule(kSource));
+}
+
 // Input nested past the front end's bound (20,000 parentheses, a 40 KB
 // request, used to overflow a worker's stack and kill the daemon): ERR
 // frontend with the line that crosses the bound, and the same daemon then
