@@ -7,8 +7,8 @@
 ///
 /// \file
 /// Helpers shared by the per-experiment benchmark binaries (one binary per
-/// paper table/figure; see DESIGN.md section 4).  The cells of E3, E4, E5
-/// and E14 are computed here, so the tier-1 table that pins them
+/// paper table/figure; see DESIGN.md section 4).  The cells of E3, E4, E5,
+/// E10 and E14 are computed here, so the tier-1 table that pins them
 /// (tests/eseries_test.cpp) measures exactly what the binaries print.
 ///
 //===----------------------------------------------------------------------===//
@@ -195,6 +195,53 @@ inline SuperblockRow measureSuperblockRow(const Workload &W,
       R.OracleFallbacks = T.OracleFallbacks;
   }
   return R;
+}
+
+/// E10's register-file sizes, in table order.
+inline constexpr unsigned RegAllocGprSizes[] = {32, 16, 8};
+
+/// One E10 speculation depth.
+struct RegAllocDepth {
+  const char *Name;
+  PipelineOptions Opts;
+};
+
+/// E10's speculation depths, in table order.
+inline std::vector<RegAllocDepth> regAllocDepths() {
+  std::vector<RegAllocDepth> D;
+  D.push_back({"useful", usefulOptions()});
+  D.push_back({"spec-1", speculativeOptions()});
+  PipelineOptions Deep = speculativeOptions();
+  Deep.MaxSpecDepth = 3;
+  D.push_back({"spec-3", Deep});
+  return D;
+}
+
+/// One E10 cell.
+struct RegAllocCell {
+  uint64_t Cycles = 0;
+  unsigned Spilled = 0;     ///< intervals spilled
+  unsigned SpillInstrs = 0; ///< stores + reloads emitted
+  unsigned Failures = 0;    ///< allocations rolled back
+};
+
+/// Measures one E10 cell: compiles, schedules and allocates \p W on an
+/// RS/6000 with \p Gprs general-purpose registers under \p Base, then
+/// runs it and simulates cycles.
+inline RegAllocCell measureRegAllocCell(const Workload &W, unsigned Gprs,
+                                        const PipelineOptions &Base) {
+  MachineDescription MD = MachineDescription::rs6k();
+  MD.setNumRegs(RegClass::GPR, Gprs);
+  PipelineOptions Opts = Base;
+  Opts.AllocateRegisters = true;
+  auto M = compileMiniCOrDie(W.Source);
+  PipelineStats Stats = scheduleModule(*M, MD, Opts);
+  RegAllocCell C;
+  C.Cycles = runWorkloadCycles(W, *M, MD);
+  C.Spilled = Stats.RegAlloc.IntervalsSpilled;
+  C.SpillInstrs = Stats.RegAlloc.SpillStores + Stats.RegAlloc.SpillReloads;
+  C.Failures = Stats.RegAllocFailures;
+  return C;
 }
 
 /// Wall-clock seconds of one call to \p Fn, repeated until at least ~20ms

@@ -11,7 +11,9 @@
 // at 16 and 8 GPRs, and faster at deeper speculation, which lengthens
 // live ranges.
 //
-// The table is merged into BENCH_engine.json (key "regalloc") so the
+// Each cell comes from bench::measureRegAllocCell (BenchCommon.h), which
+// tests/eseries_test.cpp pins to tests/data/e_series_cycles.txt.  The
+// table is merged into BENCH_engine.json (key "regalloc") so the
 // trajectory is machine-trackable across PRs.
 //
 //===----------------------------------------------------------------------===//
@@ -28,47 +30,6 @@ using namespace gis;
 using namespace gis::bench;
 
 namespace {
-
-constexpr unsigned GprSizes[] = {32, 16, 8};
-
-struct Depth {
-  const char *Name;
-  PipelineOptions Opts;
-};
-
-std::vector<Depth> depths() {
-  std::vector<Depth> D;
-  D.push_back({"useful", usefulOptions()});
-  D.push_back({"spec-1", speculativeOptions()});
-  PipelineOptions Deep = speculativeOptions();
-  Deep.MaxSpecDepth = 3;
-  D.push_back({"spec-3", Deep});
-  return D;
-}
-
-struct Cell {
-  uint64_t Cycles = 0;
-  unsigned Spilled = 0;     ///< intervals spilled
-  unsigned SpillInstrs = 0; ///< stores + reloads emitted
-  unsigned Failures = 0;    ///< allocations rolled back
-};
-
-/// Compile + schedule + allocate one workload at \p Gprs registers, then
-/// run it and simulate cycles.
-Cell measure(const Workload &W, unsigned Gprs, const PipelineOptions &Base) {
-  MachineDescription MD = MachineDescription::rs6k();
-  MD.setNumRegs(RegClass::GPR, Gprs);
-  PipelineOptions Opts = Base;
-  Opts.AllocateRegisters = true;
-  auto M = compileMiniCOrDie(W.Source);
-  PipelineStats Stats = scheduleModule(*M, MD, Opts);
-  Cell C;
-  C.Cycles = runWorkloadCycles(W, *M, MD);
-  C.Spilled = Stats.RegAlloc.IntervalsSpilled;
-  C.SpillInstrs = Stats.RegAlloc.SpillStores + Stats.RegAlloc.SpillReloads;
-  C.Failures = Stats.RegAllocFailures;
-  return C;
-}
 
 void BM_ScheduleAndAllocate(benchmark::State &State) {
   const Workload W = specLikeWorkloads()[static_cast<size_t>(State.range(0))];
@@ -87,7 +48,7 @@ BENCHMARK(BM_ScheduleAndAllocate)
     ->Unit(benchmark::kMillisecond);
 
 void printPaperTable() {
-  std::vector<Depth> Ds = depths();
+  std::vector<RegAllocDepth> Ds = regAllocDepths();
   std::vector<Workload> Ws = specLikeWorkloads();
 
   std::printf("\nE10: register-file size x speculation depth "
@@ -102,14 +63,14 @@ void printPaperTable() {
   // JSON rows, one per (depth, gprs): totals across the workloads.
   std::string Json;
   bool Monotone = true;
-  for (const Depth &D : Ds) {
+  for (const RegAllocDepth &D : Ds) {
     uint64_t Prev = 0;
-    for (unsigned Gprs : GprSizes) {
+    for (unsigned Gprs : RegAllocGprSizes) {
       std::printf("%-10s%8u", D.Name, Gprs);
       uint64_t TotalCycles = 0;
       unsigned TotalSpills = 0, TotalFailures = 0;
       for (const Workload &W : Ws) {
-        Cell C = measure(W, Gprs, D.Opts);
+        RegAllocCell C = measureRegAllocCell(W, Gprs, D.Opts);
         TotalCycles += C.Cycles;
         TotalSpills += C.SpillInstrs;
         TotalFailures += C.Failures;
