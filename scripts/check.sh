@@ -89,7 +89,7 @@ echo "== slowpath-check build (GIS_SLOWPATH_CHECK=ON): perf-equiv suite + per-st
 # by side on every region task, fatal-erroring on any divergence (DESIGN.md
 # sections 14-15); the perf-equiv suite, whose golden table compiles
 # 1,632 programs, then checks the cold path pick by pick, not just end to
-# end, and its E-series table pins every E3, E4, E5 and E14 cycle cell.  The per-stage fault matrices (Stages/FaultMatrixTest) run without
+# end, and its E-series table pins every E3, E4, E5, E10 and E14 cycle cell.  The per-stage fault matrices (Stages/FaultMatrixTest) run without
 # the differential oracle, so their prerename, unroll, rotate, local and
 # postalloc faults roll back through delta checkpoints, each compared
 # with its full-snapshot shadow.

@@ -41,7 +41,6 @@ DataDeps DataDeps::compute(const Function &F, const SchedRegion &R,
                            const MachineDescription &MD,
                            const DisambigFacts *Facts) {
   DataDeps DD;
-  DD.InstrToNode.assign(F.numInstrs(), -1);
 
   // Memory/call summary bits, only needed during construction.
   std::vector<uint8_t> TouchesMemory, IsCallOrBarrier;
@@ -49,14 +48,25 @@ DataDeps DataDeps::compute(const Function &F, const SchedRegion &R,
   // Reserve the flat buffers up front: the node count is exact (one per
   // region instruction plus one per barrier), the fact arena and edge
   // list get proportional guesses, killing most of the growth
-  // reallocations the E13 profile charged to this builder.
+  // reallocations the E13 profile charged to this builder.  The same walk
+  // finds the id span the instruction -> node map covers.
   unsigned ApproxNodes = 0;
+  InstrId HiInstr = 0;
+  DD.InstrBase = InvalidId; // stays so, with an empty map, without blocks
   for (unsigned RN : R.topoOrder()) {
     const RegionNode &Node = R.node(RN);
-    ApproxNodes += Node.isBlock()
-                       ? static_cast<unsigned>(F.block(Node.Block).instrs().size())
-                       : 1;
+    if (!Node.isBlock()) {
+      ++ApproxNodes;
+      continue;
+    }
+    for (InstrId I : F.block(Node.Block).instrs()) {
+      ++ApproxNodes;
+      DD.InstrBase = std::min(DD.InstrBase, I);
+      HiInstr = std::max(HiInstr, I);
+    }
   }
+  DD.InstrToNode.assign(
+      DD.InstrBase == InvalidId ? 0 : HiInstr - DD.InstrBase + 1, -1);
   DD.Nodes.reserve(ApproxNodes);
   DD.DefSpan.reserve(ApproxNodes);
   DD.UseSpan.reserve(ApproxNodes);
@@ -73,7 +83,7 @@ DataDeps DataDeps::compute(const Function &F, const SchedRegion &R,
     const RegionNode &Node = R.node(RN);
     if (Node.isBlock()) {
       for (InstrId I : F.block(Node.Block).instrs()) {
-        DD.InstrToNode[I] = static_cast<int>(DD.Nodes.size());
+        DD.InstrToNode[I - DD.InstrBase] = static_cast<int>(DD.Nodes.size());
         const Instruction &Ins = F.instr(I);
         DD.Nodes.push_back(DataDeps::Node{I, RN});
         DD.DefSpan.push_back(DD.FactRegs.append(Ins.defs()));

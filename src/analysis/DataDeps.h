@@ -107,7 +107,9 @@ public:
   /// DDG node index of \p Instr, or -1 when the instruction is not in the
   /// region's real blocks.
   int nodeOfInstr(InstrId Instr) const {
-    return Instr < InstrToNode.size() ? InstrToNode[Instr] : -1;
+    return Instr >= InstrBase && Instr - InstrBase < InstrToNode.size()
+               ? InstrToNode[Instr - InstrBase]
+               : -1;
   }
 
   const std::vector<DepEdge> &edges() const { return Edges; }
@@ -141,6 +143,11 @@ public:
 
 private:
   std::vector<Node> Nodes;
+  /// Node of instruction InstrBase + K at index K, -1 for instructions
+  /// outside the region's real blocks: the map spans the region's own
+  /// instruction ids, from the lowest, so a one-block graph allocates in
+  /// proportion to its block, not to the function.
+  InstrId InstrBase = 0;
   std::vector<int> InstrToNode;
   std::vector<DepEdge> Edges;
   /// Per-node register facts, flattened: one arena, two spans per node.

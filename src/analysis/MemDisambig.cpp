@@ -6,6 +6,8 @@
 #include "support/Assert.h"
 #include "support/FaultInjection.h"
 
+#include <algorithm>
+
 using namespace gis;
 
 DisambigFacts DisambigFacts::build(const Function &F, bool BuildDom) {
@@ -20,17 +22,26 @@ DisambigFacts DisambigFacts::build(const Function &F, bool BuildDom) {
     }
   }
 
-  // Single static definitions over the whole function.
-  Facts.SingleDef.reserve(F.numInstrs());
+  // Single static definitions over the whole function: every (register,
+  // def) pair sorted by register, then each register's run folded to its
+  // first entry, which a run of several definitions marks InvalidId.
+  std::vector<std::pair<uint32_t, InstrId>> &Defs = Facts.SingleDef;
+  Defs.reserve(F.numInstrs());
   for (InstrId I = 0; I != F.numInstrs(); ++I) {
     if (Facts.BlockOf[I] == InvalidId)
       continue; // orphaned instruction (cloned, not yet placed)
-    for (Reg D : F.instr(I).defs()) {
-      auto [It, Inserted] = Facts.SingleDef.emplace(D.key(), I);
-      if (!Inserted)
-        It->second = InvalidId; // multiple definitions
-    }
+    for (Reg D : F.instr(I).defs())
+      Defs.emplace_back(D.key(), I);
   }
+  std::sort(Defs.begin(), Defs.end());
+  for (size_t K = 1; K < Defs.size(); ++K)
+    if (Defs[K].first == Defs[K - 1].first)
+      Defs[K - 1].second = Defs[K].second = InvalidId;
+  Defs.erase(std::unique(Defs.begin(), Defs.end(),
+                         [](const auto &A, const auto &B) {
+                           return A.first == B.first;
+                         }),
+             Defs.end());
 
   if (BuildDom)
     Facts.Dom = std::make_unique<DomTree>(buildCFG(F));
@@ -64,15 +75,18 @@ MemDisambiguator::MemDisambiguator(const Function &F, const SchedRegion &R,
   GIS_ASSERT(Facts->BlockOf.size() == F.numInstrs(),
              "disambiguation facts derived from a different function state");
 
-  // Definition counts inside the region's real blocks (region-dependent,
+  // Registers defined inside the region's real blocks (region-dependent,
   // so never shared).
   for (const RegionNode &N : R.nodes()) {
     if (!N.isBlock())
       continue;
     for (InstrId I : F.block(N.Block).instrs())
       for (Reg D : F.instr(I).defs())
-        ++RegionDefs[D.key()];
+        RegionDefs.push_back(D.key());
   }
+  std::sort(RegionDefs.begin(), RegionDefs.end());
+  RegionDefs.erase(std::unique(RegionDefs.begin(), RegionDefs.end()),
+                   RegionDefs.end());
 
   CheckFault = FaultInjector::instance().armed();
 }
@@ -99,8 +113,12 @@ MemDisambiguator::resolveReg(Reg Base, InstrId User, unsigned Depth) const {
   if (Depth > 16)
     return std::nullopt; // defensive cap on chain length
 
-  auto It = Facts->SingleDef.find(Base.key());
-  if (It == Facts->SingleDef.end()) {
+  auto It = std::lower_bound(
+      Facts->SingleDef.begin(), Facts->SingleDef.end(), Base.key(),
+      [](const std::pair<uint32_t, InstrId> &E, uint32_t Key) {
+        return E.first < Key;
+      });
+  if (It == Facts->SingleDef.end() || It->first != Base.key()) {
     // Never defined in the function (an incoming parameter register): a
     // stable symbolic root.
     Address A;
@@ -199,9 +217,7 @@ bool MemDisambiguator::provablyDisjointImpl(InstrId A, InstrId B) const {
   if (BaseA != BaseB || IA.imm() == IB.imm())
     return false;
 
-  auto It = RegionDefs.find(BaseA.key());
-  unsigned DefsInRegion = It == RegionDefs.end() ? 0 : It->second;
-  if (DefsInRegion == 0)
+  if (!std::binary_search(RegionDefs.begin(), RegionDefs.end(), BaseA.key()))
     return true; // base is region-invariant
 
   // Same block, no intervening redefinition of the base (positional scan).

@@ -38,7 +38,7 @@
 
 #include <memory>
 #include <optional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace gis {
@@ -51,9 +51,10 @@ struct DisambigFacts {
   std::vector<BlockId> BlockOf;
   /// Position of every instruction inside its block's list.
   std::vector<unsigned> PosOf;
-  /// Single static definition of each register, or InvalidId when the
-  /// register has zero or multiple definitions.
-  std::unordered_map<uint32_t, InstrId> SingleDef;
+  /// (register key, definition) for every register defined in the
+  /// function, sorted by key: the single static definition, or InvalidId
+  /// when the register has several.
+  std::vector<std::pair<uint32_t, InstrId>> SingleDef;
   /// Function dominator tree; null when derived without it (the
   /// disambiguator then builds one on its first cross-block query).
   std::unique_ptr<DomTree> Dom;
@@ -112,9 +113,9 @@ private:
   std::optional<DisambigFacts> OwnFacts;
   const DisambigFacts *Facts;
   mutable std::unique_ptr<DomTree> LazyDom;
-  /// Number of definitions of each register inside the region's real
-  /// blocks.
-  std::unordered_map<uint32_t, unsigned> RegionDefs;
+  /// Keys of the registers defined inside the region's real blocks,
+  /// sorted and unique.
+  std::vector<uint32_t> RegionDefs;
   /// Snapshot of FaultInjector::armed() at construction: keeps the
   /// fault-injection probe off the per-pair hot path in normal runs.
   bool CheckFault = false;

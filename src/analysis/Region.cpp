@@ -7,14 +7,30 @@
 
 using namespace gis;
 
+void SchedRegion::indexBlocks() {
+  BlockId Hi = 0;
+  BlockBase = InvalidId; // stays so, with an empty map, without blocks
+  for (const RegionNode &N : Nodes)
+    if (N.isBlock()) {
+      BlockBase = std::min(BlockBase, N.Block);
+      Hi = std::max(Hi, N.Block);
+    }
+  BlockToNode.assign(BlockBase == InvalidId ? 0 : Hi - BlockBase + 1, -1);
+  for (unsigned K = 0; K != numNodes(); ++K)
+    if (Nodes[K].isBlock()) {
+      int &Slot = BlockToNode[Nodes[K].Block - BlockBase];
+      GIS_ASSERT(Slot < 0, "block owned by two region nodes");
+      Slot = static_cast<int>(K);
+    }
+}
+
 SchedRegion SchedRegion::buildSingleBlock(const Function &F, BlockId B) {
   SchedRegion R;
   R.LoopIdx = -1;
-  R.BlockToNode.assign(F.numBlocks(), -1);
-  R.BlockToNode[B] = 0;
   RegionNode N;
   N.Block = B;
   R.Nodes.push_back(N);
+  R.indexBlocks();
   R.RealBlocks = 1;
   R.NumInstrs = static_cast<unsigned>(F.block(B).size());
   R.Forward = DiGraph(1, 0, {});
@@ -30,16 +46,14 @@ SchedRegion SchedRegion::buildTrace(const Function &F,
   GIS_ASSERT(TraceIndex >= 0, "trace index must be nonnegative");
   SchedRegion R;
   R.LoopIdx = -2 - TraceIndex;
-  R.BlockToNode.assign(F.numBlocks(), -1);
   for (BlockId B : Chain) {
-    GIS_ASSERT(R.BlockToNode[B] < 0, "block repeated in superblock trace");
-    R.BlockToNode[B] = static_cast<int>(R.Nodes.size());
     RegionNode N;
     N.Block = B;
     R.Nodes.push_back(N);
     ++R.RealBlocks;
     R.NumInstrs += static_cast<unsigned>(F.block(B).size());
   }
+  R.indexBlocks(); // asserts that no block repeats
   R.Entry = 0;
 
   // Forward edges: in-chain CFG edges (necessarily to the next chain
@@ -49,7 +63,7 @@ SchedRegion SchedRegion::buildTrace(const Function &F,
   BitSet IsExit(R.numNodes());
   for (unsigned N = 0; N != R.numNodes(); ++N) {
     for (BlockId S : F.block(Chain[N]).succs()) {
-      int To = R.BlockToNode[S];
+      int To = R.nodeOfBlock(S);
       if (To < 0) {
         IsExit.set(N);
         continue;
@@ -74,7 +88,6 @@ SchedRegion SchedRegion::build(const Function &F, const LoopInfo &LI,
   SchedRegion R;
   R.LoopIdx = LoopIndex;
   unsigned NumBlocks = F.numBlocks();
-  R.BlockToNode.assign(NumBlocks, -1);
 
   // Universe of blocks: the loop's blocks, or all blocks for the top level.
   auto InUniverse = [&](BlockId B) {
@@ -99,7 +112,6 @@ SchedRegion SchedRegion::build(const Function &F, const LoopInfo &LI,
     int Inner = LI.innermostLoopOf(B);
     if (Inner == LoopIndex) {
       // Direct member.
-      R.BlockToNode[B] = static_cast<int>(R.Nodes.size());
       RegionNode N;
       N.Block = B;
       R.Nodes.push_back(N);
@@ -135,10 +147,12 @@ SchedRegion SchedRegion::build(const Function &F, const LoopInfo &LI,
     }
   }
 
+  R.indexBlocks();
+
   // Node of any block in the universe (through summaries).
   auto NodeOf = [&](BlockId B) -> int {
-    if (R.BlockToNode[B] >= 0)
-      return R.BlockToNode[B];
+    if (int N = R.nodeOfBlock(B); N >= 0)
+      return N;
     int Child = OwnerLoop(B);
     auto It = SummaryNode.find(Child);
     return It == SummaryNode.end() ? -1 : static_cast<int>(It->second);

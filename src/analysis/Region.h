@@ -47,9 +47,10 @@ public:
   static SchedRegion build(const Function &F, const LoopInfo &LI,
                            int LoopIndex);
 
-  /// A degenerate region holding a single basic block, used by the local
-  /// scheduler on functions whose control flow is irreducible (regions
-  /// proper require reducibility).
+  /// A degenerate region holding a single basic block: what the
+  /// basic-block scheduler (sched/LocalScheduler.h) schedules each block
+  /// as.  It needs no loop forest, so irreducible control flow is no
+  /// obstacle, and it allocates in proportion to the block alone.
   static SchedRegion buildSingleBlock(const Function &F, BlockId B);
 
   /// Builds a superblock region over \p Chain: a linear single-entry
@@ -89,7 +90,9 @@ public:
 
   /// Region node owning \p B directly (not through a summary), or -1.
   int nodeOfBlock(BlockId B) const {
-    return B < BlockToNode.size() ? BlockToNode[B] : -1;
+    return B >= BlockBase && B - BlockBase < BlockToNode.size()
+               ? BlockToNode[B - BlockBase]
+               : -1;
   }
 
   /// Nodes with CFG edges that leave the region (loop exits); these are
@@ -107,10 +110,16 @@ public:
   unsigned numInstrs() const { return NumInstrs; }
 
 private:
+  /// Fills BlockBase and BlockToNode from the real-block nodes.
+  void indexBlocks();
+
   int LoopIdx = -1;
   std::vector<RegionNode> Nodes;
   DiGraph Forward;
   unsigned Entry = 0;
+  /// Node of block BlockBase + K at index K, -1 for blocks without one:
+  /// the map spans the region's own blocks, from the lowest id.
+  BlockId BlockBase = 0;
   std::vector<int> BlockToNode;
   std::vector<unsigned> Exits;
   std::vector<unsigned> Topo;

@@ -2,7 +2,6 @@
 
 #include "sched/LocalScheduler.h"
 
-#include "analysis/LoopInfo.h"
 #include "analysis/MemDisambig.h"
 #include "analysis/Region.h"
 #include "ir/Checkpoint.h"
@@ -11,96 +10,48 @@
 #include "sched/ListScheduler.h"
 
 #include <iterator>
+#include <numeric>
 
 using namespace gis;
 
-namespace {
+BlockSchedule gis::scheduleBlock(const Function &F, BlockId B,
+                                 const MachineDescription &MD,
+                                 const DisambigFacts &Facts,
+                                 const EngineObs *Obs) {
+  SchedRegion R = SchedRegion::buildSingleBlock(F, B);
+  DataDeps DD = DataDeps::compute(F, R, MD, &Facts);
+  // One region node: every DDG node sits in it, and the nodes are the
+  // block's instructions in program order.
+  Heuristics H = computeHeuristics(F, DD, MD,
+                                   std::vector<unsigned>(DD.numNodes(), 0));
+  std::vector<unsigned> Own(DD.numNodes());
+  std::iota(Own.begin(), Own.end(), 0u);
 
-/// Schedules every real block of one region with the block's own
-/// instructions as the only candidates.
-void scheduleRegionBlocks(Function &F, const MachineDescription &MD,
-                          const SchedRegion &R, LocalSchedStats &Stats,
-                          const obs::SchedSink &Sink, DisambigFacts &Facts,
-                          DeltaCheckpoint *Ckpt);
-
-} // namespace
+  EngineResult Sched = ListScheduler(F, DD, MD, H).run(
+      Own, {}, [](unsigned) { return PredDisposition::Fixed; },
+      [](unsigned) { return true; }, nullptr, Obs);
+  BlockSchedule Out;
+  Out.Order.reserve(Sched.Order.size());
+  for (unsigned Node : Sched.Order)
+    Out.Order.push_back(DD.ddgNode(Node).Instr);
+  Out.Makespan = Sched.Makespan;
+  Out.S = std::move(Sched.S);
+  return Out;
+}
 
 LocalSchedStats gis::scheduleLocal(Function &F, const MachineDescription &MD,
-                                   const LoopInfo &LI,
                                    const obs::SchedSink &Sink,
                                    DeltaCheckpoint *Ckpt) {
   LocalSchedStats Stats;
   F.recomputeCFG();
-  // The pass's disambiguation facts, shared by all its regions.  They stay
-  // exact: intra-block reorders patch positions in place below.
+  // The pass's disambiguation facts, shared by all its blocks.  They stay
+  // exact: reorders patch positions in place below.
   DisambigFacts Facts = DisambigFacts::build(F);
 
-  // Regions proper require reducible control flow; otherwise fall back to
-  // degenerate one-block regions (the scheduling result is identical: the
-  // local scheduler only uses intra-block structure).
-  if (!LI.isReducible()) {
-    for (BlockId B : F.layout())
-      scheduleRegionBlocks(F, MD, SchedRegion::buildSingleBlock(F, B), Stats,
-                           Sink, Facts, Ckpt);
-    return Stats;
-  }
-
-  // Every block is a direct member of exactly one region (its innermost
-  // loop, or the top level); iterate all regions so all blocks are
-  // rescheduled once.
-  std::vector<int> RegionIds;
-  for (unsigned L = 0; L != LI.numLoops(); ++L)
-    RegionIds.push_back(static_cast<int>(L));
-  RegionIds.push_back(-1);
-
-  for (int RegionId : RegionIds) {
-    SchedRegion R = SchedRegion::build(F, LI, RegionId);
-    scheduleRegionBlocks(F, MD, R, Stats, Sink, Facts, Ckpt);
-  }
-  return Stats;
-}
-
-namespace {
-
-void scheduleRegionBlocks(Function &F, const MachineDescription &MD,
-                          const SchedRegion &R, LocalSchedStats &Stats,
-                          const obs::SchedSink &Sink, DisambigFacts &Facts,
-                          DeltaCheckpoint *Ckpt) {
-  DataDeps DD = DataDeps::compute(F, R, MD, &Facts);
-
-  std::vector<unsigned> CurNode(DD.numNodes());
-  for (unsigned N = 0; N != DD.numNodes(); ++N)
-    CurNode[N] = DD.ddgNode(N).RegionNode;
-  Heuristics H = computeHeuristics(F, DD, MD, CurNode);
-  ListScheduler Engine(F, DD, MD, H);
-
-  auto AllFixed = [](unsigned) { return PredDisposition::Fixed; };
-  auto NoSpec = [](unsigned) { return true; };
-
-  for (unsigned A : R.topoOrder()) {
-    const RegionNode &ANode = R.node(A);
-    if (!ANode.isBlock())
-      continue;
-    BasicBlock &BB = F.block(ANode.Block);
+  for (BlockId B : F.layout()) {
     ++Stats.BlocksScheduled;
     obs::TraceSpan BlockSpan("block", "sched", "block",
-                             static_cast<int64_t>(ANode.Block));
-
-    std::vector<unsigned> Own;
-    bool AllInDDG = true;
-    for (InstrId I : BB.instrs()) {
-      int N = DD.nodeOfInstr(I);
-      if (N < 0) {
-        AllInDDG = false;
-        break;
-      }
-      Own.push_back(static_cast<unsigned>(N));
-    }
-    if (!AllInDDG) {
-      // Inconsistent analysis state; the block keeps its original order.
-      ++Stats.BlocksFailed;
-      continue;
-    }
+                             static_cast<int64_t>(B));
 
     // Per-block staging buffers: a failed block keeps its original order,
     // so its picks must not leak into the log or the counters.
@@ -110,10 +61,11 @@ void scheduleRegionBlocks(Function &F, const MachineDescription &MD,
     Obs.Counters = Sink.Counters ? &BlockCtrs : nullptr;
     Obs.Decisions = Sink.Decisions ? &BlockDecisions : nullptr;
     Obs.Stage = "local";
-    Obs.TargetBlock = ANode.Block;
+    Obs.TargetBlock = B;
 
-    EngineResult Sched = Engine.run(Own, {}, AllFixed, NoSpec, nullptr, &Obs);
-    if (!Sched.S.isOk() || Sched.Order.size() != Own.size()) {
+    BlockSchedule Sched = scheduleBlock(F, B, MD, Facts, &Obs);
+    BasicBlock &BB = F.block(B);
+    if (!Sched.S.isOk() || Sched.Order.size() != BB.size()) {
       ++Stats.BlocksFailed;
       continue;
     }
@@ -124,18 +76,13 @@ void scheduleRegionBlocks(Function &F, const MachineDescription &MD,
                              std::make_move_iterator(BlockDecisions.begin()),
                              std::make_move_iterator(BlockDecisions.end()));
 
-    std::vector<InstrId> NewContents;
-    NewContents.reserve(Sched.Order.size());
-    for (unsigned Node : Sched.Order)
-      NewContents.push_back(DD.ddgNode(Node).Instr);
-    if (NewContents != BB.instrs()) {
+    if (Sched.Order != BB.instrs()) {
       ++Stats.BlocksReordered;
       if (Ckpt)
-        Ckpt->noteBlock(ANode.Block); // save the pre-reorder list first
-      BB.instrs() = std::move(NewContents);
-      Facts.updatePositions(F, ANode.Block);
+        Ckpt->noteBlock(B); // save the pre-reorder list first
+      BB.instrs() = std::move(Sched.Order);
+      Facts.updatePositions(F, B);
     }
   }
+  return Stats;
 }
-
-} // namespace

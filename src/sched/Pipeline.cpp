@@ -152,8 +152,9 @@ bool runRegAllocTransaction(TxContext &Ctx,
 }
 
 /// The pipeline computes LoopInfo once per CFG change -- at entry and
-/// after each committed unroll, rotation or tail duplication -- and reuses
-/// it in between: region and local scheduling never edit the CFG.
+/// after each committed unroll or rotation -- and reuses it in between:
+/// region scheduling never edits the CFG, and nothing reads it after tail
+/// duplication.
 /// GIS_SLOWPATH_CHECK builds compare every reuse with a fresh compute and
 /// treat a difference as fatal.
 void checkReusedLoopInfo(const Function &F, const LoopInfo &LI) {
@@ -430,8 +431,6 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
     ++Stats.FunctionsSkippedIrreducible;
     GlobalEnabled = false;
   }
-  // Set when a tail duplication committed after LI was last computed.
-  bool LoopInfoStale = false;
 
   // Step 0: the Section 4.2 preprocessing -- rename block-local values so
   // register reuse does not manufacture anti/output dependences.  In the
@@ -652,7 +651,6 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
         if (Committed) {
           T = std::move(Tmp);
           BudgetLeft = Bud;
-          LoopInfoStale |= DS.Changed;
         } else {
           T.Blocks.clear(); // function rolled back; the trace goes with it
         }
@@ -681,7 +679,6 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
   // Step 5: the basic-block scheduler with its (per the paper, more
   // detailed) machine model runs over every block.
   auto RunLocal = [&](const char *Stage) {
-    checkReusedLoopInfo(F, LI);
     runDeltaTransaction(
         Ctx, Stage, -1,
         [&](PipelineStats &Delta, DeltaCheckpoint &Ck) {
@@ -689,16 +686,13 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
           Sink.Counters = &Delta.Counters;
           if (Opts.CollectDecisions)
             Sink.Decisions = &Delta.Decisions;
-          Delta.Local = scheduleLocal(F, MD, LI, Sink, &Ck);
+          Delta.Local = scheduleLocal(F, MD, Sink, &Ck);
           return Status::ok();
         },
         /*RegionScoped=*/false);
   };
-  if (Opts.RunLocalScheduler) {
-    if (LoopInfoStale)
-      LI = LoopInfo::compute(F); // tail duplication edited the CFG
+  if (Opts.RunLocalScheduler)
     RunLocal("local");
-  }
 
   // Peak pressure of the scheduled, still-symbolic code: the quantity the
   // finite register files must absorb (and what --stats reports even when
@@ -714,9 +708,7 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
   // scheduler runs once more so the spill code's anti/output dependences
   // are woven into the issue slots -- the XL "twice-scheduled" flow the
   // paper describes.  A failed allocation rolls back to symbolic registers
-  // and the pipeline's ordinary output stands.  Allocation inserts spill
-  // code into existing blocks only, so the local pass's LoopInfo stays
-  // valid for the second run.
+  // and the pipeline's ordinary output stands.
   if (Opts.AllocateRegisters) {
     bool Committed = runRegAllocTransaction(Ctx, [&](PipelineStats &Delta) {
       RegAllocStats RA;

@@ -3,10 +3,9 @@
 #include "sched/Report.h"
 
 #include "analysis/LoopInfo.h"
+#include "analysis/MemDisambig.h"
 #include "analysis/RegPressure.h"
-#include "analysis/Region.h"
-#include "sched/Heuristics.h"
-#include "sched/ListScheduler.h"
+#include "sched/LocalScheduler.h"
 #include "support/Format.h"
 
 #include <ostream>
@@ -15,28 +14,16 @@ using namespace gis;
 
 namespace {
 
-/// Static latency estimate: each block list-scheduled in isolation, the
-/// block makespans summed.  Comparable before/after scheduling because
-/// the instruction multiset only changes by motion (and bounded
-/// duplication).
+/// Static latency estimate: each block list-scheduled in isolation, as the
+/// local pass schedules it, the block makespans summed.  Comparable
+/// before/after scheduling because the instruction multiset only changes
+/// by motion (and bounded duplication).
 uint64_t staticCycleEstimate(const Function &F, const MachineDescription &MD) {
+  const DisambigFacts Facts = DisambigFacts::build(F);
   uint64_t Total = 0;
-  for (BlockId B : F.layout()) {
-    if (F.block(B).empty())
-      continue;
-    SchedRegion R = SchedRegion::buildSingleBlock(F, B);
-    DataDeps DD = DataDeps::compute(F, R, MD);
-    std::vector<unsigned> Cur(DD.numNodes(), 0);
-    Heuristics H = computeHeuristics(F, DD, MD, Cur);
-    ListScheduler Engine(F, DD, MD, H);
-    std::vector<unsigned> Own;
-    for (InstrId I : F.block(B).instrs())
-      Own.push_back(static_cast<unsigned>(DD.nodeOfInstr(I)));
-    EngineResult S = Engine.run(
-        Own, {}, [](unsigned) { return PredDisposition::Fixed; },
-        [](unsigned) { return true; });
-    Total += S.Makespan;
-  }
+  for (BlockId B : F.layout())
+    if (!F.block(B).empty())
+      Total += scheduleBlock(F, B, MD, Facts).Makespan;
   return Total;
 }
 

@@ -90,7 +90,6 @@ TailDuplicationStats gis::duplicateTails(Function &F, SuperblockTrace &Trace,
     }
     ++Stats.ClonedBlocks;
   }
-  Stats.Changed = true;
   BudgetLeft -= static_cast<unsigned>(Cost);
 
   // Fault stage "tail-dup": lose one duplicate.  The function stays

@@ -40,7 +40,6 @@ struct TailDuplicationStats {
   unsigned ClonedBlocks = 0;     ///< clone blocks created
   unsigned TrampolineBlocks = 0; ///< fall-through redirect blocks created
   unsigned TracesTruncated = 0;  ///< 1 when the budget forced a truncation
-  bool Changed = false;          ///< any mutation of the function
   bool FaultInjected = false;    ///< the "tail-dup" fault fired in here
 };
 

@@ -8,6 +8,9 @@
 // schedulePipeline, the mini-C front end, the IR parser behind every disk
 // hit, and the allocation-free copy of an instruction.
 //
+// One gate pins growth rather than a count: the local pass's allocations
+// and bytes on a function four times larger.
+//
 // The executable replaces the global operator new with a counting one,
 // which is why it is its own executable (`gis_alloc_tests`, ctest label
 // "alloc"); scripts/check.sh runs it in the plain and the ASan+UBSan
@@ -20,6 +23,7 @@
 #include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "machine/MachineDescription.h"
+#include "sched/LocalScheduler.h"
 #include "sched/Pipeline.h"
 #include "workloads/RandomProgram.h"
 
@@ -34,11 +38,17 @@
 namespace {
 
 thread_local uint64_t Allocations = 0;
+thread_local uint64_t AllocatedBytes = 0;
 
 void *countedAllocate(std::size_t N) {
   ++Allocations;
+  AllocatedBytes += N;
   return std::malloc(N ? N : 1);
 }
+
+// Kept out of line: GCC's -Wmismatched-new-delete otherwise sees a free()
+// of what an inlined operator new returned and warns.
+[[gnu::noinline]] void release(void *P) noexcept { std::free(P); }
 
 } // namespace
 
@@ -58,15 +68,15 @@ void *operator new(std::size_t N, const std::nothrow_t &) noexcept {
 void *operator new[](std::size_t N, const std::nothrow_t &) noexcept {
   return countedAllocate(N);
 }
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete[](void *P) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t) noexcept { std::free(P); }
-void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
+void operator delete(void *P) noexcept { release(P); }
+void operator delete[](void *P) noexcept { release(P); }
+void operator delete(void *P, std::size_t) noexcept { release(P); }
+void operator delete[](void *P, std::size_t) noexcept { release(P); }
 void operator delete(void *P, const std::nothrow_t &) noexcept {
-  std::free(P);
+  release(P);
 }
 void operator delete[](void *P, const std::nothrow_t &) noexcept {
-  std::free(P);
+  release(P);
 }
 
 using namespace gis;
@@ -170,6 +180,66 @@ TEST(AllocGate, ParseModuleAllocationsPerFunctionWithinBudget) {
   }
   expectWithinBudget("parseModule", Counted, Functions,
                      ParseModuleAllocsPerFunc);
+}
+
+/// One function of \p N statements `if (s > k) s = s - 1; else s = s + 2;`:
+/// 3N + 1 blocks of a few instructions each.
+std::string ifElseChain(unsigned N) {
+  std::string Source = "int main(int n) {\n  int s = n;\n";
+  for (unsigned K = 0; K != N; ++K)
+    Source += "  if (s > " + std::to_string(K) +
+              ") s = s - 1; else s = s + 2;\n";
+  return Source + "  return s;\n}\n";
+}
+
+struct HeapUse {
+  uint64_t Allocations = 0;
+  uint64_t Bytes = 0;
+};
+
+/// What scheduleLocal allocates on ifElseChain(\p N) after the rest of
+/// the default pipeline ran.
+HeapUse localPassHeapUse(unsigned N) {
+  const MachineDescription MD = MachineDescription::rs6k();
+  std::unique_ptr<Module> M = compileMiniCOrDie(ifElseChain(N));
+  Function &F = *M->functions()[0];
+  PipelineOptions Opts;
+  Opts.RunLocalScheduler = false;
+  PipelineStats S = schedulePipeline(F, MD, Opts);
+  EXPECT_EQ(S.VerifierFailures, 0u);
+  uint64_t Allocs = Allocations, Bytes = AllocatedBytes;
+  LocalSchedStats L = scheduleLocal(F, MD);
+  HeapUse Use{Allocations - Allocs, AllocatedBytes - Bytes};
+  EXPECT_EQ(L.BlocksScheduled, F.numBlocks());
+  EXPECT_EQ(L.BlocksFailed, 0u);
+  return Use;
+}
+
+// The local pass schedules each block alone, so its heap use follows the
+// function's size: four times the blocks may cost about four times the
+// allocations and bytes.  A function-sized array built per block (a node
+// map indexed by function-wide ids, a region-wide dependence graph) makes
+// the bytes grow with the square of the block count, and fails this.
+TEST(AllocGate, LocalPassHeapUseGrowsLinearlyWithTheFunction) {
+#ifdef GIS_SLOWPATH_CHECK
+  GTEST_SKIP() << "the slowpath cross-checks rederive function-wide facts "
+                  "after every block";
+#else
+  HeapUse Small = localPassHeapUse(250);
+  HeapUse Large = localPassHeapUse(1000);
+  ::testing::Test::RecordProperty(
+      "allocs_ratio", std::to_string(double(Large.Allocations) /
+                                     double(Small.Allocations)));
+  ::testing::Test::RecordProperty(
+      "bytes_ratio",
+      std::to_string(double(Large.Bytes) / double(Small.Bytes)));
+  EXPECT_LE(Large.Allocations, 5 * Small.Allocations)
+      << "allocations " << Small.Allocations << " at 250 statements, "
+      << Large.Allocations << " at 1,000";
+  EXPECT_LE(Large.Bytes, 5 * Small.Bytes)
+      << "bytes " << Small.Bytes << " at 250 statements, " << Large.Bytes
+      << " at 1,000";
+#endif
 }
 
 // Every non-call opcode's operands fit inline, so copying an instruction

@@ -597,7 +597,7 @@ TEST(ColdpathCheckpoint, DeltaRestoreIsByteIdenticalToPreTransaction) {
 
       DeltaCheckpoint Ck(F);
       preRenameLocals(F, &Ck);
-      scheduleLocal(F, MD, LoopInfo::compute(F), {}, &Ck);
+      scheduleLocal(F, MD, {}, &Ck);
       LoopInfo LI = LoopInfo::compute(F);
       for (unsigned L = 0; L != LI.numLoops(); ++L)
         if (canUnrollOnce(F, LI, L)) {
@@ -615,7 +615,7 @@ TEST(ColdpathCheckpoint, DeltaRestoreIsByteIdenticalToPreTransaction) {
       LI = LoopInfo::compute(F);
       unsigned Budget = 1000;
       for (SuperblockTrace &T : formTraces(F, LI, TraceFormationOptions()))
-        TailDuplicated += duplicateTails(F, T, Budget, &Ck).Changed;
+        TailDuplicated += duplicateTails(F, T, Budget, &Ck).ClonedBlocks != 0;
       ASSERT_TRUE(Ck.restore(F)) << Tag;
 
       EXPECT_TRUE(functionsIdentical(F, Ref)) << Tag;

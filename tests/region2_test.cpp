@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace gis;
 
 namespace {
@@ -53,6 +55,39 @@ B0:
   PDG P = PDG::build(F, R, MachineDescription::rs6k());
   EXPECT_EQ(P.dataDeps().numNodes(), 3u);
   EXPECT_TRUE(P.controlDeps().deps(0).empty());
+}
+
+// A one-block region of a larger function maps its own block and
+// instructions and nothing else, on either side of its ids.
+TEST(Region2Test, SingleBlockRegionMapsOnlyItsOwnIds) {
+  auto M = parseModuleOrDie(R"(
+func f {
+B0:
+  LI r1 = 1
+  C cr0 = r1, r2
+  BT B2, cr0, lt
+B1:
+  LI r2 = 2
+  AI r3 = r2, 3
+B2:
+  RET r1
+}
+)");
+  Function &F = *M->functions()[0];
+  F.recomputeCFG();
+  BlockId B1 = blockByLabel(F, "B1");
+  SchedRegion R = SchedRegion::buildSingleBlock(F, B1);
+  for (BlockId B = 0; B != F.numBlocks() + 1; ++B)
+    EXPECT_EQ(R.nodeOfBlock(B), B == B1 ? 0 : -1) << "block " << B;
+
+  DataDeps DD = DataDeps::compute(F, R, MachineDescription::rs6k());
+  const std::vector<InstrId> &Own = F.block(B1).instrs();
+  ASSERT_EQ(DD.numNodes(), Own.size());
+  for (InstrId I = 0; I != F.numInstrs() + 1; ++I) {
+    auto It = std::find(Own.begin(), Own.end(), I);
+    int Expected = It == Own.end() ? -1 : static_cast<int>(It - Own.begin());
+    EXPECT_EQ(DD.nodeOfInstr(I), Expected) << "instruction " << I;
+  }
 }
 
 TEST(Region2Test, SummaryNodeCarriesRegisterPayload) {

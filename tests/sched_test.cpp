@@ -421,7 +421,7 @@ B0:
 }
 )");
   Function &F = *M->functions()[0];
-  LocalSchedStats Stats = scheduleLocal(F, MachineDescription::rs6k(), LoopInfo::compute(F));
+  LocalSchedStats Stats = scheduleLocal(F, MachineDescription::rs6k());
   EXPECT_TRUE(verifyFunction(F).empty());
   EXPECT_EQ(Stats.BlocksReordered, 1u);
   // "LI r4 = 7" moves into the load's delay slot, before "AI r3 = r2, 1".
@@ -450,7 +450,7 @@ B0:
 }
 )");
   Function &F = *M->functions()[0];
-  scheduleLocal(F, MachineDescription::rs6k(), LoopInfo::compute(F));
+  scheduleLocal(F, MachineDescription::rs6k());
   Interpreter I(*M);
   ExecResult R = I.run(F);
   ASSERT_FALSE(R.Trapped);
@@ -470,7 +470,7 @@ B0:
 TEST(LocalSchedTest, SchedulesAllBlocksIncludingLoops) {
   auto M = parseModuleOrDie(MinmaxFull);
   Function &F = *M->functions()[0];
-  LocalSchedStats Stats = scheduleLocal(F, MachineDescription::rs6k(), LoopInfo::compute(F));
+  LocalSchedStats Stats = scheduleLocal(F, MachineDescription::rs6k());
   EXPECT_EQ(Stats.BlocksScheduled, F.numBlocks());
   EXPECT_TRUE(verifyFunction(F).empty());
   // Semantics preserved.
